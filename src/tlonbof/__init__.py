@@ -38,7 +38,6 @@ from .network import (
 )
 from .training import (
     AdamState,
-    TrainConfig,
     TrainResult,
     adam_step,
     balanced_batch,
@@ -63,7 +62,6 @@ __all__ = [
     "RunConfig",
     "STATIONARY",
     "ScalingParams",
-    "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
     "UP",

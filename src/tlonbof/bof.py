@@ -19,7 +19,7 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,28 +30,23 @@ from .kernels import KernelParams
 
 @dataclass
 class ScalingParams:
-    """Assignment-mass and histogram-mass scale factors.
-
-    ``trainable`` records whether the training loop should update them;
-    the layer math is identical either way.
-    """
+    """Assignment-mass and histogram-mass scale factors."""
 
     c_u: float = 1.0
     c_s: float = 1.0
-    trainable: bool = False
 
     def __post_init__(self):
         if self.c_u <= 0 or self.c_s <= 0:
             raise ValueError(f"scale factors must be positive, got c_u={self.c_u}, c_s={self.c_s}")
 
     @classmethod
-    def protocol_init(cls, n_codewords: int, avg_seq_len: float, trainable: bool = True) -> "ScalingParams":
+    def protocol_init(cls, n_codewords: int, avg_seq_len: float) -> "ScalingParams":
         """Standard initialization: c_s = codebook size, c_u = mean sequence length."""
-        return cls(c_u=float(avg_seq_len), c_s=float(n_codewords), trainable=trainable)
+        return cls(c_u=float(avg_seq_len), c_s=float(n_codewords))
 
     @classmethod
     def disabled(cls) -> "ScalingParams":
-        return cls(c_u=1.0, c_s=1.0, trainable=False)
+        return cls(c_u=1.0, c_s=1.0)
 
 
 def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[int, int]]:

@@ -27,12 +27,14 @@ _configure_threads()
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import config as config_mod
 from . import data, metrics, training
-from .errors import FormatError, NumericError, TrainingDiverged
+from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
+from .network import ModelConfig
 
 # ablation grid: (deep_features, temporal_modeling, kernel_param_learning,
 # adaptive_scaling), ordered from the plainest model to the full one
@@ -70,27 +72,6 @@ def _require_data_dir(path) -> str:
     if not os.path.isdir(path):
         raise _Usage(f"data directory does not exist: {path}")
     return path
-
-
-def _train_config(rc: config_mod.RunConfig, seed: int | None = None) -> training.TrainConfig:
-    return training.TrainConfig(
-        batch_size=rc.batch_size,
-        epochs=rc.epochs,
-        lr=rc.lr,
-        seed=rc.seed if seed is None else seed,
-        arch=rc.arch,
-        n_codewords=rc.n_codewords,
-        conv_filters=rc.conv_filters,
-        conv_kernel=rc.conv_kernel,
-        hidden=rc.hidden,
-        n_regions=rc.n_regions,
-        deep_features=rc.deep_features,
-        temporal_modeling=rc.temporal_modeling,
-        kernel_param_learning=rc.kernel_param_learning,
-        adaptive_scaling=rc.adaptive_scaling,
-        kernel=rc.kernel,
-        nested_regions=rc.nested_regions,
-    )
 
 
 def _windows(rc: config_mod.RunConfig, corpus) -> data.WindowDataset:
@@ -167,12 +148,11 @@ def cmd_train(args) -> int:
     if trainset.n_samples == 0:
         raise _Usage(f"no usable windows in {data_dir} "
                      f"(window={rc.window}, horizon={rc.horizon})")
-    tc = _train_config(rc)
     history_path = args.history or os.path.splitext(args.out)[0] + ".history.csv"
     try:
-        result = training.train(tc, trainset)
+        result = training.train(rc, trainset)
     except TrainingDiverged as exc:
-        cfg = tc.model_config(d_in=trainset.feature_dim, avg_seq_len=float(trainset.window))
+        cfg = ModelConfig.from_run(rc, trainset.feature_dim, float(trainset.window))
         training.save_checkpoint(args.out, exc.last_good_params, cfg)
         print(f"error: {exc}; last good parameters saved to {args.out}", file=sys.stderr)
         return 1
@@ -199,6 +179,10 @@ def _eval_fold_rows(args, rc, corpus):
     fixed = None
     if args.model is not None:
         fixed = training.load_checkpoint(args.model)
+        d_in, d_corpus = fixed[1].d_in, corpus[0].features.shape[1]
+        if d_in != d_corpus:
+            raise _Usage(f"checkpoint {args.model} takes d_in={d_in} features per row, "
+                         f"but the corpus has {d_corpus}")
     if rc.folds == "single":
         if fixed is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
@@ -213,7 +197,7 @@ def _eval_fold_rows(args, rc, corpus):
             params, mcfg, _ = fixed
         else:
             trainset = _windows(rc, [by_day[d] for d in fold.train_days])
-            result = training.train(_train_config(rc), trainset)
+            result = training.train(rc, trainset)
             params, mcfg = result.params, result.model_cfg
         yield k, testset, params, mcfg
 
@@ -261,14 +245,6 @@ def cmd_eval(args) -> int:
 # ablate
 
 
-def _parse_bool(raw: str, lineno: int) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise FormatError(f"expected true or false, got {raw!r}", location=f"line {lineno}")
-
-
 def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -289,19 +265,12 @@ def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 4:
             raise FormatError(f"{path}: expected 4 columns", location=f"line {lineno}")
-        scaling = cells[3]
-        if scaling not in config_mod.SCALING_CHOICES:
-            raise FormatError(
-                f"{path}: adaptive_scaling must be one of "
-                f"{', '.join(config_mod.SCALING_CHOICES)}, got {scaling!r}",
-                location=f"line {lineno}",
-            )
-        grid.append((
-            _parse_bool(cells[0], lineno),
-            _parse_bool(cells[1], lineno),
-            _parse_bool(cells[2], lineno),
-            scaling,
-        ))
+        # each column is a run-config key, parsed by the config's own rules
+        try:
+            grid.append(tuple(config_mod.parse_value(k, c, lineno)
+                              for k, c in zip(_GRID_HEADER, cells)))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc.message}", location=exc.location) from None
     if not grid:
         raise FormatError(f"{path}: grid has a header but no rows")
     return grid
@@ -332,31 +301,22 @@ def cmd_ablate(args) -> int:
         raise _Usage(f"not enough usable windows in {data_dir}")
     header = _GRID_HEADER + ["f1_mean", "f1_std", "kappa_mean", "kappa_std", "status"]
     rows = []
-    for deep, temporal, kpl, scaling in grid:
+    for row in grid:
         f1s, kappas, status = [], [], "ok"
         for seed in seeds:
-            tc = _train_config(rc, seed=seed)
-            tc.deep_features = deep
-            tc.temporal_modeling = temporal
-            tc.kernel_param_learning = kpl
-            tc.adaptive_scaling = scaling
+            cell = replace(rc, seed=seed, **dict(zip(_GRID_HEADER, row)))
             try:
-                result = training.train(tc, trainset)
+                result = training.train(cell, trainset)
                 preds = training.predict(result.params, result.model_cfg, testset)
                 score = metrics.fold_scores(testset.labels, preds, result.model_cfg.n_classes)
             except NumericError as exc:
-                print(f"cell ({deep},{temporal},{kpl},{scaling}) seed {seed} failed: {exc}",
+                print(f"cell ({','.join(map(str, row))}) seed {seed} failed: {exc}",
                       file=sys.stderr)
                 status = "failed"
                 break
             f1s.append(score["f1"])
             kappas.append(score["kappa"])
-        flags = [
-            "true" if deep else "false",
-            "true" if temporal else "false",
-            "true" if kpl else "false",
-            scaling,
-        ]
+        flags = [str(v).lower() for v in row]  # config spelling: true/false, scaling as is
         if status == "ok":
             stats = [repr(float(np.mean(f1s))), repr(float(np.std(f1s))),
                      repr(float(np.mean(kappas))), repr(float(np.std(kappas)))]
@@ -456,7 +416,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, NumericError) as exc:
+    except (FormatError, NumericError, UndefinedMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

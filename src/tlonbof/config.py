@@ -47,9 +47,8 @@ class RunConfig:
     adaptive_scaling: str = "learned"
     nested_regions: bool = False
     ablation_seeds: str = "0,1,2"
-    # paths and evaluation layout
+    # data path and evaluation layout
     data_dir: str = ""
-    out_dir: str = ""
     folds: str = "anchored"
 
 
@@ -70,7 +69,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _FIELD_ORDER = [f.name for f in fields(RunConfig)]
 
 
-def _parse_value(key: str, raw: str, lineno: int | str):
+def parse_value(key: str, raw: str, lineno: int | str):
+    """Parse one value of ``key`` by the schema's rules, or raise FormatError at ``lineno``."""
     kind = _FIELD_TYPES[key]
     loc = f"line {lineno}"
     if kind == "bool" or kind is bool:
@@ -128,7 +128,7 @@ def loads(text: str) -> RunConfig:
             raise FormatError(f"unknown key {key!r}", location=f"line {lineno}")
         if key in seen:
             raise FormatError(f"duplicate key {key!r}", location=f"line {lineno}")
-        seen[key] = _parse_value(key, raw, lineno)
+        seen[key] = parse_value(key, raw, lineno)
     return RunConfig(**seen)
 
 

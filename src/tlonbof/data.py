@@ -238,12 +238,12 @@ def load_feature_csv(path) -> FeatureSeries:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise FormatError(f"{path}: {exc}", location=f"line {lineno}") from None
-            row_day = int(values[0])
-            if values[0] != row_day:
+            if not values[0].is_integer():
                 raise FormatError(
                     f"{path}: day_id must be an integer, got {row[0]}",
                     location=f"line {lineno}",
                 )
+            row_day = int(values[0])
             if day_id is None:
                 day_id = row_day
             elif row_day != day_id:
@@ -251,16 +251,22 @@ def load_feature_csv(path) -> FeatureSeries:
                     f"{path}: mixed day ids {day_id} and {row_day} in one file",
                     location=f"line {lineno}",
                 )
-            if values[1] <= 0:
-                raise FormatError(
-                    f"{path}: mid_price must be positive, got {row[1]}",
-                    location=f"line {lineno}",
-                )
             mids.append(values[1])
             rows.append(values[2:])
     if day_id is None:
         raise FormatError(f"{path}: no data rows", location="line 2")
-    return FeatureSeries(day_id, np.array(rows), np.array(mids))
+    mid_arr, feats = np.array(mids), np.array(rows)
+    # one vectorized pass: every value finite, every mid-price strictly positive
+    bad = np.column_stack([~(np.isfinite(mid_arr) & (mid_arr > 0)), ~np.isfinite(feats)])
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        value = mid_arr[r] if c == 0 else feats[r, c - 1]
+        rule = "finite and strictly positive" if c == 0 else "finite"
+        raise FormatError(
+            f"{path}: {_HEADER[c + 1]} must be {rule}, got {float(value)!r}",
+            location=f"line {r + 2}",
+        )
+    return FeatureSeries(day_id, feats, mid_arr)
 
 
 def write_feature_csv(path, series: FeatureSeries) -> None:

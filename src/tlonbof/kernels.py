@@ -107,15 +107,6 @@ def kernel_backward(kind: str, x: np.ndarray, v: np.ndarray, p: KernelParams, up
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def logistic_matrix(feats: np.ndarray, codebook: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Logistic kernel values for every (feature row, codeword) pair.
-
-    ``feats`` may carry leading batch dimensions; the codebook is
-    (n_codewords, dim). Returns ``feats.shape[:-1] + (n_codewords,)``.
-    """
-    return sigmoid(2.0 * alpha * (feats @ codebook.T) + 2.0 * beta)
-
-
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")

@@ -18,7 +18,7 @@ without projection; gradients are mapped accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ModelConfig:
     kernel_param_learning: bool = True
     adaptive_scaling: str = SCALING_LEARNED
     avg_seq_len: float = 15.0
-    sigma: float | None = None  # Gaussian width; derived from the codebook if left unset
 
     def __post_init__(self):
         if self.arch not in (ARCH_TLONBOF, ARCH_CNN_GAP):
@@ -60,6 +59,17 @@ class ModelConfig:
             raise ValueError(
                 "the global-average-pooling baseline requires the convolutional extractor"
             )
+
+    @classmethod
+    def from_run(cls, rc, d_in: int, avg_seq_len: float) -> "ModelConfig":
+        """The model a run config describes, for windows of ``d_in`` features.
+
+        Fields the run config shares by name are copied; without temporal
+        modelling the histogram has a single region.
+        """
+        shared = {f.name: getattr(rc, f.name) for f in fields(cls) if hasattr(rc, f.name)}
+        shared["n_regions"] = rc.n_regions if rc.temporal_modeling else 1
+        return cls(**shared, d_in=d_in, avg_seq_len=avg_seq_len)
 
     @property
     def feature_dim(self) -> int:
@@ -100,8 +110,7 @@ def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
             params["alpha"] = np.array(1.0)
             params["beta"] = np.array(0.0)
         else:
-            sigma = cfg.sigma if cfg.sigma is not None else kernels.default_sigma(params["codebook"])
-            params["sigma"] = np.array(float(sigma))
+            params["sigma"] = np.array(kernels.default_sigma(params["codebook"]))
     return params
 
 
@@ -120,12 +129,8 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
     return names
 
 
-def _scaling_from(params: dict[str, np.ndarray], cfg: ModelConfig) -> ScalingParams:
-    return ScalingParams(
-        c_u=float(np.exp(params["log_cu"])),
-        c_s=float(np.exp(params["log_cs"])),
-        trainable=cfg.adaptive_scaling == SCALING_LEARNED,
-    )
+def _scaling_from(params: dict[str, np.ndarray]) -> ScalingParams:
+    return ScalingParams(c_u=float(np.exp(params["log_cu"])), c_s=float(np.exp(params["log_cs"])))
 
 
 def _kernel_params_from(params: dict[str, np.ndarray], cfg: ModelConfig) -> KernelParams:
@@ -249,7 +254,7 @@ def forward_batch(
             params["codebook"],
             cfg.kernel,
             _kernel_params_from(params, cfg),
-            _scaling_from(params, cfg),
+            _scaling_from(params),
             cfg.n_regions,
             cfg.nested_regions,
         )

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import kernels, network
+from . import network
+from .config import ARCH_CHOICES, KERNEL_CHOICES, SCALING_CHOICES, RunConfig, write_atomic
 from .core import Rng
 from .errors import FormatError, NumericError, TrainingDiverged
 from .network import ModelConfig
@@ -87,52 +88,9 @@ def balanced_batch(
 
 
 @dataclass
-class TrainConfig:
-    batch_size: int = 128
-    epochs: int = 20
-    lr: float = 1e-4
-    seed: int = 0
-    # architecture
-    arch: str = network.ARCH_TLONBOF
-    n_codewords: int = 256
-    conv_filters: int = 256
-    conv_kernel: int = 5
-    hidden: int = 512
-    n_regions: int = 3
-    # ablation axes
-    deep_features: bool = True
-    temporal_modeling: bool = True
-    kernel_param_learning: bool = True
-    adaptive_scaling: str = network.SCALING_LEARNED
-    kernel: str = kernels.LOGISTIC
-    nested_regions: bool = False
-    # instrumentation
-    record_grad_norm: bool = True
-
-    def model_config(self, d_in: int, avg_seq_len: float, n_classes: int = 3) -> ModelConfig:
-        return ModelConfig(
-            arch=self.arch,
-            d_in=d_in,
-            conv_filters=self.conv_filters,
-            conv_kernel=self.conv_kernel,
-            n_codewords=self.n_codewords,
-            n_regions=self.n_regions if self.temporal_modeling else 1,
-            hidden=self.hidden,
-            n_classes=n_classes,
-            kernel=self.kernel,
-            deep_features=self.deep_features,
-            nested_regions=self.nested_regions,
-            kernel_param_learning=self.kernel_param_learning,
-            adaptive_scaling=self.adaptive_scaling,
-            avg_seq_len=avg_seq_len,
-        )
-
-
-@dataclass
 class TrainHistory:
     loss: list[float] = field(default_factory=list)
     grad_norm_conv: list[float] = field(default_factory=list)
-    val: list[dict[str, float]] = field(default_factory=list)
 
     @property
     def steps(self) -> int:
@@ -151,32 +109,34 @@ def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
-def train(config: TrainConfig, dataset, valset=None) -> TrainResult:
+def train(rc: RunConfig, dataset) -> TrainResult:
     """Run the full training protocol on a window dataset.
 
-    ``dataset`` needs ``labels``, ``feature_dim``, ``window`` and a
-    ``gather(indices) -> (X, y)`` method (see ``data.WindowDataset``).
+    The model is ``ModelConfig.from_run(rc, ...)``; ``batch_size``,
+    ``epochs``, ``lr`` and ``seed`` set the protocol. ``dataset`` needs
+    ``labels``, ``feature_dim``, ``window`` and a ``gather(indices) ->
+    (X, y)`` method (see ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
     non-finite or a forward pass fails numerically, carrying the last
     end-of-epoch parameter snapshot.
     """
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
-    rng_init, rng_batch = Rng.from_seed(config.seed).split(2)
-    cfg = config.model_config(d_in=dataset.feature_dim, avg_seq_len=float(dataset.window))
+    rng_init, rng_batch = Rng.from_seed(rc.seed).split(2)
+    cfg = ModelConfig.from_run(rc, dataset.feature_dim, float(dataset.window))
     params = network.init_params(cfg, rng_init)
     trainable = network.trainable_names(cfg)
-    state = init_adam(params, trainable, lr=config.lr)
+    state = init_adam(params, trainable, lr=rc.lr)
     history = TrainHistory()
     labels = dataset.labels
-    steps_per_epoch = math.ceil(dataset.n_samples / config.batch_size)
+    steps_per_epoch = math.ceil(dataset.n_samples / rc.batch_size)
     last_good = _snapshot(params)
     step = 0
-    for _epoch in range(config.epochs):
+    for _epoch in range(rc.epochs):
         for _ in range(steps_per_epoch):
             # weight by the classes actually present; a degenerate day with a
             # single label is trainable, it just cannot teach other classes
-            idx = balanced_batch(labels, config.batch_size, rng_batch)
+            idx = balanced_batch(labels, rc.batch_size, rng_batch)
             x, y = dataset.gather(idx)
             try:
                 _, ctx = network.forward_batch(x, params, cfg)
@@ -194,20 +154,9 @@ def train(config: TrainConfig, dataset, valset=None) -> TrainResult:
                 if k in params and params[k] < LOG_SCALE_FLOOR:
                     params[k] = np.array(LOG_SCALE_FLOOR)
             history.loss.append(float(loss))
-            if config.record_grad_norm:
-                g = grads.get("conv_w")
-                history.grad_norm_conv.append(
-                    float(np.linalg.norm(g)) if g is not None else float("nan")
-                )
+            g = grads.get("conv_w")
+            history.grad_norm_conv.append(float(np.linalg.norm(g)) if g is not None else float("nan"))
             step += 1
-        if valset is not None and valset.n_samples > 0:
-            from . import metrics  # local import to avoid a cycle at module load
-
-            cm = metrics.confusion(valset.labels, predict(params, cfg, valset), cfg.n_classes)
-            p, r, f1 = metrics.macro_prf(cm)
-            history.val.append(
-                {"precision": p, "recall": r, "f1": f1, "kappa": metrics.cohens_kappa(cm)}
-            )
         last_good = _snapshot(params)
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
@@ -228,53 +177,41 @@ def predict(
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "TLNB", version u32 LE, tensor count u32 LE, then
 # per tensor: name length u16 LE + UTF-8 name, rank u8, dims u32 LE each,
-# payload f32 LE row-major. Model shape/flags travel as rank-0 "meta.*"
-# entries, optimizer moments as "adam.*" entries.
+# payload f32 LE row-major. Each ModelConfig field travels as a rank-0
+# "meta.<field>" entry, enum-valued ones as their index in the run-config
+# choice tuple; optimizer moments travel as "adam.*" entries.
 
-_ARCHS = [network.ARCH_TLONBOF, network.ARCH_CNN_GAP]
-_KERNELS = [kernels.LOGISTIC, kernels.GAUSSIAN]
-_SCALINGS = [network.SCALING_OFF, network.SCALING_FROZEN, network.SCALING_LEARNED]
+_META_CHOICES = {"arch": ARCH_CHOICES, "kernel": KERNEL_CHOICES, "adaptive_scaling": SCALING_CHOICES}
+_META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
 
 
-def _config_meta(cfg: ModelConfig) -> dict[str, float]:
-    return {
-        "meta.arch": _ARCHS.index(cfg.arch),
-        "meta.d_in": cfg.d_in,
-        "meta.conv_filters": cfg.conv_filters,
-        "meta.conv_kernel": cfg.conv_kernel,
-        "meta.n_codewords": cfg.n_codewords,
-        "meta.n_regions": cfg.n_regions,
-        "meta.hidden": cfg.hidden,
-        "meta.n_classes": cfg.n_classes,
-        "meta.kernel": _KERNELS.index(cfg.kernel),
-        "meta.deep_features": int(cfg.deep_features),
-        "meta.nested_regions": int(cfg.nested_regions),
-        "meta.kernel_param_learning": int(cfg.kernel_param_learning),
-        "meta.adaptive_scaling": _SCALINGS.index(cfg.adaptive_scaling),
-        "meta.avg_seq_len": cfg.avg_seq_len,
-    }
+def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
+    entries = {}
+    for f in fields(ModelConfig):
+        value = getattr(cfg, f.name)
+        if f.name in _META_CHOICES:
+            value = _META_CHOICES[f.name].index(value)
+        entries[f"meta.{f.name}"] = value
+    return entries
 
 
 def _config_from_meta(meta: dict[str, float]) -> ModelConfig:
+    values = {}
+    for f in fields(ModelConfig):
+        key = f"meta.{f.name}"
+        if not math.isfinite(meta.get(key, math.nan)):
+            raise FormatError(f"checkpoint model metadata {key} is missing or not finite")
+        if f.name in _META_CHOICES:
+            choices, index = _META_CHOICES[f.name], int(meta[key])
+            if not 0 <= index < len(choices):
+                raise FormatError(f"checkpoint {key} = {index} is not an index into {choices}")
+            values[f.name] = choices[index]
+        else:
+            values[f.name] = _META_DECODE[f.type](meta[key])
     try:
-        return ModelConfig(
-            arch=_ARCHS[int(meta["meta.arch"])],
-            d_in=int(meta["meta.d_in"]),
-            conv_filters=int(meta["meta.conv_filters"]),
-            conv_kernel=int(meta["meta.conv_kernel"]),
-            n_codewords=int(meta["meta.n_codewords"]),
-            n_regions=int(meta["meta.n_regions"]),
-            hidden=int(meta["meta.hidden"]),
-            n_classes=int(meta["meta.n_classes"]),
-            kernel=_KERNELS[int(meta["meta.kernel"])],
-            deep_features=bool(int(meta["meta.deep_features"])),
-            nested_regions=bool(int(meta["meta.nested_regions"])),
-            kernel_param_learning=bool(int(meta["meta.kernel_param_learning"])),
-            adaptive_scaling=_SCALINGS[int(meta["meta.adaptive_scaling"])],
-            avg_seq_len=float(meta["meta.avg_seq_len"]),
-        )
-    except (KeyError, IndexError) as exc:
-        raise FormatError(f"checkpoint is missing model metadata: {exc}") from exc
+        return ModelConfig(**values)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint model metadata is inconsistent: {exc}") from None
 
 
 def _encode_tensors(entries: list[tuple[str, np.ndarray]]) -> bytes:
@@ -296,7 +233,7 @@ def serialize_checkpoint(
     params: dict[str, np.ndarray], cfg: ModelConfig, state: AdamState | None = None
 ) -> bytes:
     entries = [(k, np.asarray(v)) for k, v in sorted(params.items())]
-    entries += [(k, np.array(v)) for k, v in sorted(_config_meta(cfg).items())]
+    entries += [(k, np.array(v)) for k, v in sorted(_meta_entries(cfg).items())]
     if state is not None:
         entries.append(("adam.t", np.array(float(state.t))))
         entries.append(("adam.lr", np.array(state.lr)))
@@ -311,8 +248,6 @@ def serialize_checkpoint(
 def save_checkpoint(
     path, params: dict[str, np.ndarray], cfg: ModelConfig, state: AdamState | None = None
 ) -> None:
-    from .config import write_atomic  # shared atomic-write helper
-
     write_atomic(path, serialize_checkpoint(params, cfg, state))
 
 
@@ -343,7 +278,11 @@ def deserialize_checkpoint(blob: bytes):
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
-        name = reader.take(name_len, f"name of tensor {i}").decode("utf-8")
+        name_at = reader.off
+        try:
+            name = reader.take(name_len, f"name of tensor {i}").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"name of tensor {i} is not UTF-8", location=f"byte {name_at}") from None
         rank = reader.take(1, f"rank of {name}")[0]
         dims = [
             struct.unpack("<I", reader.take(4, f"dim {d} of {name}"))[0] for d in range(rank)

@@ -15,6 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
 from tlonbof import bof, cli, data, kernels, metrics, network, training
 from tlonbof.bof import KernelParams, ScalingParams
+from tlonbof.config import RunConfig
 from tlonbof.core import Rng, finite_diff_grad, relative_error
 from tlonbof.training import AdamState, adam_step
 
@@ -176,7 +177,7 @@ def test_criterion_05_protocol_learnability():
     train_ds = data.WindowDataset(corpus[:15])
     test_ds = data.WindowDataset(corpus[15:])
     assert train_ds.n_samples >= 5000
-    res = training.train(training.TrainConfig(seed=TRAIN_SEED, **RUN_ARCH), train_ds)
+    res = training.train(RunConfig(seed=TRAIN_SEED, **RUN_ARCH), train_ds)
     preds = training.predict(res.params, res.model_cfg, test_ds)
     cm = metrics.confusion(test_ds.labels, preds)
     f1 = metrics.macro_prf(cm)[2]
@@ -188,7 +189,7 @@ def test_criterion_05_protocol_learnability():
     corpus0 = data.synth_generate(45, 500, seed=SEP0_DATA_SEED, separation=0.0)
     train0 = data.WindowDataset(corpus0[:15])
     test0 = data.WindowDataset(corpus0[15:])
-    res0 = training.train(training.TrainConfig(seed=TRAIN_SEED, **RUN_ARCH), train0)
+    res0 = training.train(RunConfig(seed=TRAIN_SEED, **RUN_ARCH), train0)
     preds0 = training.predict(res0.params, res0.model_cfg, test0)
     kappa0 = metrics.cohens_kappa(metrics.confusion(test0.labels, preds0))
     elapsed = time.time() - t0
@@ -201,8 +202,8 @@ def test_criterion_06_adaptive_scaling_effect():
     corpus = data.synth_generate(15, 500, seed=SEP1_DATA_SEED, separation=1.0)
     ds = data.WindowDataset(corpus)
     base = dict(epochs=9, seed=TRAIN_SEED, **RUN_ARCH)  # 9 epochs = 504 steps
-    r_off = training.train(training.TrainConfig(adaptive_scaling="off", **base), ds)
-    r_on = training.train(training.TrainConfig(adaptive_scaling="learned", **base), ds)
+    r_off = training.train(RunConfig(adaptive_scaling="off", **base), ds)
+    r_on = training.train(RunConfig(adaptive_scaling="learned", **base), ds)
     g_off = float(np.mean(r_off.history.grad_norm_conv[:200]))
     g_on = float(np.mean(r_on.history.grad_norm_conv[:200]))
     ratio = g_on / g_off
@@ -290,7 +291,7 @@ SMALL_TRAIN = dict(batch_size=16, n_codewords=8, conv_filters=8, conv_kernel=3, 
 
 def test_criterion_09_determinism_and_persistence(tmp_path):
     ds = data.WindowDataset(data.synth_generate(2, 80, seed=9))
-    runs = [training.train(training.TrainConfig(epochs=2, seed=11, **SMALL_TRAIN), ds)
+    runs = [training.train(RunConfig(epochs=2, seed=11, **SMALL_TRAIN), ds)
             for _ in range(2)]
     deterministic = all(
         np.array_equal(runs[0].params[k], runs[1].params[k]) for k in runs[0].params
@@ -341,7 +342,7 @@ def test_criterion_10_full_dataset_reference_range():
     for fold in folds:
         train_ds = data.WindowDataset([by_id[d] for d in fold.train_days])
         test_ds = data.WindowDataset([by_id[fold.test_day]])
-        res = training.train(training.TrainConfig(), train_ds)
+        res = training.train(RunConfig(), train_ds)
         preds = training.predict(res.params, res.model_cfg, test_ds)
         per_fold.append(metrics.fold_scores(test_ds.labels, preds))
     summary = metrics.summarize(per_fold)

@@ -73,8 +73,7 @@ def _random_case(seed, n=9, d=4, k=5, kind=kernels.LOGISTIC, nt=3, nested=False)
     codebook = rng.normal(size=(k, d))
     kp = KernelParams(alpha=0.5 + rng.uniform(0.0, 1.0), beta=0.3 * rng.normal(),
                       sigma=0.8 + rng.uniform(0.0, 1.0))
-    sp = ScalingParams(c_u=0.5 + 2 * rng.uniform(0.0, 1.0), c_s=0.5 + 2 * rng.uniform(0.0, 1.0),
-                       trainable=True)
+    sp = ScalingParams(c_u=0.5 + 2 * rng.uniform(0.0, 1.0), c_s=0.5 + 2 * rng.uniform(0.0, 1.0))
     return feats, codebook, kind, kp, sp, nt, nested
 
 
@@ -197,7 +196,7 @@ def test_backward_matches_finite_differences(kind, nt, nested):
         upstream = rng.normal(size=nt * cb.shape[0])
 
         def value(f, c, cu, cs):
-            spx = ScalingParams(c_u=float(cu), c_s=float(cs), trainable=True)
+            spx = ScalingParams(c_u=float(cu), c_s=float(cs))
             h, _ = forward(f, c, kind, kp, spx, n_regions=nt, nested=nested)
             return float(h @ upstream)
 

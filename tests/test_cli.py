@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from tlonbof import cli, config, data, metrics, training
+from tlonbof import cli, config, data, metrics, network, training
 from tlonbof.cli import main
+from tlonbof.core import Rng
 
 TINY_CFG = """\
 batch_size = 16
@@ -226,6 +227,35 @@ def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_model_d_in_mismatch_is_usage_error(tmp_path, capsys):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = network.ModelConfig(d_in=5, conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
+    model = tmp_path / "narrow.tlnb"
+    model.write_bytes(training.serialize_checkpoint(network.init_params(cfg, Rng.from_seed(0)),
+                                                    cfg))
+    code = main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
+                 "--report", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d_in=5" in err and "144" in err
+
+
+def test_undefined_kappa_exits_1_without_traceback(tmp_path, capsys):
+    """A constant mid-price labels every window stationary, so kappa is undefined."""
+    datadir = tmp_path / "flat"
+    datadir.mkdir()
+    for series in data.synth_generate(2, 60, seed=0):
+        series.mid_prices[:] = 100.0
+        data.write_feature_csv(datadir / f"day_{series.day_id:03d}.csv", series)
+    cfg = write_cfg(tmp_path, epochs=3, lr=0.01)
+    assert main(["train", "--config", cfg, "--data", str(datadir),
+                 "--out", str(tmp_path / "m.tlnb")]) == 1
+    assert capsys.readouterr().err.startswith("error: kappa undefined")
+    assert main(["eval", "--config", cfg, "--data", str(datadir),
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: kappa undefined")
+
+
 def test_ablate_runs_grid_rows(tmp_path):
     datadir = make_data(tmp_path, days=2, rows=60)
     cfg = write_cfg(tmp_path, epochs=1)
@@ -264,6 +294,20 @@ def test_ablate_bad_grid_is_usage_error(tmp_path, capsys):
     grid.write_text("deep_features,temporal_modeling\ntrue,true\n")
     assert main(["ablate", "--data", datadir, "--grid", str(grid),
                  "--report", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("row,fragment", [
+    ("yes,true,true,learned", "deep_features must be true or false"),
+    ("true,true,true,auto", "adaptive_scaling must be one of"),
+])
+def test_ablate_grid_cells_follow_config_rules(tmp_path, capsys, row, fragment):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    grid = tmp_path / "grid.csv"
+    grid.write_text(",".join(cli._GRID_HEADER) + "\n" + row + "\n")
+    assert main(["ablate", "--data", datadir, "--grid", str(grid),
+                 "--report", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "grid.csv" in err and "line 2" in err
 
 
 def test_thread_env_validation(monkeypatch, capsys):

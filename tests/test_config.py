@@ -75,6 +75,21 @@ def test_bad_values_rejected(line, fragment):
     assert "line 1" in str(err.value)
 
 
+def test_out_dir_is_no_longer_a_key():
+    assert "out_dir" not in dumps(RunConfig())
+    with pytest.raises(FormatError) as err:
+        loads("out_dir = runs/\n")
+    assert "unknown key" in str(err.value)
+
+
+def test_parse_value_applies_the_schema_rule():
+    assert config.parse_value("deep_features", "false", 3) is False
+    assert config.parse_value("adaptive_scaling", "frozen", 3) == "frozen"
+    with pytest.raises(FormatError) as err:
+        config.parse_value("nested_regions", "True", 3)
+    assert "true or false" in str(err.value) and "line 3" in str(err.value)
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     config.save_run_config(path, RunConfig(seed=9))

@@ -218,6 +218,45 @@ def test_csv_rejects_non_numeric(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("column,raw,fragment", [
+    (0, "1.5", "day_id must be an integer"),
+    (0, "nan", "day_id must be an integer"),
+    (0, "inf", "day_id must be an integer"),
+    (1, "-1.0", "mid_price must be finite and strictly positive"),
+    (1, "0", "mid_price must be finite and strictly positive"),
+    (1, "nan", "mid_price must be finite and strictly positive"),
+    (1, "inf", "mid_price must be finite and strictly positive"),
+    (1, "-inf", "mid_price must be finite and strictly positive"),
+    (6, "not-a-number", "could not convert"),
+    (6, "nan", "f5 must be finite"),
+    (6, "inf", "f5 must be finite"),
+    (6, "-inf", "f5 must be finite"),
+])
+def test_csv_rejects_bad_cell(tmp_path, column, raw, fragment):
+    series = synth_generate(1, 5, seed=0)[0]
+    path = tmp_path / "bad.csv"
+    write_feature_csv(path, series)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = raw
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_feature_csv(path)
+    assert fragment in str(err.value) and "line 3" in str(err.value)
+
+
+def test_csv_reports_first_bad_line(tmp_path):
+    series = synth_generate(1, 5, seed=0)[0]
+    series.features[1, 7] = np.nan  # line 3
+    series.mid_prices[3] = -2.0  # line 5
+    path = tmp_path / "bad.csv"
+    write_feature_csv(path, series)
+    with pytest.raises(FormatError) as err:
+        load_feature_csv(path)
+    assert "f8" in str(err.value) and "line 3" in str(err.value)
+
+
 def test_load_feature_dir_sorts_and_rejects_duplicates(tmp_path):
     corpus = synth_generate(3, 30, seed=4)
     # write out of order on purpose

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tlonbof import kernels
+from tlonbof import bof, kernels
 from tlonbof.core import Rng, finite_diff_grad, relative_error
 from tlonbof.kernels import KernelParams
 
@@ -94,7 +94,7 @@ def test_matrix_forms_match_scalar_kernels():
     rng = Rng.from_seed(5)
     feats = rng.normal(size=(6, 3))
     codebook = rng.normal(size=(4, 3))
-    lm = kernels.logistic_matrix(feats, codebook, alpha=0.8, beta=0.1)
+    lm, _ = bof._kernel_matrix(feats, codebook, kernels.LOGISTIC, KernelParams(alpha=0.8, beta=0.1))
     gm = kernels.gaussian_matrix(feats, codebook, sigma=0.9)
     pl = KernelParams(alpha=0.8, beta=0.1)
     pg = KernelParams(sigma=0.9)

@@ -1,7 +1,12 @@
+import hashlib
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tlonbof import data, network, training
+from tlonbof import config, data, network, training
+from tlonbof.config import RunConfig
 from tlonbof.core import Rng
 from tlonbof.errors import FormatError, TrainingDiverged
 from tlonbof.training import AdamState, adam_step, balanced_batch, init_adam
@@ -79,9 +84,9 @@ def test_balanced_batch_validates():
 
 def test_train_is_deterministic():
     ds = small_dataset()
-    tc = training.TrainConfig(batch_size=16, epochs=2, seed=3, **TINY_TRAIN)
-    a = training.train(tc, ds)
-    b = training.train(tc, ds)
+    rc = RunConfig(batch_size=16, epochs=2, seed=3, **TINY_TRAIN)
+    a = training.train(rc, ds)
+    b = training.train(rc, ds)
     assert a.history.loss == b.history.loss
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
@@ -89,10 +94,10 @@ def test_train_is_deterministic():
 
 def test_train_zero_epochs_returns_initialization():
     ds = small_dataset()
-    tc = training.TrainConfig(epochs=0, seed=11, **TINY_TRAIN)
-    result = training.train(tc, ds)
+    rc = RunConfig(epochs=0, seed=11, **TINY_TRAIN)
+    result = training.train(rc, ds)
     rng_init, _ = Rng.from_seed(11).split(2)
-    cfg = tc.model_config(d_in=ds.feature_dim, avg_seq_len=float(ds.window))
+    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
     expected = network.init_params(cfg, rng_init)
     assert result.history.steps == 0
     for k in expected:
@@ -101,8 +106,8 @@ def test_train_zero_epochs_returns_initialization():
 
 def test_train_steps_per_epoch_is_ceil():
     ds = small_dataset(n_days=2, rows=100)  # 152 samples
-    tc = training.TrainConfig(batch_size=100, epochs=3, **TINY_TRAIN)
-    result = training.train(tc, ds)
+    rc = RunConfig(batch_size=100, epochs=3, **TINY_TRAIN)
+    result = training.train(rc, ds)
     assert result.history.steps == 3 * int(np.ceil(ds.n_samples / 100))
 
 
@@ -110,8 +115,8 @@ def test_train_memorizes_small_set():
     from tlonbof import metrics
 
     ds = small_dataset(n_days=2, rows=60, seed=5)  # 72 samples
-    tc = training.TrainConfig(batch_size=32, epochs=60, lr=3e-3, seed=0, **TINY_TRAIN)
-    result = training.train(tc, ds)
+    rc = RunConfig(batch_size=32, epochs=60, lr=3e-3, seed=0, **TINY_TRAIN)
+    result = training.train(rc, ds)
     preds = training.predict(result.params, result.model_cfg, ds)
     cm = metrics.confusion(ds.labels, preds)
     assert metrics.macro_prf(cm)[2] >= 0.95
@@ -121,9 +126,9 @@ def test_train_nan_guard_reports_step_and_snapshot():
     corpus = data.synth_generate(2, 60, seed=1)
     corpus[0].features[10, :] = np.nan  # poison one training row
     ds = data.WindowDataset(corpus)
-    tc = training.TrainConfig(batch_size=ds.n_samples, epochs=2, seed=0, **TINY_TRAIN)
+    rc = RunConfig(batch_size=ds.n_samples, epochs=2, seed=0, **TINY_TRAIN)
     with pytest.raises(TrainingDiverged) as err:
-        training.train(tc, ds)
+        training.train(rc, ds)
     assert err.value.step == 0
     snap = err.value.last_good_params
     assert all(np.all(np.isfinite(v)) for v in snap.values())
@@ -131,8 +136,8 @@ def test_train_nan_guard_reports_step_and_snapshot():
 
 def test_predict_chunking_is_invisible():
     ds = small_dataset(n_days=2, rows=80)
-    tc = training.TrainConfig(epochs=1, **TINY_TRAIN)
-    r = training.train(tc, ds)
+    rc = RunConfig(epochs=1, **TINY_TRAIN)
+    r = training.train(rc, ds)
     a = training.predict(r.params, r.model_cfg, ds, chunk=7)
     b = training.predict(r.params, r.model_cfg, ds, chunk=512)
     assert np.array_equal(a, b)
@@ -144,8 +149,8 @@ def test_predict_chunking_is_invisible():
 
 def trained_result(epochs=2):
     ds = small_dataset(n_days=2, rows=80)
-    tc = training.TrainConfig(batch_size=32, epochs=epochs, seed=4, **TINY_TRAIN)
-    return training.train(tc, ds), ds
+    rc = RunConfig(batch_size=32, epochs=epochs, seed=4, **TINY_TRAIN)
+    return training.train(rc, ds), ds
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -189,6 +194,15 @@ def test_checkpoint_magic_and_truncation(tmp_path):
         training.deserialize_checkpoint(blob + b"extra")
 
 
+def test_checkpoint_non_utf8_name_is_format_error():
+    blob = bytearray(training.serialize_checkpoint({}, network.ModelConfig()))
+    # magic, version and count take 12 bytes, the first name length 2 more
+    blob[14] = 0xFF
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(bytes(blob))
+    assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
+
+
 def test_checkpoint_bad_version():
     blob = bytearray(training.serialize_checkpoint({}, network.ModelConfig(
         arch=network.ARCH_TLONBOF, avg_seq_len=4.0)))
@@ -229,3 +243,60 @@ def test_resume_matches_quantized_state_exactly(tmp_path):
     for k in ref_params:
         assert np.array_equal(loaded_params[k], ref_params[k]), k
     assert loaded_state.t == ref_state.t
+
+
+def test_checkpoint_meta_round_trips_every_enumerated_value():
+    checked = 0
+    for arch, kernel, scaling, deep, nested, kpl in itertools.product(
+        config.ARCH_CHOICES, config.KERNEL_CHOICES, config.SCALING_CHOICES,
+        (False, True), (False, True), (False, True),
+    ):
+        if arch == network.ARCH_CNN_GAP and not deep:
+            continue  # rejected by ModelConfig itself
+        cfg = network.ModelConfig(arch=arch, kernel=kernel, adaptive_scaling=scaling,
+                                  deep_features=deep, nested_regions=nested,
+                                  kernel_param_learning=kpl, d_in=7, n_regions=2,
+                                  avg_seq_len=12.5)
+        _, back, _ = training.deserialize_checkpoint(training.serialize_checkpoint({}, cfg))
+        assert back == cfg
+        checked += 1
+    assert checked == 72
+
+
+def test_checkpoint_meta_bytes_are_pinned():
+    # digest of the format as first shipped; a change here breaks old checkpoints
+    cfg = network.ModelConfig(arch="tlonbof", d_in=40, conv_filters=12, conv_kernel=3,
+                              n_codewords=6, n_regions=2, hidden=10, n_classes=3,
+                              kernel="gaussian", deep_features=False, nested_regions=True,
+                              kernel_param_learning=False, adaptive_scaling="frozen",
+                              avg_seq_len=12.5)
+    digest = hashlib.sha256(training.serialize_checkpoint({}, cfg)).hexdigest()
+    assert digest == "0ce0e3b422d140ef761b3a54d5c757ba74ee8650ff2250764c501ff54ba732c3"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("meta.arch", 2.0), ("meta.kernel", -1.0), ("meta.hidden", float("nan")), ("meta.d_in", None),
+])
+def test_checkpoint_bad_meta_is_format_error(key, value):
+    meta = training._meta_entries(network.ModelConfig())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    blob = training._encode_tensors([(k, np.array(v)) for k, v in sorted(meta.items())])
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(blob)
+    assert key in str(err.value)
+
+
+def test_model_config_from_run_copies_shared_fields():
+    rc = RunConfig(arch="cnn_gap", n_codewords=9, conv_filters=11, conv_kernel=3, hidden=13,
+                   n_regions=4, kernel="gaussian", kernel_param_learning=False,
+                   adaptive_scaling="off", nested_regions=True)
+    cfg = network.ModelConfig.from_run(rc, d_in=6, avg_seq_len=20.0)
+    assert cfg == network.ModelConfig(
+        arch="cnn_gap", d_in=6, conv_filters=11, conv_kernel=3, n_codewords=9, n_regions=4,
+        hidden=13, n_classes=3, kernel="gaussian", deep_features=True, nested_regions=True,
+        kernel_param_learning=False, adaptive_scaling="off", avg_seq_len=20.0)
+    flat = network.ModelConfig.from_run(replace(rc, temporal_modeling=False), 6, 20.0)
+    assert flat.n_regions == 1
