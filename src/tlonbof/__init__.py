@@ -8,9 +8,9 @@ small fully connected head. Everything trains end to end with
 hand-derived gradients and Adam.
 """
 
-from .bof import ScalingParams, forward as bof_forward, forward_batch as bof_forward_batch, segment
+from .bof import ScalingParams, forward_batch as bof_forward_batch, segment
 from .config import RunConfig, load_run_config, save_run_config
-from .core import Rng, finite_diff_grad, glorot_uniform, relative_error
+from .core import finite_diff_grad, glorot_uniform, relative_error
 from .data import (
     DOWN,
     STATIONARY,
@@ -29,13 +29,7 @@ from .data import (
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
 from .kernels import KernelParams, gaussian_kernel, logistic_kernel
 from .metrics import cohens_kappa, confusion, macro_prf
-from .network import (
-    ModelConfig,
-    cnn_gap_forward,
-    init_params,
-    model_backward,
-    model_forward,
-)
+from .network import ModelConfig, init_params
 from .training import (
     AdamState,
     TrainResult,
@@ -58,7 +52,6 @@ __all__ = [
     "KernelParams",
     "ModelConfig",
     "NumericError",
-    "Rng",
     "RunConfig",
     "STATIONARY",
     "ScalingParams",
@@ -70,9 +63,7 @@ __all__ = [
     "adam_step",
     "anchored_folds",
     "balanced_batch",
-    "bof_forward",
     "bof_forward_batch",
-    "cnn_gap_forward",
     "cohens_kappa",
     "confusion",
     "finite_diff_grad",
@@ -87,8 +78,6 @@ __all__ = [
     "load_run_config",
     "logistic_kernel",
     "macro_prf",
-    "model_backward",
-    "model_forward",
     "relative_error",
     "save_checkpoint",
     "save_run_config",

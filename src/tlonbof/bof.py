@@ -97,38 +97,11 @@ def _check_row_sums(sums: np.ndarray) -> None:
     raise NumericError(f"all kernel values underflowed to zero for timestep row {row}")
 
 
-def soft_assign(
-    feats: np.ndarray,
-    codebook: np.ndarray,
-    kind: str,
-    kp: KernelParams,
-    scaling: ScalingParams,
-) -> np.ndarray:
-    """Per-timestep codeword memberships, each row scaled to sum to c_u."""
-    feats = np.asarray(feats, dtype=np.float64)
-    k_mat, _ = _kernel_matrix(feats, codebook, kind, kp)
-    sums = k_mat.sum(axis=-1)
-    _check_row_sums(sums)
-    return scaling.c_u * k_mat / sums[..., None]
-
-
 def _region_mean(block: np.ndarray, axis: int) -> np.ndarray:
     # Sorting first makes the reduction a function of each column's
     # multiset of values, so reordering timesteps inside a region cannot
     # change the histogram even at the bit level.
     return np.sort(block, axis=axis).mean(axis=axis)
-
-
-def accumulate(assignments: np.ndarray, scaling: ScalingParams, region_len: int) -> np.ndarray:
-    """Average the assignment rows of one region and scale by c_s."""
-    assignments = np.asarray(assignments, dtype=np.float64)
-    if region_len < 1:
-        raise ValueError("region must contain at least one timestep")
-    if assignments.ndim != 2 or assignments.shape[0] != region_len:
-        raise ValueError(
-            f"expected {region_len} assignment rows, got array of shape {assignments.shape}"
-        )
-    return scaling.c_s * _region_mean(assignments, 0)
 
 
 @dataclass
@@ -145,7 +118,6 @@ class BofContext:
     row_sums: np.ndarray  # (B, N)
     memberships: np.ndarray  # (B, N, K) scaled soft assignments
     dots: np.ndarray | None = None  # (B, N, K) feats @ codebook.T, logistic only
-    squeeze: bool = False  # forward was called with a single sequence
 
 
 @dataclass
@@ -199,24 +171,6 @@ def forward_batch(
     return hist, ctx
 
 
-def forward(
-    feats: np.ndarray,
-    codebook: np.ndarray,
-    kind: str,
-    kp: KernelParams,
-    scaling: ScalingParams,
-    n_regions: int,
-    nested: bool = False,
-) -> tuple[np.ndarray, BofContext]:
-    """Single-sequence variant of :func:`forward_batch`."""
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"expected (steps, dim) input, got shape {feats.shape}")
-    hist, ctx = forward_batch(feats[None], codebook, kind, kp, scaling, n_regions, nested)
-    ctx.squeeze = True
-    return hist[0], ctx
-
-
 def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     """Gradients of a scalar loss given its gradient w.r.t. the histogram.
 
@@ -224,11 +178,7 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     the input features, the codebook, both scale factors, and (logistic
     kernel only) the kernel slope and offset.
     """
-    if ctx.k_mat is None:
-        raise RuntimeError("forward context is missing or was already consumed")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if ctx.squeeze:
-        upstream = upstream[None]
     batch, n_steps, n_codewords = ctx.k_mat.shape
     if upstream.shape != (batch, len(ctx.regions) * n_codewords):
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected "
@@ -266,8 +216,6 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
         d_alpha = None
         d_beta = None
 
-    if ctx.squeeze:
-        d_feats = d_feats[0]
     return BofGrads(
         feats=d_feats,
         codebook=d_codebook,

@@ -66,6 +66,13 @@ def _load_config(path) -> config_mod.RunConfig:
         raise _Usage(str(exc)) from None
 
 
+def _check_out_paths(*paths) -> None:
+    """Refuse an output path whose directory does not exist, before any work is done."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise _Usage(f"directory of output path does not exist: {path}")
+
+
 def _require_data_dir(path) -> str:
     if path is None:
         raise _Usage("no data directory given (use --data or set data_dir in the config)")
@@ -142,13 +149,14 @@ def cmd_train(args) -> int:
     rc = _load_config(args.config)
     if args.seed is not None:
         rc.seed = args.seed
+    history_path = args.history or os.path.splitext(args.out)[0] + ".history.csv"
+    _check_out_paths(args.out, history_path)
     data_dir = _require_data_dir(args.data or rc.data_dir or None)
     corpus = data.load_feature_dir(data_dir)
     trainset = _windows(rc, corpus)
     if trainset.n_samples == 0:
         raise _Usage(f"no usable windows in {data_dir} "
                      f"(window={rc.window}, horizon={rc.horizon})")
-    history_path = args.history or os.path.splitext(args.out)[0] + ".history.csv"
     try:
         result = training.train(rc, trainset)
     except TrainingDiverged as exc:
@@ -178,7 +186,10 @@ def _eval_fold_rows(args, rc, corpus):
     """Yield (fold_label, test_dataset, params, model_cfg) per fold."""
     fixed = None
     if args.model is not None:
-        fixed = training.load_checkpoint(args.model)
+        try:
+            fixed = training.load_checkpoint(args.model)
+        except FileNotFoundError:
+            raise _Usage(f"checkpoint file not found: {args.model}") from None
         d_in, d_corpus = fixed[1].d_in, corpus[0].features.shape[1]
         if d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={d_in} features per row, "
@@ -206,6 +217,7 @@ def cmd_eval(args) -> int:
     rc = _load_config(args.config)
     if args.folds:
         rc.folds = args.folds
+    _check_out_paths(args.report, args.dump_predictions)
     data_dir = _require_data_dir(args.data or rc.data_dir or None)
     corpus = data.load_feature_dir(data_dir)
     per_fold = []
@@ -278,6 +290,7 @@ def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
 
 def cmd_ablate(args) -> int:
     rc = _load_config(args.config)
+    _check_out_paths(args.report)
     data_dir = _require_data_dir(args.data or rc.data_dir or None)
     corpus = data.load_feature_dir(data_dir)
     if len(corpus) < 2:
@@ -309,10 +322,10 @@ def cmd_ablate(args) -> int:
                 result = training.train(cell, trainset)
                 preds = training.predict(result.params, result.model_cfg, testset)
                 score = metrics.fold_scores(testset.labels, preds, result.model_cfg.n_classes)
-            except NumericError as exc:
-                print(f"cell ({','.join(map(str, row))}) seed {seed} failed: {exc}",
+            except (NumericError, UndefinedMetricError) as exc:
+                status = "undefined" if isinstance(exc, UndefinedMetricError) else "failed"
+                print(f"cell ({','.join(map(str, row))}) seed {seed} {status}: {exc}",
                       file=sys.stderr)
-                status = "failed"
                 break
             f1s.append(score["f1"])
             kappas.append(score["kappa"])
@@ -338,6 +351,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_config(args) -> int:
+    _check_out_paths(args.out)
     if args.check is not None:
         rc = _load_config(args.check)
     else:

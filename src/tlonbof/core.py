@@ -1,4 +1,4 @@
-"""Numeric substrate: deterministic RNG, initialization, gradient oracle.
+"""Numeric substrate: initialization, gradient oracle.
 
 All training math in this package runs in float64; tensors are plain
 C-contiguous numpy arrays. The finite-difference routine here is the
@@ -15,45 +15,9 @@ import numpy as np
 from .errors import NumericError
 
 
-class Rng:
-    """Deterministic, splittable random generator.
-
-    Wraps numpy's PCG64 seeded through a SeedSequence, so the same seed
-    yields the same draws on every platform. ``split`` derives child
-    generators with statistically independent streams; parameter
-    initialization and batch sampling each get their own child so that
-    changing one never perturbs the other.
-    """
-
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        self._seq = seed_seq
-        self.gen = np.random.Generator(np.random.PCG64(seed_seq))
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "Rng":
-        return cls(np.random.SeedSequence(int(seed)))
-
-    def split(self, n: int) -> list["Rng"]:
-        return [Rng(child) for child in self._seq.spawn(n)]
-
-    # Convenience passthroughs used throughout the package.
-    def uniform(self, low, high, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.gen.normal(loc, scale, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size)
-
-    def choice(self, n, size=None, p=None, replace=True):
-        return self.gen.choice(n, size=size, p=p, replace=replace)
-
-    def permutation(self, n):
-        return self.gen.permutation(n)
-
-
-def glorot_uniform(shape: Sequence[int], fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
+def glorot_uniform(
+    shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
+) -> np.ndarray:
     """Draw i.i.d. uniform values on [-b, b] with b = sqrt(6/(fan_in+fan_out))."""
     shape = tuple(int(d) for d in shape)
     if any(d <= 0 for d in shape):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng
 from .errors import FormatError
 
 N_FEATURES = 144
@@ -329,7 +328,8 @@ def synth_generate(
     signal = np.zeros(N_FEATURES, dtype=bool)
     signal[list(SIGNAL_COLUMNS)] = True
     corpus = []
-    for day, rng in enumerate(Rng.from_seed(seed).split(n_days), start=1):
+    days = np.random.Generator(np.random.PCG64(int(seed))).spawn(n_days)
+    for day, rng in enumerate(days, start=1):
         total = rows_per_day + horizon
         regimes = np.empty(total)
         pos = 0

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-Argument validation raises plain ValueError; missing/stale computation
-context raises RuntimeError. The classes below cover the remaining
-failure categories that callers may want to catch separately.
+Argument validation raises plain ValueError. The classes below cover the
+remaining failure categories that callers may want to catch separately.
 """
 
 

@@ -1,4 +1,4 @@
-"""Similarity kernels for codeword assignment, with analytic gradients.
+"""Similarity kernels for codeword assignment.
 
 Two kernels are provided. The rescaled logistic kernel
 
@@ -11,7 +11,9 @@ Gaussian kernel
 
 is kept for the ablation harness with a fixed width sigma. The prefactor
 uses sqrt(2*pi*sigma) deliberately; it cancels in the soft-assignment
-normalization, so the choice is cosmetic downstream.
+normalization, so the choice is cosmetic downstream. The scalar kernels are
+the references the batch matrices are tested against; their derivatives are
+taken in ``bof.backward``.
 """
 
 from __future__ import annotations
@@ -29,21 +31,6 @@ class KernelParams:
     alpha: float = 1.0
     beta: float = 0.0
     sigma: float | None = None  # Gaussian width, ignored by the logistic kernel
-
-
-@dataclass
-class KernelGrads:
-    """Gradients of upstream * K with respect to the kernel inputs.
-
-    ``alpha``/``beta`` are populated for the logistic kernel, ``sigma``
-    for the Gaussian one; the inapplicable fields are None.
-    """
-
-    x: np.ndarray
-    v: np.ndarray
-    alpha: float | None = None
-    beta: float | None = None
-    sigma: float | None = None
 
 
 def sigmoid(z):
@@ -77,34 +64,6 @@ def gaussian_kernel(x: np.ndarray, v: np.ndarray, p: KernelParams) -> float:
         raise ValueError(f"sigma must be positive, got {p.sigma}")
     d2 = float(np.sum((x - v) ** 2))
     return float(np.exp(-d2 / (2.0 * p.sigma**2)) / np.sqrt(2.0 * np.pi * p.sigma))
-
-
-def kernel_backward(kind: str, x: np.ndarray, v: np.ndarray, p: KernelParams, upstream: float = 1.0) -> KernelGrads:
-    """Analytic derivatives of the chosen kernel, scaled by ``upstream``."""
-    x, v = _check_dims(x, v)
-    g = float(upstream)
-    if kind == LOGISTIC:
-        k = logistic_kernel(x, v, p)
-        s = k * (1.0 - k)  # d sigm(z)/dz at z = 2*alpha*x.v + 2*beta
-        xv = float(x @ v)
-        return KernelGrads(
-            x=g * 2.0 * p.alpha * s * v,
-            v=g * 2.0 * p.alpha * s * x,
-            alpha=g * 2.0 * xv * s,
-            beta=g * 2.0 * s,
-        )
-    if kind == GAUSSIAN:
-        k = gaussian_kernel(x, v, p)
-        diff = x - v
-        d2 = float(np.sum(diff**2))
-        # dK/dsigma differentiates both the exponent and the prefactor.
-        dsigma = k * (d2 / p.sigma**3 - 0.5 / p.sigma)
-        return KernelGrads(
-            x=g * k * (-diff / p.sigma**2),
-            v=g * k * (diff / p.sigma**2),
-            sigma=g * dsigma,
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:

@@ -18,13 +18,13 @@ without projection; gradients are mapped accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import bof, kernels
 from .bof import ScalingParams
-from .core import Rng, glorot_uniform
+from .core import glorot_uniform
 from .kernels import KernelParams
 
 ARCH_TLONBOF = "tlonbof"
@@ -83,7 +83,7 @@ class ModelConfig:
         return self.n_regions * self.n_codewords
 
 
-def init_params(cfg: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, protocol-initialized scales."""
     params: dict[str, np.ndarray] = {}
     if cfg.deep_features:
@@ -164,11 +164,6 @@ def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
     return out
 
 
-def conv1d_same(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Single-sequence convolution; ``x`` is (steps, d_in)."""
-    return conv1d_same_batch(np.asarray(x, dtype=np.float64)[None], weights, bias)[0]
-
-
 def conv1d_same_backward(
     x: np.ndarray, weights: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,15 +197,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_xent(logits: np.ndarray, label: int) -> tuple[np.ndarray, float]:
-    """Class probabilities and cross-entropy loss for one logit vector."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[-1]:
-        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
-    logp = log_softmax(logits)
-    return np.exp(logp), float(-logp[label])
-
-
 # ---------------------------------------------------------------------------
 # composed model
 
@@ -228,7 +214,6 @@ class NetworkContext:
     fc1_act: np.ndarray
     logp: np.ndarray  # (B, n_classes)
     probs: np.ndarray
-    squeeze: bool = False
 
 
 def forward_batch(
@@ -284,25 +269,6 @@ def forward_batch(
     return probs, ctx
 
 
-def model_forward(
-    x: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> tuple[np.ndarray, NetworkContext]:
-    """Single-window forward pass; ``x`` is (steps, d_in)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (steps, dim) input, got shape {x.shape}")
-    probs, ctx = forward_batch(x[None], params, cfg)
-    ctx.squeeze = True
-    return probs[0], ctx
-
-
-def cnn_gap_forward(
-    x: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> tuple[np.ndarray, NetworkContext]:
-    """Baseline forward pass with global average pooling instead of histograms."""
-    return model_forward(x, params, replace(cfg, arch=ARCH_CNN_GAP))
-
-
 def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:
     """Mean cross-entropy of the cached forward pass."""
     labels = np.asarray(labels)
@@ -315,8 +281,6 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
     The kernel slope/offset gradients are only reported when kernel
     parameter learning is enabled.
     """
-    if ctx.probs is None:
-        raise RuntimeError("forward context is missing or was already consumed")
     cfg, params = ctx.cfg, ctx.params
     labels = np.asarray(labels)
     batch = ctx.probs.shape[0]
@@ -360,9 +324,3 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
         )
     return grads
 
-
-def model_backward(ctx: NetworkContext, label: int) -> dict[str, np.ndarray]:
-    """Single-window gradient of the cross-entropy loss."""
-    if not ctx.squeeze:
-        raise RuntimeError("context was produced by forward_batch; use backward_batch")
-    return backward_batch(ctx, np.array([int(label)]))

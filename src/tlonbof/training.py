@@ -17,7 +17,6 @@ import numpy as np
 
 from . import network
 from .config import ARCH_CHOICES, KERNEL_CHOICES, SCALING_CHOICES, RunConfig, write_atomic
-from .core import Rng
 from .errors import FormatError, NumericError, TrainingDiverged
 from .network import ModelConfig
 
@@ -65,23 +64,17 @@ def adam_step(
     return params, state
 
 
-def balanced_batch(
-    labels: np.ndarray, batch_size: int, rng: Rng, n_classes: int | None = None
-) -> np.ndarray:
+def balanced_batch(labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Sample indices with replacement, weighting each sample by 1/count(its class).
 
-    With ``n_classes`` given, every class id in range must occur at least
-    once; otherwise the weights come from whichever classes are present.
+    The weights come from whichever classes are present.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("cannot sample from an empty label set")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    counts = np.bincount(labels, minlength=n_classes or 0)
-    if n_classes is not None and np.any(counts[:n_classes] == 0):
-        missing = int(np.argmin(counts[:n_classes]))
-        raise ValueError(f"class {missing} has no samples")
+    counts = np.bincount(labels)
     weights = 1.0 / counts[labels]
     weights /= weights.sum()
     return rng.choice(labels.size, size=batch_size, p=weights)
@@ -122,7 +115,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     """
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
-    rng_init, rng_batch = Rng.from_seed(rc.seed).split(2)
+    rng_init, rng_batch = np.random.Generator(np.random.PCG64(rc.seed)).spawn(2)
     cfg = ModelConfig.from_run(rc, dataset.feature_dim, float(dataset.window))
     params = network.init_params(cfg, rng_init)
     trainable = network.trainable_names(cfg)
@@ -267,6 +260,20 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+def _check_tensor_set(prefix: str, got: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """Require exactly the tensors ``prefix`` + name of ``shapes``, each with its shape."""
+    missing = sorted(shapes.keys() - got.keys())
+    if missing:
+        raise FormatError(f"checkpoint lacks tensor {prefix}{missing[0]} required by its model")
+    unknown = sorted(got.keys() - shapes.keys())
+    if unknown:
+        raise FormatError(f"checkpoint tensor {prefix}{unknown[0]} is not part of its model")
+    for name, shape in shapes.items():
+        if got[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {prefix}{name} has shape {got[name].shape}, "
+                              f"expected {shape}")
+
+
 def deserialize_checkpoint(blob: bytes):
     reader = _Reader(blob)
     if reader.take(4, "magic") != CHECKPOINT_MAGIC:
@@ -298,28 +305,33 @@ def deserialize_checkpoint(blob: bytes):
     adam_m, adam_v, adam_scalar = {}, {}, {}
     for name, arr in tensors.items():
         if name.startswith("meta."):
+            if arr.shape != ():
+                raise FormatError(f"checkpoint model metadata {name} has shape {arr.shape}, not ()")
             meta[name] = float(arr)
         elif name.startswith("adam.m."):
             adam_m[name[len("adam.m.") :]] = arr
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v.") :]] = arr
         elif name.startswith("adam."):
-            adam_scalar[name] = float(arr)
+            adam_scalar[name[len("adam.") :]] = arr
         else:
             params[name] = arr
     cfg = _config_from_meta(meta)
-    state = None
-    if adam_scalar:
-        state = AdamState(
-            m=adam_m,
-            v=adam_v,
-            t=int(adam_scalar["adam.t"]),
-            beta1=adam_scalar["adam.beta1"],
-            beta2=adam_scalar["adam.beta2"],
-            eps=adam_scalar["adam.eps"],
-            lr=adam_scalar["adam.lr"],
-        )
-    return params, cfg, state
+    # the expected layout is the one init_params builds for this config
+    try:
+        layout = network.init_params(cfg, np.random.default_rng(0))
+    except ValueError as exc:
+        raise FormatError(f"checkpoint model metadata is inconsistent: {exc}") from None
+    shapes = {k: v.shape for k, v in layout.items()}
+    _check_tensor_set("", params, shapes)
+    if not (adam_scalar or adam_m or adam_v):
+        return params, cfg, None
+    _check_tensor_set("adam.", adam_scalar, dict.fromkeys(("t", "lr", "beta1", "beta2", "eps"), ()))
+    trainable = {k: shapes[k] for k in network.trainable_names(cfg)}
+    _check_tensor_set("adam.m.", adam_m, trainable)
+    _check_tensor_set("adam.v.", adam_v, trainable)
+    scalars = {k: float(v) for k, v in adam_scalar.items()}
+    return params, cfg, AdamState(m=adam_m, v=adam_v, t=int(scalars.pop("t")), **scalars)
 
 
 def load_checkpoint(path):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from tlonbof import network
-from tlonbof.core import Rng
 
 # one status line per acceptance criterion, re-printed after the run so
 # they survive pytest's output capture
@@ -58,12 +57,12 @@ def relu_margin(ctx) -> float:
 def draw_instance(cfg, seed, n_steps=6, sigma=None, margin=1e-3, max_tries=50):
     """Params and input for a gradcheck, rejecting near-kink draws."""
     for attempt in range(max_tries):
-        rng = Rng.from_seed(seed * 1000 + attempt)
+        rng = np.random.default_rng(seed * 1000 + attempt)
         params = network.init_params(cfg, rng)
         if sigma is not None and "sigma" in params:
             params["sigma"] = np.array(float(sigma))
         x = rng.normal(size=(n_steps, cfg.d_in))
-        _, ctx = network.model_forward(x, params, cfg)
+        _, ctx = network.forward_batch(x[None], params, cfg)
         if relu_margin(ctx) > margin:
             return params, x, ctx
     pytest.fail(f"could not draw a kink-free instance in {max_tries} tries")

@@ -16,7 +16,7 @@ from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
 from tlonbof import bof, cli, data, kernels, metrics, network, training
 from tlonbof.bof import KernelParams, ScalingParams
 from tlonbof.config import RunConfig
-from tlonbof.core import Rng, finite_diff_grad, relative_error
+from tlonbof.core import finite_diff_grad, relative_error
 from tlonbof.training import AdamState, adam_step
 
 
@@ -50,14 +50,14 @@ def test_criterion_01_gradient_exactness():
         for i in range(8):
             params, x, ctx = draw_instance(cfg, seed=row * 101 + i, n_steps=N_STEPS)
             label = (row + i) % cfg.n_classes
-            grads = network.model_backward(ctx, label)
+            grads = network.backward_batch(ctx, np.array([label]))
 
             def loss_of(name, flat):
                 saved = params[name]
                 params[name] = flat.reshape(saved.shape) if saved.ndim else np.array(float(flat))
-                probs, _ = network.model_forward(x, params, cfg)
+                probs, _ = network.forward_batch(x[None], params, cfg)
                 params[name] = saved
-                return float(-np.log(probs[label]))
+                return float(-np.log(probs[0, label]))
 
             for name in network.trainable_names(cfg):
                 fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_exactness():
 
 
 def _random_bof_case(seed, min_regions=1):
-    rng = Rng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     nt = int(rng.integers(min_regions, 4))
     n = int(rng.integers(max(3, 2 * nt), 13))
     d = int(rng.integers(2, 7))
@@ -91,10 +91,10 @@ def test_criterion_02_normalization_invariants():
     worst_row = worst_seg = 0.0
     for seed in range(1000):
         feats, codebook, kind, kp, sp, nt = _random_bof_case(seed)
-        hist, ctx = bof.forward(feats, codebook, kind, kp, sp, nt)
+        hist, ctx = bof.forward_batch(feats[None], codebook, kind, kp, sp, nt)
         row_sums = ctx.memberships[0].sum(axis=-1)
         worst_row = max(worst_row, float(np.max(np.abs(row_sums - sp.c_u)) / sp.c_u))
-        seg_sums = hist.reshape(nt, -1).sum(axis=1)
+        seg_sums = hist[0].reshape(nt, -1).sum(axis=1)
         target = sp.c_s * sp.c_u
         worst_seg = max(worst_seg, float(np.max(np.abs(seg_sums - target)) / target))
     record(2, "1000 forwards: row sums equal c_u, segment sums equal c_s*c_u",
@@ -107,14 +107,14 @@ def test_criterion_03_temporal_semantics():
     for seed in range(100):
         feats, codebook, kind, kp, sp, nt = _random_bof_case(5000 + seed, min_regions=2)
         regions = bof.segment(len(feats), nt)
-        base, _ = bof.forward(feats, codebook, kind, kp, sp, nt)
+        base, _ = bof.forward_batch(feats[None], codebook, kind, kp, sp, nt)
 
-        rng = Rng.from_seed(9000 + seed)
+        rng = np.random.default_rng(9000 + seed)
         a, b = regions[int(rng.integers(0, nt))]
         perm = a + rng.permutation(b - a)
         shuffled = feats.copy()
         shuffled[a:b] = feats[perm]
-        permuted, _ = bof.forward(shuffled, codebook, kind, kp, sp, nt)
+        permuted, _ = bof.forward_batch(shuffled[None], codebook, kind, kp, sp, nt)
         ok_perm += int(np.array_equal(base, permuted))
 
         ri, rj = rng.choice(nt, size=2, replace=False)
@@ -123,7 +123,7 @@ def test_criterion_03_temporal_semantics():
         j = int(rng.integers(a2, b2))
         swapped = feats.copy()
         swapped[[i, j]] = feats[[j, i]]
-        crossed, _ = bof.forward(swapped, codebook, kind, kp, sp, nt)
+        crossed, _ = bof.forward_batch(swapped[None], codebook, kind, kp, sp, nt)
         ok_swap += int(not np.array_equal(base, crossed))
     record(3, "within-region permutations bit-identical, cross-region swaps visible",
            ok_perm == 100 and ok_swap == 100,
@@ -134,7 +134,7 @@ def test_criterion_04_classical_bof_degeneracy():
     """c_u = c_s = 1 with the Gaussian kernel reduces to the textbook layer."""
     worst = 0.0
     for seed in range(100):
-        rng = Rng.from_seed(100 + seed)
+        rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(4, 13))
         d = int(rng.integers(2, 6))
         k = int(rng.integers(2, 7))
@@ -155,9 +155,9 @@ def test_criterion_04_classical_bof_degeneracy():
                 direct[j] += kv[j] / total / n
         direct = np.array(direct)
 
-        hist, _ = bof.forward(feats, codebook, kernels.GAUSSIAN,
-                              KernelParams(sigma=sigma), ScalingParams(1.0, 1.0), 1)
-        worst = max(worst, float(np.max(np.abs(hist - direct))))
+        hist, _ = bof.forward_batch(feats[None], codebook, kernels.GAUSSIAN,
+                                    KernelParams(sigma=sigma), ScalingParams(1.0, 1.0), 1)
+        worst = max(worst, float(np.max(np.abs(hist[0] - direct))))
     record(4, "classical-BoF output matches a direct transcription at 1e-12",
            worst < 1e-12, f"100 instances, worst abs diff {worst:.1e}")
 
@@ -234,7 +234,7 @@ def _brute_scores(cm):
 
 
 def test_criterion_07_metric_oracles():
-    rng = Rng.from_seed(77)
+    rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(1000):
         while True:
@@ -267,7 +267,7 @@ def test_criterion_08_protocol_fidelity():
         for k, f in enumerate(folds)
     )
 
-    rng = Rng.from_seed(88)
+    rng = np.random.default_rng(88)
     window_ok = True
     for _ in range(50):
         w = int(rng.integers(2, 21))

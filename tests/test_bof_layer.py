@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tlonbof import bof, kernels
-from tlonbof.bof import ScalingParams, accumulate, forward, forward_batch, segment, soft_assign
-from tlonbof.core import Rng, finite_diff_grad, relative_error
+from tlonbof.bof import ScalingParams, forward_batch, segment
+from tlonbof.core import finite_diff_grad, relative_error
 from tlonbof.kernels import KernelParams
 
 
@@ -42,11 +42,12 @@ def test_segment_covers_everything_once():
 
 
 def test_soft_assign_rows_sum_to_cu():
-    rng = Rng.from_seed(0)
+    rng = np.random.default_rng(0)
     feats = rng.normal(size=(9, 4))
     codebook = rng.normal(size=(5, 4))
     sp = ScalingParams(c_u=7.5, c_s=2.0)
-    u = soft_assign(feats, codebook, kernels.LOGISTIC, KernelParams(), sp)
+    _, ctx = forward_batch(feats[None], codebook, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+    u = ctx.memberships[0]
     assert u.shape == (9, 5)
     assert np.allclose(u.sum(axis=1), 7.5, rtol=1e-12)
     assert np.all(u >= 0)
@@ -54,21 +55,26 @@ def test_soft_assign_rows_sum_to_cu():
 
 def test_soft_assign_single_codeword_saturates():
     # with one codeword the normalization forces every row to c_u exactly
-    rng = Rng.from_seed(1)
-    u = soft_assign(rng.normal(size=(6, 3)), rng.normal(size=(1, 3)),
-                    kernels.LOGISTIC, KernelParams(), ScalingParams(c_u=3.0))
-    assert np.allclose(u, 3.0, rtol=1e-15)
+    rng = np.random.default_rng(1)
+    _, ctx = forward_batch(rng.normal(size=(1, 6, 3)), rng.normal(size=(1, 3)),
+                           kernels.LOGISTIC, KernelParams(), ScalingParams(c_u=3.0), n_regions=1)
+    assert np.allclose(ctx.memberships, 3.0, rtol=1e-15)
 
 
 def test_accumulate_is_scaled_column_mean():
-    u = np.array([[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
-    s = accumulate(u, ScalingParams(c_u=4.0, c_s=5.0), region_len=3)
-    assert np.allclose(s, [10.0, 10.0])
+    # logistic kernel values (1/4, 3/4), (3/4, 1/4) and (1/2, 1/2) against
+    # two unit codewords give memberships [[1, 3], [3, 1], [2, 2]] at c_u = 4
+    ln3 = np.log(3.0)
+    feats = np.array([[[-ln3, ln3], [ln3, -ln3], [0.0, 0.0]]])
+    s, ctx = forward_batch(feats, np.eye(2), kernels.LOGISTIC, KernelParams(alpha=0.5),
+                           ScalingParams(c_u=4.0, c_s=5.0), n_regions=1)
+    assert np.allclose(ctx.memberships[0], [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
+    assert np.allclose(s[0], [10.0, 10.0])
     assert s.sum() == pytest.approx(5.0 * 4.0)  # c_s * c_u
 
 
 def _random_case(seed, n=9, d=4, k=5, kind=kernels.LOGISTIC, nt=3, nested=False):
-    rng = Rng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))
     codebook = rng.normal(size=(k, d))
     kp = KernelParams(alpha=0.5 + rng.uniform(0.0, 1.0), beta=0.3 * rng.normal(),
@@ -82,10 +88,10 @@ def test_histogram_mass_conservation():
     for seed in range(50):
         kind = kernels.LOGISTIC if seed % 2 else kernels.GAUSSIAN
         feats, cb, kind, kp, sp, nt, nested = _random_case(seed, kind=kind)
-        hist, _ = forward(feats, cb, kind, kp, sp, n_regions=nt)
-        assert hist.shape == (nt * cb.shape[0],)
+        hist, _ = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt)
+        assert hist.shape == (1, nt * cb.shape[0])
         for r in range(nt):
-            seg = hist[r * cb.shape[0] : (r + 1) * cb.shape[0]]
+            seg = hist[0, r * cb.shape[0] : (r + 1) * cb.shape[0]]
             assert abs(seg.sum() - sp.c_s * sp.c_u) / (sp.c_s * sp.c_u) < 1e-9
 
 
@@ -94,7 +100,7 @@ def test_brute_force_oracle():
     for seed in range(30):
         feats, cb, kind, kp, sp, nt, _ = _random_case(seed)
         n, k = feats.shape[0], cb.shape[0]
-        hist, _ = forward(feats, cb, kind, kp, sp, n_regions=nt)
+        hist, _ = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt)
         regions = segment(n, nt)
         expected = []
         for start, stop in reversed(regions):  # newest first in the output
@@ -106,45 +112,45 @@ def test_brute_force_oracle():
                 ])
                 u[j] = sp.c_u * sims / sims.sum()
             expected.append(sp.c_s * u.mean(axis=0))
-        assert relative_error(hist, np.concatenate(expected)) < 1e-12
+        assert relative_error(hist[0], np.concatenate(expected)) < 1e-12
 
 
 def test_output_order_is_newest_region_first():
-    rng = Rng.from_seed(9)
+    rng = np.random.default_rng(9)
     feats = rng.normal(size=(9, 3))
     cb = rng.normal(size=(4, 3))
     sp = ScalingParams()
-    hist, _ = forward(feats, cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
-    solo, _ = forward(feats[6:9], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=1)
-    assert np.array_equal(hist[:4], solo)
+    hist, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+    solo, _ = forward_batch(feats[None, 6:9], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=1)
+    assert np.array_equal(hist[0, :4], solo[0])
 
 
 def test_within_region_permutation_invariance():
     # histograms average over timesteps, so shuffling inside a region is free
     for seed in range(100):
-        rng = Rng.from_seed(seed)
+        rng = np.random.default_rng(seed)
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
         sp = ScalingParams(c_u=1.7, c_s=2.2)
-        base, _ = forward(feats, cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        base, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
         shuffled = feats.copy()
         for start, stop in segment(9, 3):
             shuffled[start:stop] = shuffled[start:stop][rng.permutation(stop - start)]
-        out, _ = forward(shuffled, cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        out, _ = forward_batch(shuffled[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
         assert np.array_equal(base, out)  # bit-identical, same additions
 
 
 def test_cross_region_swap_changes_output():
     changed = 0
     for seed in range(100):
-        rng = Rng.from_seed(seed + 500)
+        rng = np.random.default_rng(seed + 500)
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
         sp = ScalingParams()
-        base, _ = forward(feats, cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        base, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
         swapped = feats.copy()
         swapped[[0, 8]] = swapped[[8, 0]]  # oldest <-> newest region
-        out, _ = forward(swapped, cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        out, _ = forward_batch(swapped[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
         if not np.array_equal(base, out):
             changed += 1
     assert changed == 100
@@ -153,12 +159,12 @@ def test_cross_region_swap_changes_output():
 def test_classical_bof_degeneracy():
     """c_u = c_s = 1, Gaussian kernel, one region: the plain histogram model."""
     for seed in range(100):
-        rng = Rng.from_seed(seed)
+        rng = np.random.default_rng(seed)
         feats = rng.normal(size=(7, 3))
         cb = rng.normal(size=(4, 3))
         sigma = 0.7 + rng.uniform(0.0, 1.0)
-        hist, _ = forward(feats, cb, kernels.GAUSSIAN, KernelParams(sigma=sigma),
-                          ScalingParams.disabled(), n_regions=1)
+        hist, _ = forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=sigma),
+                                ScalingParams.disabled(), n_regions=1)
         # direct transcription: normalized Gaussian memberships, then average
         prefactor = 1.0 / np.sqrt(2.0 * np.pi * sigma)
         expected = np.zeros(4)
@@ -167,19 +173,19 @@ def test_classical_bof_degeneracy():
             kvals = prefactor * np.exp(-d2 / (2.0 * sigma**2))
             expected += kvals / kvals.sum()
         expected /= len(feats)
-        assert np.max(np.abs(hist - expected)) < 1e-12
+        assert np.max(np.abs(hist[0] - expected)) < 1e-12
 
 
 def test_batch_forward_matches_single():
-    rng = Rng.from_seed(4)
+    rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 9, 4))
     cb = rng.normal(size=(6, 4))
     kp = KernelParams(alpha=0.9, beta=0.1)
     sp = ScalingParams(c_u=2.0, c_s=3.0)
     batch, _ = forward_batch(x, cb, kernels.LOGISTIC, kp, sp, n_regions=3)
     for b in range(5):
-        single, _ = forward(x[b], cb, kernels.LOGISTIC, kp, sp, n_regions=3)
-        assert np.array_equal(batch[b], single)
+        single, _ = forward_batch(x[b : b + 1], cb, kernels.LOGISTIC, kp, sp, n_regions=3)
+        assert np.array_equal(batch[b], single[0])
 
 
 @pytest.mark.parametrize("kind,nt,nested", [
@@ -192,16 +198,16 @@ def test_batch_forward_matches_single():
 def test_backward_matches_finite_differences(kind, nt, nested):
     for seed in range(10):
         feats, cb, kind_, kp, sp, _, _ = _random_case(seed, kind=kind)
-        rng = Rng.from_seed(seed + 999)
+        rng = np.random.default_rng(seed + 999)
         upstream = rng.normal(size=nt * cb.shape[0])
 
         def value(f, c, cu, cs):
             spx = ScalingParams(c_u=float(cu), c_s=float(cs))
-            h, _ = forward(f, c, kind, kp, spx, n_regions=nt, nested=nested)
-            return float(h @ upstream)
+            h, _ = forward_batch(f[None], c, kind, kp, spx, n_regions=nt, nested=nested)
+            return float(h[0] @ upstream)
 
-        _, ctx = forward(feats, cb, kind, kp, sp, n_regions=nt, nested=nested)
-        g = bof.backward(ctx, upstream)
+        _, ctx = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt, nested=nested)
+        g = bof.backward(ctx, upstream[None])
 
         fd_f = finite_diff_grad(
             lambda v: value(v.reshape(feats.shape), cb, sp.c_u, sp.c_s), feats.copy()
@@ -215,15 +221,15 @@ def test_backward_matches_finite_differences(kind, nt, nested):
         fd_cs = finite_diff_grad(
             lambda v: value(feats, cb, sp.c_u, float(v)), np.array(sp.c_s)
         )
-        assert relative_error(g.feats.ravel(), fd_f.ravel()) < 1e-7
+        assert relative_error(g.feats[0].ravel(), fd_f.ravel()) < 1e-7
         assert relative_error(g.codebook.ravel(), fd_c.ravel()) < 1e-7
         assert relative_error(np.atleast_1d(g.c_u), np.atleast_1d(fd_cu)) < 1e-7
         assert relative_error(np.atleast_1d(g.c_s), np.atleast_1d(fd_cs)) < 1e-7
         if kind == kernels.LOGISTIC:
             def value_ab(a, b):
                 kpx = KernelParams(alpha=float(a), beta=float(b), sigma=kp.sigma)
-                h, _ = forward(feats, cb, kind, kpx, sp, n_regions=nt, nested=nested)
-                return float(h @ upstream)
+                h, _ = forward_batch(feats[None], cb, kind, kpx, sp, n_regions=nt, nested=nested)
+                return float(h[0] @ upstream)
 
             fd_a = finite_diff_grad(lambda v: value_ab(float(v), kp.beta), np.array(kp.alpha))
             fd_b = finite_diff_grad(lambda v: value_ab(kp.alpha, float(v)), np.array(kp.beta))
@@ -236,5 +242,5 @@ def test_zero_row_sum_raises():
     feats = np.full((3, 2), 100.0)
     cb = np.full((1, 2), -100.0)
     with pytest.raises(bof.NumericError):
-        soft_assign(feats, cb, kernels.GAUSSIAN, KernelParams(sigma=0.01),
-                    ScalingParams())
+        forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=0.01),
+                      ScalingParams(), n_regions=1)

@@ -8,7 +8,6 @@ import pytest
 
 from tlonbof import cli, config, data, metrics, network, training
 from tlonbof.cli import main
-from tlonbof.core import Rng
 
 TINY_CFG = """\
 batch_size = 16
@@ -227,12 +226,41 @@ def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_missing_model_is_usage_error(tmp_path, capsys):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    missing = str(tmp_path / "nope.tlnb")
+    assert main(["eval", "--model", missing, "--data", datadir,
+                 "--report", str(tmp_path / "r.csv")]) == 2
+    assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--out"), ("train", "--history"), ("eval", "--report"),
+    ("eval", "--dump-predictions"), ("ablate", "--report"), ("config", "--out"),
+])
+def test_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                     command, flag):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    given = {
+        "train": {"--data": datadir, "--out": str(tmp_path / "m.tlnb")},
+        "eval": {"--data": datadir, "--report": str(tmp_path / "r.csv")},
+        "ablate": {"--data": datadir, "--report": str(tmp_path / "r.csv")},
+        "config": {},
+    }[command]
+    bad = str(tmp_path / "nodir" / "out.file")
+    argv = [command] + [part for kv in {**given, flag: bad}.items() for part in kv]
+    assert main(argv) == 2
+    assert bad in capsys.readouterr().err
+    assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
 def test_eval_model_d_in_mismatch_is_usage_error(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
     cfg = network.ModelConfig(d_in=5, conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
     model = tmp_path / "narrow.tlnb"
-    model.write_bytes(training.serialize_checkpoint(network.init_params(cfg, Rng.from_seed(0)),
-                                                    cfg))
+    params = network.init_params(cfg, np.random.default_rng(0))
+    model.write_bytes(training.serialize_checkpoint(params, cfg))
     code = main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
                  "--report", str(tmp_path / "r.csv")])
     assert code == 2
@@ -254,6 +282,24 @@ def test_undefined_kappa_exits_1_without_traceback(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--data", str(datadir),
                  "--report", str(tmp_path / "r.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: kappa undefined")
+
+
+def test_ablate_records_undefined_kappa_and_writes_report(tmp_path, capsys):
+    """Every window of a constant mid-price day is stationary, so kappa is undefined."""
+    datadir = tmp_path / "flat"
+    datadir.mkdir()
+    for series in data.synth_generate(2, 80, seed=0):
+        series.mid_prices[:] = 100.0
+        data.write_feature_csv(datadir / f"day_{series.day_id:03d}.csv", series)
+    cfg = write_cfg(tmp_path, epochs=5, lr=0.01, hidden=8, ablation_seeds=0)
+    report = tmp_path / "ablation.csv"
+    assert main(["ablate", "--config", cfg, "--data", str(datadir),
+                 "--report", str(report)]) == 0
+    header, rows = read_csv(report)
+    assert header[-1] == "status" and len(rows) == len(cli.DEFAULT_GRID)
+    undefined = [r for r in rows if r[-1] == "undefined"]
+    assert undefined and all(r[4:8] == ["", "", "", ""] for r in undefined)
+    assert "undefined: kappa undefined" in capsys.readouterr().err
 
 
 def test_ablate_runs_grid_rows(tmp_path):

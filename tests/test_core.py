@@ -1,35 +1,37 @@
 import numpy as np
 import pytest
 
-from tlonbof.core import Rng, finite_diff_grad, glorot_uniform, relative_error
+from tlonbof.core import finite_diff_grad, glorot_uniform, relative_error
 from tlonbof.errors import NumericError
 
 
+# the package seeds every stream as Generator(PCG64(seed)) and derives
+# independent children with spawn
 def test_rng_reproducible():
-    a = Rng.from_seed(42).normal(size=10)
-    b = Rng.from_seed(42).normal(size=10)
+    a = np.random.Generator(np.random.PCG64(42)).normal(size=10)
+    b = np.random.Generator(np.random.PCG64(42)).normal(size=10)
     assert np.array_equal(a, b)
 
 
 def test_rng_split_streams_differ_and_are_stable():
-    r1, r2 = Rng.from_seed(7).split(2)
+    r1, r2 = np.random.Generator(np.random.PCG64(7)).spawn(2)
     a, b = r1.normal(size=5), r2.normal(size=5)
     assert not np.array_equal(a, b)
-    r1b, r2b = Rng.from_seed(7).split(2)
+    r1b, r2b = np.random.Generator(np.random.PCG64(7)).spawn(2)
     assert np.array_equal(a, r1b.normal(size=5))
     assert np.array_equal(b, r2b.normal(size=5))
 
 
 def test_rng_split_independent_of_consumption_order():
     # drawing from one child must not disturb the other
-    r1, r2 = Rng.from_seed(3).split(2)
+    r1, r2 = np.random.Generator(np.random.PCG64(3)).spawn(2)
     r1.normal(size=100)
-    fresh = Rng.from_seed(3).split(2)[1]
+    fresh = np.random.Generator(np.random.PCG64(3)).spawn(2)[1]
     assert np.array_equal(r2.normal(size=5), fresh.normal(size=5))
 
 
 def test_glorot_bound_and_coverage():
-    w = glorot_uniform((200, 300), fan_in=200, fan_out=300, rng=Rng.from_seed(0))
+    w = glorot_uniform((200, 300), fan_in=200, fan_out=300, rng=np.random.default_rng(0))
     bound = np.sqrt(6.0 / 500.0)
     assert np.all(np.abs(w) <= bound)
     # fills a decent part of the interval, not collapsed near zero
@@ -38,12 +40,12 @@ def test_glorot_bound_and_coverage():
 
 def test_glorot_rejects_bad_fans():
     with pytest.raises(ValueError):
-        glorot_uniform((2, 2), fan_in=0, fan_out=2, rng=Rng.from_seed(0))
+        glorot_uniform((2, 2), fan_in=0, fan_out=2, rng=np.random.default_rng(0))
 
 
 def test_finite_diff_on_quadratic():
     # f(x) = x^T A x has exact gradient (A + A^T) x
-    rng = Rng.from_seed(1)
+    rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 4))
     x = rng.normal(size=4)
     fd = finite_diff_grad(lambda v: float(v @ a @ v), x.copy())

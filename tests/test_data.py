@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tlonbof import data
-from tlonbof.core import Rng
 from tlonbof.data import (
     DOWN,
     STATIONARY,
@@ -21,7 +20,7 @@ from tlonbof.errors import FormatError
 
 
 def flat_series(n, day_id=1, mid=100.0):
-    rng = Rng.from_seed(n)
+    rng = np.random.default_rng(n)
     return FeatureSeries(day_id, rng.normal(size=(n, data.N_FEATURES)), np.full(n, mid))
 
 
@@ -71,7 +70,7 @@ def test_windowize_counts():
 
 
 def test_windowize_count_formula_matches_brute_enumeration():
-    rng = Rng.from_seed(0)
+    rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(1, 120))
         w = int(rng.integers(1, 20))
@@ -93,7 +92,7 @@ def test_windowize_alignment():
 
 
 def test_windowize_labels_match_label_sample_everywhere():
-    rng = Rng.from_seed(3)
+    rng = np.random.default_rng(3)
     mids = 100.0 * np.cumprod(1 + 2e-4 * rng.normal(size=80))
     series = FeatureSeries(1, rng.normal(size=(80, data.N_FEATURES)), mids)
     _, labels = windowize(series)

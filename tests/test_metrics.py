@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tlonbof import metrics
-from tlonbof.core import Rng
 from tlonbof.errors import UndefinedMetricError
 
 KAPPA_CASE = 0.5384615384615384  # p_o = 0.70, p_e = 0.35 for the matrix below
@@ -60,7 +59,7 @@ def test_kappa_edge_cases():
 
 
 def test_against_brute_force_on_random_matrices():
-    rng = Rng.from_seed(11)
+    rng = np.random.default_rng(11)
     for _ in range(1000):
         cm = rng.integers(0, 40, size=(3, 3)).astype(np.int64)
         if cm.sum() == 0:
@@ -78,7 +77,7 @@ def test_against_brute_force_on_random_matrices():
 
 def test_permutation_equivariance():
     # relabeling classes consistently must not change macro scores or kappa
-    rng = Rng.from_seed(3)
+    rng = np.random.default_rng(3)
     true = rng.integers(0, 3, size=500)
     pred = rng.integers(0, 3, size=500)
     perm = np.array([2, 0, 1])

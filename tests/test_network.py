@@ -3,37 +3,37 @@ import pytest
 from conftest import draw_instance, tiny_config
 
 from tlonbof import kernels, network
-from tlonbof.core import Rng, finite_diff_grad, relative_error
+from tlonbof.core import finite_diff_grad, relative_error
 
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
 
 def test_conv_identity_kernel():
     # width-1 identity weights pass features straight through
-    x = Rng.from_seed(0).normal(size=(7, 3))
+    x = np.random.default_rng(0).normal(size=(1, 7, 3))
     w = np.eye(3)[None]  # (kernel=1, in=3, out=3)
-    out = network.conv1d_same(x, w, np.zeros(3))
+    out = network.conv1d_same_batch(x, w, np.zeros(3))
     assert np.allclose(out, x, atol=1e-15)
 
 
 def test_conv_known_values_with_zero_padding():
-    x = np.array([[1.0], [2.0], [3.0]])
+    x = np.array([[[1.0], [2.0], [3.0]]])
     w = np.ones((3, 1, 1))
-    out = network.conv1d_same(x, w, np.zeros(1))
+    out = network.conv1d_same_batch(x, w, np.zeros(1))
     assert out.ravel().tolist() == [3.0, 6.0, 5.0]
 
 
 def test_conv_bias_and_length():
-    x = Rng.from_seed(1).normal(size=(10, 4))
-    w = Rng.from_seed(2).normal(size=(5, 4, 6))
-    out = network.conv1d_same(x, w, np.full(6, 2.5))
-    assert out.shape == (10, 6)
-    base = network.conv1d_same(x, w, np.zeros(6))
+    x = np.random.default_rng(1).normal(size=(1, 10, 4))
+    w = np.random.default_rng(2).normal(size=(5, 4, 6))
+    out = network.conv1d_same_batch(x, w, np.full(6, 2.5))
+    assert out.shape == (1, 10, 6)
+    base = network.conv1d_same_batch(x, w, np.zeros(6))
     assert np.allclose(out - base, 2.5)
 
 
 def test_conv_backward_matches_finite_differences():
-    rng = Rng.from_seed(3)
+    rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 8, 3))
     w = rng.normal(size=(5, 3, 4))
     b = rng.normal(size=4)
@@ -52,7 +52,8 @@ def test_conv_backward_matches_finite_differences():
 
 
 def test_softmax_xent_known_value():
-    probs, loss = network.softmax_xent(np.array([2.0, 1.0, 0.0]), 0)
+    logp = network.log_softmax(np.array([2.0, 1.0, 0.0]))
+    probs, loss = np.exp(logp), -logp[0]
     assert loss == pytest.approx(XENT_210_LABEL0, abs=1e-14)
     assert probs.sum() == pytest.approx(1.0)
     assert probs[0] > probs[1] > probs[2]
@@ -64,34 +65,29 @@ def test_log_softmax_handles_huge_logits():
     assert lp[0] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_softmax_xent_rejects_bad_label():
-    with pytest.raises(ValueError):
-        network.softmax_xent(np.zeros(3), 3)
-
-
 def test_table_shape_walk():
     # 15 x 144 input -> conv (15, 256) -> 3 regions x 256 codewords -> 512 -> 3
     cfg = network.ModelConfig(
         arch=network.ARCH_TLONBOF, d_in=144, conv_filters=256, conv_kernel=5,
         n_codewords=256, n_regions=3, hidden=512, n_classes=3, avg_seq_len=15.0,
     )
-    params = network.init_params(cfg, Rng.from_seed(0))
+    params = network.init_params(cfg, np.random.default_rng(0))
     assert params["conv_w"].shape == (5, 144, 256)
     assert params["codebook"].shape == (256, 256)
     assert params["fc1_w"].shape == (768, 512)
     assert params["fc2_w"].shape == (512, 3)
-    x = Rng.from_seed(1).normal(size=(15, 144))
-    probs, ctx = network.model_forward(x, params, cfg)
+    x = np.random.default_rng(1).normal(size=(1, 15, 144))
+    probs, ctx = network.forward_batch(x, params, cfg)
     assert ctx.feats.shape == (1, 15, 256)
     assert ctx.pooled.shape == (1, 768)
     assert ctx.fc1_act.shape == (1, 512)
-    assert probs.shape == (3,)
+    assert probs.shape == (1, 3)
     assert probs.sum() == pytest.approx(1.0)
 
 
 def test_init_protocol_values():
     cfg = tiny_config()
-    params = network.init_params(cfg, Rng.from_seed(0))
+    params = network.init_params(cfg, np.random.default_rng(0))
     assert float(params["alpha"]) == 1.0
     assert float(params["beta"]) == 0.0
     assert np.all(params["conv_b"] == 0)
@@ -103,14 +99,14 @@ def test_init_protocol_values():
 
 def test_init_scaling_off_is_identity():
     params = network.init_params(tiny_config(adaptive_scaling=network.SCALING_OFF),
-                                 Rng.from_seed(0))
+                                 np.random.default_rng(0))
     assert float(params["log_cu"]) == 0.0
     assert float(params["log_cs"]) == 0.0
 
 
 def test_init_deterministic():
-    a = network.init_params(tiny_config(), Rng.from_seed(9))
-    b = network.init_params(tiny_config(), Rng.from_seed(9))
+    a = network.init_params(tiny_config(), np.random.default_rng(9))
+    b = network.init_params(tiny_config(), np.random.default_rng(9))
     assert sorted(a) == sorted(b)
     for k in a:
         assert np.array_equal(a[k], b[k])
@@ -118,7 +114,7 @@ def test_init_deterministic():
 
 def test_gaussian_config_gets_sigma_parameter():
     cfg = tiny_config(kernel=kernels.GAUSSIAN, kernel_param_learning=False)
-    params = network.init_params(cfg, Rng.from_seed(0))
+    params = network.init_params(cfg, np.random.default_rng(0))
     assert "sigma" in params and "alpha" not in params
     assert float(params["sigma"]) > 0
     # sigma stays fixed: it is not in the trainable set
@@ -146,18 +142,18 @@ def test_cnn_gap_requires_deep_features():
 
 def test_gap_pooling_is_timestep_mean():
     cfg = tiny_config(arch=network.ARCH_CNN_GAP)
-    params = network.init_params(cfg, Rng.from_seed(2))
-    x = Rng.from_seed(3).normal(size=(6, cfg.d_in))
-    _, ctx = network.cnn_gap_forward(x, params, cfg)
+    params = network.init_params(cfg, np.random.default_rng(2))
+    x = np.random.default_rng(3).normal(size=(1, 6, cfg.d_in))
+    _, ctx = network.forward_batch(x, params, cfg)
     assert np.allclose(ctx.pooled[0], ctx.feats[0].mean(axis=0), atol=1e-15)
 
 
 def test_fc2_bias_gradient_is_probs_minus_onehot():
     cfg = tiny_config()
     params, x, ctx = draw_instance(cfg, seed=0)
-    probs, ctx = network.model_forward(x, params, cfg)
-    grads = network.model_backward(ctx, 2)
-    want = probs.copy()
+    probs, ctx = network.forward_batch(x[None], params, cfg)
+    grads = network.backward_batch(ctx, np.array([2]))
+    want = probs[0].copy()
     want[2] -= 1.0
     assert np.allclose(grads["fc2_b"], want, atol=1e-12)
 
@@ -175,14 +171,14 @@ def test_model_gradients_match_finite_differences(overrides):
     for seed in range(3):
         params, x, ctx = draw_instance(cfg, seed=seed, sigma=sigma)
         label = seed % cfg.n_classes
-        grads = network.model_backward(ctx, label)
+        grads = network.backward_batch(ctx, np.array([label]))
 
         def loss_of(name, flat):
             saved = params[name]
             params[name] = flat.reshape(saved.shape) if saved.ndim else np.array(float(flat))
-            probs, _ = network.model_forward(x, params, cfg)
+            probs, _ = network.forward_batch(x[None], params, cfg)
             params[name] = saved
-            return float(-np.log(probs[label]))
+            return float(-np.log(probs[0, label]))
 
         for name in network.trainable_names(cfg):
             fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
@@ -196,30 +192,40 @@ def test_model_gradients_match_finite_differences(overrides):
 
 def test_batch_forward_matches_single_sample():
     cfg = tiny_config()
-    params = network.init_params(cfg, Rng.from_seed(5))
-    x = Rng.from_seed(6).normal(size=(4, 6, cfg.d_in))
+    params = network.init_params(cfg, np.random.default_rng(5))
+    x = np.random.default_rng(6).normal(size=(4, 6, cfg.d_in))
     batch_probs, _ = network.forward_batch(x, params, cfg)
     for b in range(4):
-        single, _ = network.model_forward(x[b], params, cfg)
-        assert np.allclose(batch_probs[b], single, atol=1e-12)
+        single, _ = network.forward_batch(x[b : b + 1], params, cfg)
+        assert np.allclose(batch_probs[b], single[0], atol=1e-12)
 
 
 def test_batch_loss_is_mean_cross_entropy():
     cfg = tiny_config()
-    params = network.init_params(cfg, Rng.from_seed(7))
-    x = Rng.from_seed(8).normal(size=(3, 6, cfg.d_in))
+    params = network.init_params(cfg, np.random.default_rng(7))
+    x = np.random.default_rng(8).normal(size=(3, 6, cfg.d_in))
     y = np.array([0, 1, 2])
     probs, ctx = network.forward_batch(x, params, cfg)
     want = -np.mean([np.log(probs[i, y[i]]) for i in range(3)])
     assert network.batch_loss(ctx, y) == pytest.approx(want, abs=1e-12)
 
 
+def test_backward_batch_rejects_bad_label():
+    cfg = tiny_config()
+    params = network.init_params(cfg, np.random.default_rng(7))
+    _, ctx = network.forward_batch(np.random.default_rng(8).normal(size=(2, 6, cfg.d_in)),
+                                   params, cfg)
+    for labels in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="label out of range"):
+            network.backward_batch(ctx, np.array(labels))
+
+
 def test_gradient_descent_decreases_loss():
     # 50 plain full-batch steps on a fixed tiny problem
     cfg = tiny_config()
-    params = network.init_params(cfg, Rng.from_seed(10))
-    x = Rng.from_seed(11).normal(size=(8, 6, cfg.d_in))
-    y = Rng.from_seed(12).integers(0, 3, size=8)
+    params = network.init_params(cfg, np.random.default_rng(10))
+    x = np.random.default_rng(11).normal(size=(8, 6, cfg.d_in))
+    y = np.random.default_rng(12).integers(0, 3, size=8)
     losses = []
     for _ in range(50):
         _, ctx = network.forward_batch(x, params, cfg)
