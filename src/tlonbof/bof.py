@@ -117,6 +117,7 @@ class BofContext:
     k_mat: np.ndarray  # (B, N, K) kernel values
     row_sums: np.ndarray  # (B, N)
     memberships: np.ndarray  # (B, N, K) scaled soft assignments
+    region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
     dots: np.ndarray | None = None  # (B, N, K) feats @ codebook.T, logistic only
 
 
@@ -152,10 +153,10 @@ def forward_batch(
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums)
     memberships = scaling.c_u * k_mat / row_sums[..., None]
-    segments = [
-        scaling.c_s * _region_mean(memberships[:, a:b, :], 1) for (a, b) in reversed(regions)
-    ]
-    hist = np.concatenate(segments, axis=1)
+    region_means = np.concatenate(
+        [_region_mean(memberships[:, a:b, :], 1) for (a, b) in reversed(regions)], axis=1
+    )
+    hist = scaling.c_s * region_means
     ctx = BofContext(
         feats=feats,
         codebook=codebook,
@@ -166,6 +167,7 @@ def forward_batch(
         k_mat=k_mat,
         row_sums=row_sums,
         memberships=memberships,
+        region_means=region_means,
         dots=dots,
     )
     return hist, ctx
@@ -190,28 +192,41 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     d_memb = np.zeros_like(ctx.memberships)
     dc_s = 0.0
     for i, (a, b) in enumerate(reversed(ctx.regions)):
-        g_seg = upstream[:, i * n_codewords : (i + 1) * n_codewords]
+        seg = slice(i * n_codewords, (i + 1) * n_codewords)
+        g_seg = upstream[:, seg]
         d_memb[:, a:b, :] += g_seg[:, None, :] * (c_s / (b - a))
-        dc_s += float(np.sum(g_seg * _region_mean(ctx.memberships[:, a:b, :], 1)))
+        dc_s += float(np.sum(g_seg * ctx.region_means[:, seg]))
 
     # Row normalization: memberships = c_u * K / S with S the row sum.
     weighted = np.sum(d_memb * ctx.k_mat, axis=-1)  # (B, N)
     dc_u = float(np.sum(weighted / ctx.row_sums))
-    d_k = (c_u / ctx.row_sums)[..., None] * (d_memb - (weighted / ctx.row_sums)[..., None])
+    # d_k = (c_u / S) * (d_memb - weighted / S), in d_memb's buffer
+    d_k = d_memb
+    d_k -= (weighted / ctx.row_sums)[..., None]
+    d_k *= (c_u / ctx.row_sums)[..., None]
+
+    # codebook gradients are one (K, B*N) x (B*N, D) product
+    feats_rows = ctx.feats.reshape(-1, ctx.feats.shape[-1])
 
     if ctx.kind == kernels.LOGISTIC:
-        d_z = d_k * ctx.k_mat * (1.0 - ctx.k_mat)
-        d_feats = 2.0 * ctx.kp.alpha * (d_z @ ctx.codebook)
-        d_codebook = 2.0 * ctx.kp.alpha * np.einsum("bnk,bnd->kd", d_z, ctx.feats)
+        d_z = d_k  # d_k * K * (1 - K), in place
+        d_z *= ctx.k_mat
+        d_z *= 1.0 - ctx.k_mat
+        d_feats = d_z @ ctx.codebook
+        d_feats *= 2.0 * ctx.kp.alpha
+        d_codebook = d_z.reshape(-1, n_codewords).T @ feats_rows
+        d_codebook *= 2.0 * ctx.kp.alpha
         d_alpha = float(2.0 * np.sum(d_z * ctx.dots))
         d_beta = float(2.0 * np.sum(d_z))
     else:
         inv2s2 = 1.0 / (2.0 * ctx.kp.sigma**2)
-        d_sq = d_k * ctx.k_mat * (-inv2s2)  # gradient w.r.t. squared distances
+        d_sq = d_k  # gradient w.r.t. squared distances: d_k * K * (-1 / (2 sigma^2))
+        d_sq *= ctx.k_mat
+        d_sq *= -inv2s2
         d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats - d_sq @ ctx.codebook)
         d_codebook = 2.0 * (
             d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook
-            - np.einsum("bnk,bnd->kd", d_sq, ctx.feats)
+            - d_sq.reshape(-1, n_codewords).T @ feats_rows
         )
         d_alpha = None
         d_beta = None

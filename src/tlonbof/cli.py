@@ -55,21 +55,33 @@ class _Usage(Exception):
     """Invocation problem: wrong flags, bad config, missing inputs. Exit 2."""
 
 
+def _read_input(what: str, path, reader):
+    """``reader(path)``, with a missing path or a directory as a usage error."""
+    try:
+        return reader(path)
+    except FileNotFoundError:
+        raise _Usage(f"{what} not found: {path}") from None
+    except IsADirectoryError:
+        raise _Usage(f"{what} is a directory: {path}") from None
+
+
 def _load_config(path) -> config_mod.RunConfig:
     if path is None:
         return config_mod.RunConfig()
     try:
-        return config_mod.load_run_config(path)
-    except FileNotFoundError:
-        raise _Usage(f"config file not found: {path}") from None
+        return _read_input("config file", path, config_mod.load_run_config)
     except FormatError as exc:
         raise _Usage(str(exc)) from None
 
 
 def _check_out_paths(*paths) -> None:
-    """Refuse an output path whose directory does not exist, before any work is done."""
+    """Refuse an output path that is a directory or lies in a missing one, before any work."""
     for path in paths:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise _Usage(f"output path is a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise _Usage(f"directory of output path does not exist: {path}")
 
 
@@ -186,10 +198,7 @@ def _eval_fold_rows(args, rc, corpus):
     """Yield (fold_label, test_dataset, params, model_cfg) per fold."""
     fixed = None
     if args.model is not None:
-        try:
-            fixed = training.load_checkpoint(args.model)
-        except FileNotFoundError:
-            raise _Usage(f"checkpoint file not found: {args.model}") from None
+        fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)
         d_in, d_corpus = fixed[1].d_in, corpus[0].features.shape[1]
         if d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={d_in} features per row, "
@@ -297,9 +306,7 @@ def cmd_ablate(args) -> int:
         raise _Usage("ablation needs at least 2 days (train on all but last, test on last)")
     if args.grid is not None:
         try:
-            grid = load_grid(args.grid)
-        except FileNotFoundError:
-            raise _Usage(f"grid file not found: {args.grid}") from None
+            grid = _read_input("grid file", args.grid, load_grid)
         except FormatError as exc:
             raise _Usage(str(exc)) from None
     else:

@@ -34,13 +34,18 @@ class KernelParams:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    With ``e = exp(-|z|)`` this is ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below, so ``exp`` never overflows and tiny values keep
+    their relative precision (the tanh identity rounds to exactly 0 once
+    z < -38, which would empty the kernel rows long before this form does).
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.abs(z, out=np.empty_like(z))  # an array even for 0-d input, so it can be reused
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out if out.ndim else float(out)
 
 

@@ -167,8 +167,13 @@ def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
 def conv1d_same_backward(
     x: np.ndarray, weights: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    taps = weights.shape[0]
-    n = x.shape[1]
+    """Gradients of ``conv1d_same_batch`` w.r.t. its input, weights and bias.
+
+    Each tap is two 2-D matrix products over the (batch * steps) rows that
+    the tap touches; no batch-wide unfolded copy of the input is built.
+    """
+    taps, d_in, d_o = weights.shape
+    batch, n = x.shape[:2]
     center = taps // 2
     d_x = np.zeros_like(x)
     d_w = np.zeros_like(weights)
@@ -176,8 +181,9 @@ def conv1d_same_backward(
         off = k - center
         lo, hi = max(0, -off), n - max(0, off)
         if lo < hi:
-            d_x[:, lo + off : hi + off] += d_out[:, lo:hi] @ weights[k].T
-            d_w[k] = np.einsum("bti,bto->io", x[:, lo + off : hi + off], d_out[:, lo:hi])
+            g_rows = d_out[:, lo:hi].reshape(-1, d_o)
+            d_x[:, lo + off : hi + off] += (g_rows @ weights[k].T).reshape(batch, hi - lo, d_in)
+            d_w[k] = x[:, lo + off : hi + off].reshape(-1, d_in).T @ g_rows
     d_b = d_out.sum(axis=(0, 1))
     return d_x, d_w, d_b
 

@@ -58,9 +58,24 @@ def adam_step(
         if np.shape(g) != params[k].shape:
             raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {k!r} "
                              f"of shape {params[k].shape}")
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        params[k] -= state.lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2) + state.eps)
+        # In place with one scratch buffer (an array even for 0-d
+        # parameters, so ``out=`` works). Each line keeps the operation order
+        # of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
+        m, v = state.m[k], state.v[k]
+        buf = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
+        m *= state.beta1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - state.beta2
+        v *= state.beta2
+        v += buf
+        np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+        buf += state.eps
+        step = m / bc1
+        step *= state.lr
+        step /= buf
+        params[k] -= step
     return params, state
 
 

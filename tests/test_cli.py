@@ -234,12 +234,14 @@ def test_eval_missing_model_is_usage_error(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,flag", [
+OUTPUT_FLAGS = [
     ("train", "--out"), ("train", "--history"), ("eval", "--report"),
     ("eval", "--dump-predictions"), ("ablate", "--report"), ("config", "--out"),
-])
-def test_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch,
-                                                     command, flag):
+]
+
+
+def run_with_bad_path(tmp_path, monkeypatch, command, flag, bad):
+    """Run ``command`` on a small corpus with ``flag`` set to ``bad``; training must not start."""
     datadir = make_data(tmp_path, days=2, rows=60)
     monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
     given = {
@@ -248,11 +250,39 @@ def test_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatc
         "ablate": {"--data": datadir, "--report": str(tmp_path / "r.csv")},
         "config": {},
     }[command]
-    bad = str(tmp_path / "nodir" / "out.file")
     argv = [command] + [part for kv in {**given, flag: bad}.items() for part in kv]
-    assert main(argv) == 2
+    return main(argv)
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+def test_output_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                     command, flag):
+    bad = str(tmp_path / "nodir" / "out.file")
+    assert run_with_bad_path(tmp_path, monkeypatch, command, flag, bad) == 2
     assert bad in capsys.readouterr().err
     assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                       command, flag):
+    bad = tmp_path / "outdir"
+    bad.mkdir()
+    assert run_with_bad_path(tmp_path, monkeypatch, command, flag, str(bad)) == 2
+    assert f"output path is a directory: {bad}" in capsys.readouterr().err
+    assert not list(bad.iterdir())
+    assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("config", "--check"), ("train", "--config"), ("ablate", "--grid"), ("eval", "--model"),
+])
+def test_input_path_that_is_a_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                      command, flag):
+    bad = tmp_path / "indir"
+    bad.mkdir()
+    assert run_with_bad_path(tmp_path, monkeypatch, command, flag, str(bad)) == 2
+    assert f"is a directory: {bad}" in capsys.readouterr().err
 
 
 def test_eval_model_d_in_mismatch_is_usage_error(tmp_path, capsys):

@@ -75,3 +75,26 @@ def test_default_sigma_scales_with_codebook_spread():
     s2 = kernels.default_sigma(3.0 * cb)
     assert s1 > 0
     assert s2 == pytest.approx(3.0 * s1, rel=1e-12)
+
+
+def _masked_sigmoid(z):
+    # the boolean-mask form the package used before; kept as the bitwise reference
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_form():
+    edges = np.array([0.0, 1e-300, 37.0, 40.0, 700.0, 745.0, 800.0, np.inf])
+    rng = np.random.default_rng(11)
+    z = np.concatenate([edges, -edges, rng.normal(scale=40.0, size=100_000)])
+    got, want = kernels.sigmoid(z), _masked_sigmoid(z)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for scalar in (-700.0, np.float64(-0.0), np.array(3.0)):
+        assert type(kernels.sigmoid(scalar)) is float
+    # (tanh(z/2) + 1) / 2 is already exactly 0 here
+    assert kernels.sigmoid(-700.0) > 0.0

@@ -32,12 +32,14 @@ def test_conv_bias_and_length():
     assert np.allclose(out - base, 2.5)
 
 
-def test_conv_backward_matches_finite_differences():
+# short sequences leave some taps with no overlap (an empty lo:hi slice)
+@pytest.mark.parametrize("taps,n_steps", [(1, 4), (3, 8), (5, 8), (5, 2), (5, 1)])
+def test_conv_backward_matches_finite_differences(taps, n_steps):
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 8, 3))
-    w = rng.normal(size=(5, 3, 4))
+    x = rng.normal(size=(2, n_steps, 3))
+    w = rng.normal(size=(taps, 3, 4))
     b = rng.normal(size=4)
-    d_out = rng.normal(size=(2, 8, 4))
+    d_out = rng.normal(size=(2, n_steps, 4))
 
     def val(xx, ww, bb):
         return float(np.sum(network.conv1d_same_batch(xx, ww, bb) * d_out))
