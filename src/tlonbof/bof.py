@@ -13,8 +13,9 @@ the per-region averages, so every histogram segment sums to
 classical soft-assignment bag-of-features.
 
 The backward pass is derived by hand (quotient rule through the row
-normalization, then the chosen kernel); it is validated against central
-finite differences in the test suite.
+normalization, then the chosen kernel) and reads only the cached kernel
+values and memberships; it is validated against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class ScalingParams:
         """Standard initialization: c_s = codebook size, c_u = mean sequence length."""
         return cls(c_u=float(avg_seq_len), c_s=float(n_codewords))
 
-    @classmethod
-    def disabled(cls) -> "ScalingParams":
-        return cls(c_u=1.0, c_s=1.0)
-
 
 def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[int, int]]:
     """Partition timestep indices 0..n_steps-1 into temporal regions.
@@ -74,18 +71,17 @@ def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[in
 
 
 def _kernel_matrix(feats: np.ndarray, codebook: np.ndarray, kind: str, kp: KernelParams):
-    """Kernel values K and, for the logistic kernel, the cached dot products."""
+    """Kernel values K, shape (..., N, K), between every feature row and codeword."""
     if feats.shape[-1] != codebook.shape[1]:
         raise ValueError(
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
     if kind == kernels.LOGISTIC:
-        dots = feats @ codebook.T
-        return kernels.sigmoid(2.0 * kp.alpha * dots + 2.0 * kp.beta), dots
+        return kernels.sigmoid(2.0 * kp.alpha * (feats @ codebook.T) + 2.0 * kp.beta)
     if kind == kernels.GAUSSIAN:
         if kp.sigma is None:
             raise ValueError("Gaussian kernel requires sigma")
-        return kernels.gaussian_matrix(feats, codebook, kp.sigma), None
+        return kernels.gaussian_matrix(feats, codebook, kp.sigma)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -115,10 +111,8 @@ class BofContext:
     scaling: ScalingParams
     regions: list[tuple[int, int]]
     k_mat: np.ndarray  # (B, N, K) kernel values
-    row_sums: np.ndarray  # (B, N)
     memberships: np.ndarray  # (B, N, K) scaled soft assignments
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
-    dots: np.ndarray | None = None  # (B, N, K) feats @ codebook.T, logistic only
 
 
 @dataclass
@@ -149,7 +143,7 @@ def forward_batch(
     if feats.ndim != 3:
         raise ValueError(f"expected (batch, steps, dim) input, got shape {feats.shape}")
     regions = segment(feats.shape[1], n_regions, nested)
-    k_mat, dots = _kernel_matrix(feats, codebook, kind, kp)
+    k_mat = _kernel_matrix(feats, codebook, kind, kp)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums)
     memberships = scaling.c_u * k_mat / row_sums[..., None]
@@ -165,10 +159,8 @@ def forward_batch(
         scaling=scaling,
         regions=regions,
         k_mat=k_mat,
-        row_sums=row_sums,
         memberships=memberships,
         region_means=region_means,
-        dots=dots,
     )
     return hist, ctx
 
@@ -197,32 +189,31 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
         d_memb[:, a:b, :] += g_seg[:, None, :] * (c_s / (b - a))
         dc_s += float(np.sum(g_seg * ctx.region_means[:, seg]))
 
-    # Row normalization: memberships = c_u * K / S with S the row sum.
-    weighted = np.sum(d_memb * ctx.k_mat, axis=-1)  # (B, N)
-    dc_u = float(np.sum(weighted / ctx.row_sums))
-    # d_k = (c_u / S) * (d_memb - weighted / S), in d_memb's buffer
-    d_k = d_memb
-    d_k -= (weighted / ctx.row_sums)[..., None]
-    d_k *= (c_u / ctx.row_sums)[..., None]
+    # Row normalization U = c_u * K / S (S the row sum), written in terms of
+    # the cached U so nothing divides by S: with w = sum_k dU * U,
+    # dL/dc_u = sum(w) / c_u and dL/dK * K = U * (dU - w / c_u).
+    weighted = np.sum(d_memb * ctx.memberships, axis=-1)  # (B, N)
+    dc_u = float(np.sum(weighted)) / c_u
+    d_kk = d_memb  # dL/dK * K, in d_memb's buffer
+    d_kk -= (weighted / c_u)[..., None]
+    d_kk *= ctx.memberships
 
     # codebook gradients are one (K, B*N) x (B*N, D) product
     feats_rows = ctx.feats.reshape(-1, ctx.feats.shape[-1])
 
     if ctx.kind == kernels.LOGISTIC:
-        d_z = d_k  # d_k * K * (1 - K), in place
-        d_z *= ctx.k_mat
+        d_z = d_kk  # dL/dK * K * (1 - K), in place
         d_z *= 1.0 - ctx.k_mat
         d_feats = d_z @ ctx.codebook
+        # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(f * (d_z @ codebook))
+        d_alpha = float(2.0 * np.sum(ctx.feats * d_feats))
         d_feats *= 2.0 * ctx.kp.alpha
         d_codebook = d_z.reshape(-1, n_codewords).T @ feats_rows
         d_codebook *= 2.0 * ctx.kp.alpha
-        d_alpha = float(2.0 * np.sum(d_z * ctx.dots))
         d_beta = float(2.0 * np.sum(d_z))
     else:
-        inv2s2 = 1.0 / (2.0 * ctx.kp.sigma**2)
-        d_sq = d_k  # gradient w.r.t. squared distances: d_k * K * (-1 / (2 sigma^2))
-        d_sq *= ctx.k_mat
-        d_sq *= -inv2s2
+        d_sq = d_kk  # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2))
+        d_sq *= -1.0 / (2.0 * ctx.kp.sigma**2)
         d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats - d_sq @ ctx.codebook)
         d_codebook = 2.0 * (
             d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook

@@ -267,14 +267,13 @@ def cmd_eval(args) -> int:
 
 
 def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = config_mod.read_text(path).splitlines()
     numbered = [
         (i, line.strip()) for i, line in enumerate(lines, start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
     if not numbered:
-        raise FormatError(f"{path}: empty grid file")
+        raise FormatError(f"{path}: empty grid file", location="line 1")
     first_no, header = numbered[0]
     if [c.strip() for c in header.split(",")] != _GRID_HEADER:
         raise FormatError(
@@ -293,7 +292,7 @@ def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
         except FormatError as exc:
             raise FormatError(f"{path}: {exc.message}", location=exc.location) from None
     if not grid:
-        raise FormatError(f"{path}: grid has a header but no rows")
+        raise FormatError(f"{path}: grid has a header but no rows", location=f"line {first_no + 1}")
     return grid
 
 
@@ -359,11 +358,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_config(args) -> int:
     _check_out_paths(args.out)
-    if args.check is not None:
-        rc = _load_config(args.check)
-    else:
-        rc = config_mod.RunConfig()
-    text = config_mod.dumps(rc)
+    text = config_mod.dumps(_load_config(args.check))
     if args.out:
         config_mod.write_atomic(args.out, text.encode("utf-8"))
         print(f"wrote {args.out}")

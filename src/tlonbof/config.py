@@ -7,6 +7,7 @@ repr() floats, so dump -> load -> dump is byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -65,7 +66,7 @@ _POSITIVE_INTS = {
     "conv_filters", "conv_kernel", "hidden", "n_regions",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotation strings: "int", ...
 _FIELD_ORDER = [f.name for f in fields(RunConfig)]
 
 
@@ -73,27 +74,31 @@ def parse_value(key: str, raw: str, lineno: int | str):
     """Parse one value of ``key`` by the schema's rules, or raise FormatError at ``lineno``."""
     kind = _FIELD_TYPES[key]
     loc = f"line {lineno}"
-    if kind == "bool" or kind is bool:
+    if kind == "bool":
         if raw == "true":
             return True
         if raw == "false":
             return False
         raise FormatError(f"{key} must be true or false, got {raw!r}", location=loc)
-    if kind == "int" or kind is int:
+    if kind == "int":
         try:
             value = int(raw)
         except ValueError:
             raise FormatError(f"{key} must be an integer, got {raw!r}", location=loc) from None
         if key in _POSITIVE_INTS and value < 1:
             raise FormatError(f"{key} must be >= 1, got {value}", location=loc)
+        if key == "conv_kernel" and value % 2 == 0:
+            raise FormatError(f"conv_kernel must be odd, got {value}", location=loc)
         if key == "epochs" and value < 0:
             raise FormatError(f"epochs must be >= 0, got {value}", location=loc)
         return value
-    if kind == "float" or kind is float:
+    if kind == "float":
         try:
             value = float(raw)
         except ValueError:
             raise FormatError(f"{key} must be a number, got {raw!r}", location=loc) from None
+        if not math.isfinite(value):
+            raise FormatError(f"{key} must be finite, got {raw!r}", location=loc)
         if key in ("lr", "threshold") and value <= 0:
             raise FormatError(f"{key} must be positive, got {value}", location=loc)
         return value
@@ -137,9 +142,9 @@ def dumps(cfg: RunConfig) -> str:
 
 
 def load_run_config(path) -> RunConfig:
+    text = read_text(path)
     try:
-        with open(path, "r") as fh:
-            return loads(fh.read())
+        return loads(text)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc.message}", location=exc.location) from None
 
@@ -157,6 +162,17 @@ def parse_seed_list(raw: str) -> list[int]:
     if not seeds:
         raise FormatError(f"seed list {raw!r} is empty")
     return seeds
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text, or FormatError at the line of the first undecodable byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: not UTF-8 text", location=f"line {line}") from None
 
 
 def write_atomic(path, payload: bytes) -> None:

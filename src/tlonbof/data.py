@@ -15,18 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_text, write_atomic
 from .errors import FormatError
 
 N_FEATURES = 144
 
 DOWN, STATIONARY, UP = 0, 1, 2
-CLASS_NAMES = ("down", "stationary", "up")
 
 MEAN_HORIZON = "mean_horizon"
 POINT_HORIZON = "point_horizon"
 
-# synthetic corpus: which feature columns carry the planted signal
+# synthetic corpus: planted-signal columns and the generator's fixed shape
 SIGNAL_COLUMNS = tuple(range(4, N_FEATURES, 9))
+SYNTH_HORIZON = 10
+SYNTH_DRIFT = 4e-4
+SYNTH_WALK_NOISE = 5e-6
+SYNTH_SIGNAL_NOISE = 0.05
+SYNTH_BASE_PRICE = 100.0
+SYNTH_BLOCK_MIN, SYNTH_BLOCK_MAX = 30, 60
 
 
 @dataclass
@@ -216,42 +222,47 @@ def load_feature_csv(path) -> FeatureSeries:
     day_id = None
     mids: list[float] = []
     rows: list[list[float]] = []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file", location="line 1") from None
-        if header != _HEADER:
-            raise FormatError(
-                f"{path}: bad header, expected day_id,mid_price,f1..f{N_FEATURES}",
-                location="line 1",
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_HEADER):
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file", location="line 1")
+            if header != _HEADER:
                 raise FormatError(
-                    f"{path}: expected {len(_HEADER)} columns, got {len(row)}",
-                    location=f"line {lineno}",
+                    f"{path}: bad header, expected day_id,mid_price,f1..f{N_FEATURES}",
+                    location="line 1",
                 )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}", location=f"line {lineno}") from None
-            if not values[0].is_integer():
-                raise FormatError(
-                    f"{path}: day_id must be an integer, got {row[0]}",
-                    location=f"line {lineno}",
-                )
-            row_day = int(values[0])
-            if day_id is None:
-                day_id = row_day
-            elif row_day != day_id:
-                raise FormatError(
-                    f"{path}: mixed day ids {day_id} and {row_day} in one file",
-                    location=f"line {lineno}",
-                )
-            mids.append(values[1])
-            rows.append(values[2:])
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(_HEADER):
+                    raise FormatError(
+                        f"{path}: expected {len(_HEADER)} columns, got {len(row)}",
+                        location=f"line {lineno}",
+                    )
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise FormatError(f"{path}: {exc}", location=f"line {lineno}") from None
+                if not values[0].is_integer():
+                    raise FormatError(
+                        f"{path}: day_id must be an integer, got {row[0]}",
+                        location=f"line {lineno}",
+                    )
+                row_day = int(values[0])
+                if day_id is None:
+                    day_id = row_day
+                elif row_day != day_id:
+                    raise FormatError(
+                        f"{path}: mixed day ids {day_id} and {row_day} in one file",
+                        location=f"line {lineno}",
+                    )
+                mids.append(values[1])
+                rows.append(values[2:])
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise FormatError(f"{path}: {exc}", location=f"line {reader.line_num}") from None
+        except UnicodeDecodeError:
+            read_text(path)  # raises the FormatError at the first line that is not UTF-8
+            raise
     if day_id is None:
         raise FormatError(f"{path}: no data rows", location="line 2")
     mid_arr, feats = np.array(mids), np.array(rows)
@@ -274,8 +285,6 @@ def write_feature_csv(path, series: FeatureSeries) -> None:
         lines.append(
             ",".join([str(series.day_id), repr(float(mid))] + [repr(float(v)) for v in feats])
         )
-    from .config import write_atomic
-
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -297,34 +306,23 @@ def load_feature_dir(directory) -> list[FeatureSeries]:
 
 
 def synth_generate(
-    n_days: int,
-    rows_per_day: int,
-    seed: int = 0,
-    separation: float = 1.0,
-    horizon: int = 10,
-    drift: float = 4e-4,
-    walk_noise: float = 5e-6,
-    signal_noise: float = 0.05,
-    base_price: float = 100.0,
-    block_min: int = 30,
-    block_max: int = 60,
+    n_days: int, rows_per_day: int, seed: int = 0, separation: float = 1.0
 ) -> list[FeatureSeries]:
     """Generate a corpus whose direction labels are predictable from features.
 
     The mid-price follows block regimes (down, flat, up) lasting
-    ``block_min`` to ``block_max`` events (regime persistence), with
-    per-step drift ``drift`` times the regime, plus a small
+    ``SYNTH_BLOCK_MIN`` to ``SYNTH_BLOCK_MAX`` events (regime persistence),
+    with per-step drift ``SYNTH_DRIFT`` times the regime, plus a small
     multiplicative noise walk. A subset of feature columns
     (``SIGNAL_COLUMNS``) carries the noise-free normalized forward return
-    scaled by ``separation``; every other column is standard normal. At
-    separation 0 the features carry no information about the labels.
-    Labels themselves are always computed from the realized mid-prices,
-    not planted.
+    over ``SYNTH_HORIZON`` events scaled by ``separation``; every other
+    column is standard normal. At separation 0 the features carry no
+    information about the labels. Labels themselves are always computed
+    from the realized mid-prices, not planted.
     """
     if n_days < 1 or rows_per_day < 1:
         raise ValueError("n_days and rows_per_day must be >= 1")
-    if not 1 <= block_min <= block_max:
-        raise ValueError(f"need 1 <= block_min <= block_max, got {block_min}..{block_max}")
+    horizon, drift = SYNTH_HORIZON, SYNTH_DRIFT
     signal = np.zeros(N_FEATURES, dtype=bool)
     signal[list(SIGNAL_COLUMNS)] = True
     corpus = []
@@ -334,18 +332,18 @@ def synth_generate(
         regimes = np.empty(total)
         pos = 0
         while pos < total:
-            length = int(rng.integers(block_min, block_max + 1))
+            length = int(rng.integers(SYNTH_BLOCK_MIN, SYNTH_BLOCK_MAX + 1))
             regimes[pos : pos + length] = float(rng.integers(-1, 2))
             pos += length
         # realized mid path: regime drift plus a small noise walk
-        steps = drift * regimes + walk_noise * rng.normal(size=total)
-        mids = base_price * np.cumprod(1.0 + steps)
+        steps = drift * regimes + SYNTH_WALK_NOISE * rng.normal(size=total)
+        mids = SYNTH_BASE_PRICE * np.cumprod(1.0 + steps)
         # noise-free path defines the planted signal
-        clean = base_price * np.cumprod(1.0 + drift * regimes)
+        clean = SYNTH_BASE_PRICE * np.cumprod(1.0 + drift * regimes)
         csum = np.concatenate([[0.0], np.cumsum(clean)])
         future = (csum[horizon + 1 :] - csum[1 : total - horizon + 1]) / horizon
         z = (future / clean[:rows_per_day] - 1.0) / (drift * (horizon + 1) / 2.0)
         feats = rng.normal(size=(rows_per_day, N_FEATURES))
-        feats[:, signal] = separation * z[:, None] + signal_noise * feats[:, signal]
+        feats[:, signal] = separation * z[:, None] + SYNTH_SIGNAL_NOISE * feats[:, signal]
         corpus.append(FeatureSeries(day, feats, mids[:rows_per_day]))
     return corpus

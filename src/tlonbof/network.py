@@ -18,6 +18,7 @@ without projection; gradients are mapped accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,6 +60,12 @@ class ModelConfig:
             raise ValueError(
                 "the global-average-pooling baseline requires the convolutional extractor"
             )
+        for name in ("d_in", "conv_filters", "conv_kernel", "n_codewords", "n_regions", "hidden",
+                     "n_classes", "avg_seq_len"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.conv_kernel % 2 == 0:
+            raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
 
     @classmethod
     def from_run(cls, rc, d_in: int, avg_seq_len: float) -> "ModelConfig":
@@ -83,32 +90,42 @@ class ModelConfig:
         return self.n_regions * self.n_codewords
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of the model, in ``init_params`` order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if cfg.deep_features:
+        shapes["conv_w"] = (cfg.conv_kernel, cfg.d_in, cfg.conv_filters)
+        shapes["conv_b"] = (cfg.conv_filters,)
+    if cfg.arch == ARCH_TLONBOF:
+        shapes["codebook"] = (cfg.n_codewords, cfg.feature_dim)
+    shapes["fc1_w"] = (cfg.pooled_dim, cfg.hidden)
+    shapes["fc1_b"] = (cfg.hidden,)
+    shapes["fc2_w"] = (cfg.hidden, cfg.n_classes)
+    shapes["fc2_b"] = (cfg.n_classes,)
+    if cfg.arch == ARCH_TLONBOF:
+        kernel_params = ("alpha", "beta") if cfg.kernel == kernels.LOGISTIC else ("sigma",)
+        shapes.update(dict.fromkeys(("log_cu", "log_cs") + kernel_params, ()))
+    return shapes
+
+
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, protocol-initialized scales."""
     params: dict[str, np.ndarray] = {}
-    if cfg.deep_features:
-        fan_in = cfg.conv_kernel * cfg.d_in
-        params["conv_w"] = glorot_uniform(
-            (cfg.conv_kernel, cfg.d_in, cfg.conv_filters), fan_in, cfg.conv_filters, rng
-        )
-        params["conv_b"] = np.zeros(cfg.conv_filters)
-    if cfg.arch == ARCH_TLONBOF:
-        d_feat = cfg.feature_dim
-        params["codebook"] = glorot_uniform((cfg.n_codewords, d_feat), d_feat, cfg.n_codewords, rng)
-    params["fc1_w"] = glorot_uniform((cfg.pooled_dim, cfg.hidden), cfg.pooled_dim, cfg.hidden, rng)
-    params["fc1_b"] = np.zeros(cfg.hidden)
-    params["fc2_w"] = glorot_uniform((cfg.hidden, cfg.n_classes), cfg.hidden, cfg.n_classes, rng)
-    params["fc2_b"] = np.zeros(cfg.n_classes)
-    if cfg.arch == ARCH_TLONBOF:
-        if cfg.adaptive_scaling == SCALING_OFF:
-            scaling = ScalingParams.disabled()
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) > 1:
+            # the Glorot bound depends only on fan_in + fan_out, i.e. the
+            # last axis plus the product of the others (taps * d_in for conv)
+            params[name] = glorot_uniform(shape, math.prod(shape[:-1]), shape[-1], rng)
         else:
+            params[name] = np.zeros(shape)
+    if cfg.arch == ARCH_TLONBOF:
+        # log_cu = log_cs = 0 already is c_u = c_s = 1, i.e. scaling off
+        if cfg.adaptive_scaling != SCALING_OFF:
             scaling = ScalingParams.protocol_init(cfg.n_codewords, cfg.avg_seq_len)
-        params["log_cu"] = np.array(np.log(scaling.c_u))
-        params["log_cs"] = np.array(np.log(scaling.c_s))
+            params["log_cu"] = np.array(np.log(scaling.c_u))
+            params["log_cs"] = np.array(np.log(scaling.c_s))
         if cfg.kernel == kernels.LOGISTIC:
             params["alpha"] = np.array(1.0)
-            params["beta"] = np.array(0.0)
         else:
             params["sigma"] = np.array(kernels.default_sigma(params["codebook"]))
     return params
@@ -166,26 +183,24 @@ def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
 
 def conv1d_same_backward(
     x: np.ndarray, weights: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``conv1d_same_batch`` w.r.t. its input, weights and bias.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias.
 
-    Each tap is two 2-D matrix products over the (batch * steps) rows that
-    the tap touches; no batch-wide unfolded copy of the input is built.
+    No input gradient: the conv is always the first layer. Each tap's weight
+    gradient is one 2-D product over the (batch * steps) rows that the tap
+    touches; no batch-wide unfolded copy of the input is built.
     """
     taps, d_in, d_o = weights.shape
-    batch, n = x.shape[:2]
+    n = x.shape[1]
     center = taps // 2
-    d_x = np.zeros_like(x)
     d_w = np.zeros_like(weights)
     for k in range(taps):
         off = k - center
         lo, hi = max(0, -off), n - max(0, off)
         if lo < hi:
             g_rows = d_out[:, lo:hi].reshape(-1, d_o)
-            d_x[:, lo + off : hi + off] += (g_rows @ weights[k].T).reshape(batch, hi - lo, d_in)
             d_w[k] = x[:, lo + off : hi + off].reshape(-1, d_in).T @ g_rows
-    d_b = d_out.sum(axis=(0, 1))
-    return d_x, d_w, d_b
+    return d_w, d_out.sum(axis=(0, 1))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -249,10 +264,8 @@ def forward_batch(
             cfg.n_regions,
             cfg.nested_regions,
         )
-    elif cfg.arch == ARCH_CNN_GAP:
-        pooled = feats.mean(axis=1)
     else:
-        raise ValueError(f"unknown architecture {cfg.arch!r}")
+        pooled = feats.mean(axis=1)
 
     fc1_pre = fully_connected(pooled, params["fc1_w"], params["fc1_b"])
     fc1_act = relu(fc1_pre)
@@ -284,8 +297,8 @@ def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:
 def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy w.r.t. every differentiable parameter.
 
-    The kernel slope/offset gradients are only reported when kernel
-    parameter learning is enabled.
+    Every gradient the model defines is returned; ``trainable_names`` alone
+    decides which of them are trained.
     """
     cfg, params = ctx.cfg, ctx.params
     labels = np.asarray(labels)
@@ -316,7 +329,7 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
         # Stored parameters are log(c); chain through c = exp(log c).
         grads["log_cu"] = np.array(bg.c_u * scaling.c_u)
         grads["log_cs"] = np.array(bg.c_s * scaling.c_s)
-        if cfg.kernel_param_learning and bg.alpha is not None:
+        if bg.alpha is not None:
             grads["alpha"] = np.array(bg.alpha)
             grads["beta"] = np.array(bg.beta)
     else:
@@ -325,8 +338,6 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
 
     if cfg.deep_features:
         d_conv = d_feats * (ctx.conv_pre > 0.0)
-        _, grads["conv_w"], grads["conv_b"] = conv1d_same_backward(
-            ctx.x, params["conv_w"], d_conv
-        )
+        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.x, params["conv_w"], d_conv)
     return grads
 

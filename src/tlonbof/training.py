@@ -149,8 +149,6 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             try:
                 _, ctx = network.forward_batch(x, params, cfg)
                 loss = network.batch_loss(ctx, y)
-            except TrainingDiverged:
-                raise
             except NumericError as exc:
                 raise TrainingDiverged(step, last_good) from exc
             if not np.isfinite(loss):
@@ -306,13 +304,12 @@ def deserialize_checkpoint(blob: bytes):
         except UnicodeDecodeError:
             raise FormatError(f"name of tensor {i} is not UTF-8", location=f"byte {name_at}") from None
         rank = reader.take(1, f"rank of {name}")[0]
-        dims = [
-            struct.unpack("<I", reader.take(4, f"dim {d} of {name}"))[0] for d in range(rank)
-        ]
-        n_values = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = reader.take(4 * n_values, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
-        tensors[name] = arr
+        if rank > 3:  # no model tensor has more axes
+            raise FormatError(f"tensor {name} has rank {rank}, above 3",
+                              location=f"byte {reader.off - 1}")
+        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
+        payload = reader.take(4 * math.prod(dims), f"payload of {name}")
+        tensors[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
     if reader.off != len(blob):
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
@@ -323,7 +320,10 @@ def deserialize_checkpoint(blob: bytes):
             if arr.shape != ():
                 raise FormatError(f"checkpoint model metadata {name} has shape {arr.shape}, not ()")
             meta[name] = float(arr)
-        elif name.startswith("adam.m."):
+            continue
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name} holds a non-finite value")
+        if name.startswith("adam.m."):
             adam_m[name[len("adam.m.") :]] = arr
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v.") :]] = arr
@@ -332,13 +332,14 @@ def deserialize_checkpoint(blob: bytes):
         else:
             params[name] = arr
     cfg = _config_from_meta(meta)
-    # the expected layout is the one init_params builds for this config
-    try:
-        layout = network.init_params(cfg, np.random.default_rng(0))
-    except ValueError as exc:
-        raise FormatError(f"checkpoint model metadata is inconsistent: {exc}") from None
-    shapes = {k: v.shape for k, v in layout.items()}
+    shapes = network.param_shapes(cfg)
     _check_tensor_set("", params, shapes)
+    with np.errstate(over="ignore"):
+        for name in ("log_cu", "log_cs"):
+            # the forward pass uses exp(log c), which must be a positive float
+            if name in params and not 0.0 < np.exp(params[name]) < np.inf:
+                raise FormatError(f"checkpoint tensor {name} = {float(params[name])!r} "
+                                  "gives a scale factor of 0 or inf")
     if not (adam_scalar or adam_m or adam_v):
         return params, cfg, None
     _check_tensor_set("adam.", adam_scalar, dict.fromkeys(("t", "lr", "beta1", "beta2", "eps"), ()))

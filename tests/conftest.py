@@ -20,6 +20,16 @@ import pytest
 
 from tlonbof import network
 
+try:
+    from hypothesis import settings
+except ImportError:  # optional test dependency; test_properties skips without it
+    pass
+else:
+    # fixed examples, so every run tests the same inputs, and a bounded count
+    settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=150,
+                              database=None)
+    settings.load_profile("tier1")
+
 # one status line per acceptance criterion, re-printed after the run so
 # they survive pytest's output capture
 ACCEPTANCE_LINES: list[str] = []

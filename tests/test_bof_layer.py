@@ -164,7 +164,7 @@ def test_classical_bof_degeneracy():
         cb = rng.normal(size=(4, 3))
         sigma = 0.7 + rng.uniform(0.0, 1.0)
         hist, _ = forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=sigma),
-                                ScalingParams.disabled(), n_regions=1)
+                                ScalingParams(), n_regions=1)
         # direct transcription: normalized Gaussian memberships, then average
         prefactor = 1.0 / np.sqrt(2.0 * np.pi * sigma)
         expected = np.zeros(4)

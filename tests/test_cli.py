@@ -8,6 +8,7 @@ import pytest
 
 from tlonbof import cli, config, data, metrics, network, training
 from tlonbof.cli import main
+from tlonbof.errors import FormatError
 
 TINY_CFG = """\
 batch_size = 16
@@ -226,6 +227,18 @@ def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_non_finite_checkpoint_exit_1(tmp_path, capsys):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
+    params = network.init_params(cfg, np.random.default_rng(0))
+    params["fc1_w"][0, 0] = np.nan
+    model = tmp_path / "nan.tlnb"
+    training.save_checkpoint(model, params, cfg)
+    assert main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    assert "fc1_w" in capsys.readouterr().err
+
+
 def test_eval_missing_model_is_usage_error(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
     missing = str(tmp_path / "nope.tlnb")
@@ -370,6 +383,19 @@ def test_ablate_bad_grid_is_usage_error(tmp_path, capsys):
     grid.write_text("deep_features,temporal_modeling\ntrue,true\n")
     assert main(["ablate", "--data", datadir, "--grid", str(grid),
                  "--report", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize("text,fragment,line", [
+    (b"# only a comment\n", "empty grid file", "line 1"),
+    (b"# rows\n" + ",".join(cli._GRID_HEADER).encode() + b"\n", "no rows", "line 3"),
+    (b"deep_features,\xff\n", "UTF-8", "line 1"),
+], ids=["empty", "header-only", "non-utf8"])
+def test_grid_errors_name_a_line(tmp_path, text, fragment, line):
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(text)
+    with pytest.raises(FormatError) as err:
+        cli.load_grid(grid)
+    assert fragment in str(err.value) and line in str(err.value)
 
 
 @pytest.mark.parametrize("row,fragment", [

@@ -62,6 +62,9 @@ def test_duplicate_key_rejected():
     ("epochs = -1", ">= 0"),
     ("lr = free", "number"),
     ("lr = 0", "positive"),
+    ("lr = nan", "finite"),
+    ("threshold = 1e400", "finite"),
+    ("conv_kernel = 4", "odd"),
     ("deep_features = yes", "true or false"),
     ("arch = transformer", "one of"),
     ("adaptive_scaling = auto", "one of"),
@@ -102,6 +105,14 @@ def test_load_names_file_in_error(tmp_path):
     with pytest.raises(FormatError) as err:
         config.load_run_config(path)
     assert "run.cfg" in str(err.value)
+
+
+def test_non_utf8_file_is_format_error_at_its_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs = 5\nseed = \xff\n")
+    with pytest.raises(FormatError) as err:
+        config.load_run_config(path)
+    assert "UTF-8" in str(err.value) and "line 2" in str(err.value)
 
 
 def test_parse_seed_list():

@@ -256,6 +256,22 @@ def test_csv_reports_first_bad_line(tmp_path):
     assert "f8" in str(err.value) and "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("cell,fragment", [
+    (b"\xff", "UTF-8"),
+    (b"1" * 200_000, "field larger than field limit"),
+], ids=["non-utf8", "oversized-field"])
+def test_csv_undecodable_line_is_format_error(tmp_path, cell, fragment):
+    series = synth_generate(1, 5, seed=0)[0]
+    path = tmp_path / "bad.csv"
+    write_feature_csv(path, series)
+    lines = path.read_bytes().splitlines()
+    lines[3] = lines[3][:20] + cell + lines[3][20:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FormatError) as err:
+        load_feature_csv(path)
+    assert fragment in str(err.value) and "line 4" in str(err.value)
+
+
 def test_load_feature_dir_sorts_and_rejects_duplicates(tmp_path):
     corpus = synth_generate(3, 30, seed=4)
     # write out of order on purpose
@@ -303,7 +319,7 @@ def test_synth_validates_arguments():
 
 
 def test_synth_mid_prices_positive_and_near_base():
-    corpus = synth_generate(2, 400, seed=5, base_price=100.0)
+    corpus = synth_generate(2, 400, seed=5)
     for s in corpus:
         assert np.all(s.mid_prices > 0)
         assert 50 < s.mid_prices.mean() < 200

@@ -54,7 +54,7 @@ def test_matrix_forms_match_scalar_kernels():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(6, 3))
     codebook = rng.normal(size=(4, 3))
-    lm, _ = bof._kernel_matrix(feats, codebook, kernels.LOGISTIC, KernelParams(alpha=0.8, beta=0.1))
+    lm = bof._kernel_matrix(feats, codebook, kernels.LOGISTIC, KernelParams(alpha=0.8, beta=0.1))
     gm = kernels.gaussian_matrix(feats, codebook, sigma=0.9)
     pl = KernelParams(alpha=0.8, beta=0.1)
     pg = KernelParams(sigma=0.9)

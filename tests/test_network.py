@@ -44,13 +44,43 @@ def test_conv_backward_matches_finite_differences(taps, n_steps):
     def val(xx, ww, bb):
         return float(np.sum(network.conv1d_same_batch(xx, ww, bb) * d_out))
 
-    d_x, d_w, d_b = network.conv1d_same_backward(x, w, d_out)
-    fd_x = finite_diff_grad(lambda v: val(v.reshape(x.shape), w, b), x.copy())
+    d_w, d_b = network.conv1d_same_backward(x, w, d_out)
     fd_w = finite_diff_grad(lambda v: val(x, v.reshape(w.shape), b), w.copy())
     fd_b = finite_diff_grad(lambda v: val(x, w, v), b.copy())
-    assert relative_error(d_x.ravel(), fd_x.ravel()) < 1e-8
     assert relative_error(d_w.ravel(), fd_w.ravel()) < 1e-8
     assert relative_error(d_b, fd_b) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [14, 15, 18, 27, 31, 36, 37])
+def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
+    # Gaussian kernel values underflow until some row sums are below 1e-300;
+    # the row normalisation's gradient must not divide by them
+    cfg = network.ModelConfig(d_in=12, conv_filters=16, n_codewords=10, hidden=8,
+                              kernel=kernels.GAUSSIAN)
+    params = network.init_params(cfg, np.random.default_rng(1))
+    x = np.random.default_rng(seed).normal(size=(9, 15, 12))
+    probs, ctx = network.forward_batch(x, params, cfg)
+    assert ctx.bof_ctx.k_mat.sum(axis=-1).min() < 1e-300
+    assert np.isfinite(probs).all()
+    grads = network.backward_batch(ctx, np.arange(9) % 3)
+    for name, g in grads.items():
+        assert np.isfinite(g).all(), name
+
+
+def test_param_shapes_are_the_init_params_layout():
+    for overrides in ({}, {"kernel": kernels.GAUSSIAN}, {"deep_features": False},
+                      {"arch": network.ARCH_CNN_GAP}):
+        cfg = tiny_config(**overrides)
+        params = network.init_params(cfg, np.random.default_rng(0))
+        assert {k: v.shape for k, v in params.items()} == network.param_shapes(cfg)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d_in", 0), ("hidden", -1), ("n_regions", 0), ("avg_seq_len", 0.0), ("conv_kernel", 4),
+])
+def test_model_config_rejects_bad_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value})
 
 
 def test_softmax_xent_known_value():

@@ -1,0 +1,223 @@
+"""Property tests for the four input readers.
+
+Every input, arbitrary or a mutation of a valid file, must either yield a
+valid object or raise FormatError; the text readers must also name the
+line. Example counts and determinism come from the profile in conftest.
+"""
+
+import dataclasses
+import math
+import os
+import re
+import struct
+import tempfile
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tlonbof import cli, config, data, network, training  # noqa: E402
+from tlonbof.errors import FormatError  # noqa: E402
+
+LINE = re.compile(r"line \d+")
+
+TEXT_TOKENS = [b"", b",", b"\n", b"\r\n", b"\r", b'"', b"nan", b"-inf", b"1e400", b"-1", b"0",
+               b"2.5", b"true", b"=", b"#", b" ", b"\xff", b"\xc3", b"\x00"]
+F32_TOKENS = [struct.pack("<f", v) for v in (math.nan, math.inf, -math.inf, 3e38, -800.0, 0.0)]
+U32_TOKENS = [struct.pack("<I", v) for v in (0, 1, 2**31, 2**32 - 1)]
+
+
+@st.composite
+def mutated(draw, valid: bytes, tokens: list[bytes]):
+    """``valid`` after one to four random replacements, insertions, deletions or cuts."""
+    blob = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob)))
+        piece = draw(st.one_of(st.sampled_from(tokens), st.binary(max_size=8)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        if kind == "replace":
+            blob[pos : pos + len(piece)] = piece
+        elif kind == "insert":
+            blob[pos:pos] = piece
+        elif kind == "delete":
+            del blob[pos : pos + draw(st.integers(1, 16))]
+        else:
+            del blob[pos:]
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def assert_line_location(exc: FormatError):
+    assert LINE.fullmatch(str(exc.location)), f"no line location: {exc}"
+
+
+# ---------------------------------------------------------------------------
+# feature CSV
+
+
+def _valid_csv() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "day.csv")
+        data.write_feature_csv(path, data.synth_generate(1, 3, seed=0)[0])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_CSV = _valid_csv()
+CSV_HEADER = VALID_CSV.split(b"\n", 1)[0] + b"\n"
+
+
+def check_csv(path):
+    try:
+        series = data.load_feature_csv(path)
+    except FormatError as exc:
+        assert_line_location(exc)
+        return
+    assert series.features.shape == (len(series), data.N_FEATURES) and len(series) > 0
+    assert np.isfinite(series.features).all()
+    assert np.isfinite(series.mid_prices).all() and (series.mid_prices > 0).all()
+
+
+@given(st.one_of(st.binary(max_size=400), st.binary(max_size=400).map(CSV_HEADER.__add__)))
+def test_feature_csv_arbitrary_bytes(scratch, blob):
+    path = scratch / "day.csv"
+    path.write_bytes(blob)
+    check_csv(path)
+
+
+@given(mutated(VALID_CSV, TEXT_TOKENS))
+def test_feature_csv_mutations(scratch, blob):
+    path = scratch / "day.csv"
+    path.write_bytes(blob)
+    check_csv(path)
+
+
+def test_feature_csv_valid_file_loads(scratch):
+    path = scratch / "day.csv"
+    path.write_bytes(VALID_CSV)
+    assert len(data.load_feature_csv(path)) == 3
+
+
+# ---------------------------------------------------------------------------
+# run config
+
+
+VALID_CONFIG = config.dumps(config.RunConfig()).encode()
+CONFIG_KEYS = [f.name for f in dataclasses.fields(config.RunConfig)]
+
+
+def check_config(parse, source):
+    try:
+        rc = parse(source)
+    except FormatError as exc:
+        assert_line_location(exc)
+        return
+    assert math.isfinite(rc.lr) and math.isfinite(rc.threshold)
+    assert config.loads(config.dumps(rc)) == rc
+
+
+config_lines = st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS + ["bogus"]), st.text(max_size=12)).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    max_size=6,
+).map("\n".join)
+
+
+@given(st.one_of(st.text(max_size=200), config_lines))
+def test_config_loads_arbitrary_text(text):
+    check_config(config.loads, text)
+
+
+@given(mutated(VALID_CONFIG, TEXT_TOKENS))
+def test_config_file_mutations(scratch, blob):
+    path = scratch / "run.cfg"
+    path.write_bytes(blob)
+    check_config(config.load_run_config, path)
+
+
+# ---------------------------------------------------------------------------
+# ablation grid
+
+
+VALID_GRID = ("# ablation rows\n" + ",".join(cli._GRID_HEADER) + "\n" + "".join(
+    ",".join(str(v).lower() for v in row) + "\n" for row in cli.DEFAULT_GRID)).encode()
+
+
+def check_grid(path):
+    try:
+        grid = cli.load_grid(path)
+    except FormatError as exc:
+        assert_line_location(exc)
+        return
+    assert grid
+    for row in grid:
+        assert [type(v) for v in row[:3]] == [bool, bool, bool]
+        assert row[3] in config.SCALING_CHOICES
+
+
+@given(st.one_of(st.binary(max_size=200), mutated(VALID_GRID, TEXT_TOKENS)))
+def test_grid_arbitrary_and_mutated(scratch, blob):
+    path = scratch / "grid.csv"
+    path.write_bytes(blob)
+    check_grid(path)
+
+
+def test_grid_valid_file_loads(scratch):
+    path = scratch / "grid.csv"
+    path.write_bytes(VALID_GRID)
+    assert cli.load_grid(path) == cli.DEFAULT_GRID
+
+
+# ---------------------------------------------------------------------------
+# checkpoint
+
+
+def _valid_checkpoint(kernel: str) -> bytes:
+    cfg = network.ModelConfig(d_in=3, conv_filters=2, conv_kernel=3, n_codewords=2,
+                              n_regions=2, hidden=2, kernel=kernel, avg_seq_len=4.0)
+    params = network.init_params(cfg, np.random.default_rng(0))
+    state = training.init_adam(params, network.trainable_names(cfg))
+    return training.serialize_checkpoint(params, cfg, state)
+
+
+VALID_CHECKPOINTS = [_valid_checkpoint("logistic"), _valid_checkpoint("gaussian")]
+
+
+def check_checkpoint(blob: bytes):
+    try:
+        params, cfg, state = training.deserialize_checkpoint(blob)
+    except FormatError:
+        return
+    assert {k: v.shape for k, v in params.items()} == network.param_shapes(cfg)
+    assert all(np.isfinite(v).all() for v in params.values())
+    with np.errstate(over="ignore"):
+        scales = [np.exp(params[k]) for k in ("log_cu", "log_cs") if k in params]
+    assert all(0.0 < c < np.inf for c in scales)
+    if state is not None:
+        assert set(state.m) == set(state.v) == set(network.trainable_names(cfg))
+        assert all(np.isfinite(v).all() for v in [*state.m.values(), *state.v.values()])
+        assert all(math.isfinite(v) for v in (state.lr, state.beta1, state.beta2, state.eps))
+
+
+@given(st.one_of(st.binary(max_size=200),
+                 st.binary(max_size=200).map(VALID_CHECKPOINTS[0][:12].__add__)))
+def test_checkpoint_arbitrary_bytes(blob):
+    check_checkpoint(blob)
+
+
+@given(st.sampled_from(VALID_CHECKPOINTS).flatmap(
+    lambda valid: mutated(valid, F32_TOKENS + U32_TOKENS)))
+def test_checkpoint_mutations(blob):
+    check_checkpoint(blob)
+
+
+def test_checkpoint_valid_blobs_load():
+    for blob in VALID_CHECKPOINTS:
+        assert training.deserialize_checkpoint(blob)[2] is not None

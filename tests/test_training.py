@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,14 @@ def test_checkpoint_magic_and_truncation(tmp_path):
     assert "byte" in str(err.value)
     with pytest.raises(FormatError):
         training.deserialize_checkpoint(blob + b"extra")
+    # a tensor whose dims multiply past 2**64 values: the size must not wrap
+    header = blob[:8] + struct.pack("<IH", 1, 1) + b"x"
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(header + struct.pack("<B3I", 3, 2**31, 2**31, 4))
+    assert "truncated" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(header + struct.pack("<B", 109) + bytes(436))
+    assert "rank 109" in str(err.value)
 
 
 def test_checkpoint_non_utf8_name_is_format_error():
@@ -319,12 +328,16 @@ def _layout_blob(edit):
 ADAM_WITHOUT_T = {"adam.lr": 1e-4, "adam.beta1": 0.9, "adam.beta2": 0.999, "adam.eps": 1e-8}
 
 
-def _with_mis_shaped_moment(tensors):
+def _add_adam_state(tensors):
     tensors.update((k, np.array(v)) for k, v in ADAM_WITHOUT_T.items())
     tensors["adam.t"] = np.array(1.0)
     for k in network.trainable_names(LAYOUT_CFG):
         tensors[f"adam.m.{k}"] = np.zeros_like(tensors[k])
         tensors[f"adam.v.{k}"] = np.zeros_like(tensors[k])
+
+
+def _with_mis_shaped_moment(tensors):
+    _add_adam_state(tensors)
     tensors["adam.m.fc1_w"] = np.zeros(3)
 
 
@@ -339,6 +352,40 @@ def test_checkpoint_tensors_must_match_model_metadata(edit, name):
     with pytest.raises(FormatError) as err:
         training.deserialize_checkpoint(_layout_blob(edit))
     assert name in str(err.value)
+
+
+def _set(name, value):
+    return lambda t: t.__setitem__(name, np.full(np.shape(t[name]), value))
+
+
+def _with_adam_state(name, value):
+    def edit(tensors):
+        _add_adam_state(tensors)
+        tensors[name] = np.full(np.shape(tensors[name]), value)
+    return edit
+
+
+@pytest.mark.parametrize("edit,name", [
+    (_set("fc1_w", np.nan), "fc1_w"),
+    (_set("conv_b", np.inf), "conv_b"),
+    (_set("log_cu", -np.inf), "log_cu"),
+    (_set("log_cu", -800.0), "log_cu"),
+    (_set("log_cs", 800.0), "log_cs"),
+    (_with_adam_state("adam.lr", np.nan), "adam.lr"),
+    (_with_adam_state("adam.v.codebook", -np.inf), "adam.v.codebook"),
+], ids=["nan-param", "inf-param", "log-cu-minus-inf", "log-cu-exp-zero", "log-cs-exp-inf",
+        "nan-adam-scalar", "inf-adam-moment"])
+def test_checkpoint_non_finite_values_are_format_errors(edit, name):
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(_layout_blob(edit))
+    assert name in str(err.value)
+
+
+def test_checkpoint_floored_scale_factor_loads():
+    # f32 storage rounds a floored log scale to just below LOG_SCALE_FLOOR
+    params, _, _ = training.deserialize_checkpoint(
+        _layout_blob(_set("log_cu", training.LOG_SCALE_FLOOR)))
+    assert params["log_cu"] < training.LOG_SCALE_FLOOR
 
 
 def test_model_config_from_run_copies_shared_fields():
