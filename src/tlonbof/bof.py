@@ -25,8 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .core import rows_matmul
 from .errors import NumericError
 from .kernels import KernelParams
+
+# Widest region that _region_mean sorts with a compare-exchange network; above
+# it np.sort is faster (measured at batches of 128 and 512 windows).
+SORT_NETWORK_MAX_WIDTH = 8
 
 
 @dataclass
@@ -77,7 +82,10 @@ def _kernel_matrix(feats: np.ndarray, codebook: np.ndarray, kind: str, kp: Kerne
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
     if kind == kernels.LOGISTIC:
-        return kernels.sigmoid(2.0 * kp.alpha * (feats @ codebook.T) + 2.0 * kp.beta)
+        z = rows_matmul(feats, codebook.T)
+        z *= 2.0 * kp.alpha
+        z += 2.0 * kp.beta
+        return kernels.sigmoid(z)
     if kind == kernels.GAUSSIAN:
         if kp.sigma is None:
             raise ValueError("Gaussian kernel requires sigma")
@@ -93,11 +101,31 @@ def _check_row_sums(sums: np.ndarray) -> None:
     raise NumericError(f"all kernel values underflowed to zero for timestep row {row}")
 
 
-def _region_mean(block: np.ndarray, axis: int) -> np.ndarray:
+def _region_mean(block: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 of a (B, width, K) block, summed in sorted order."""
     # Sorting first makes the reduction a function of each column's
     # multiset of values, so reordering timesteps inside a region cannot
-    # change the histogram even at the bit level.
-    return np.sort(block, axis=axis).mean(axis=axis)
+    # change the histogram even at the bit level. A narrow region is sorted
+    # by an odd-even transposition network of elementwise min/max over its
+    # rows, which yields np.sort's values (up to the sign of a zero). The
+    # rows are then added in order onto +0 and divided by the width, as
+    # np.mean does; starting from +0 also makes the sign of a zero row moot,
+    # so both paths give the same bits.
+    width = block.shape[1]
+    if width > SORT_NETWORK_MAX_WIDTH:
+        return np.sort(block, axis=1).mean(axis=1)
+    rows = [block[:, i].copy() for i in range(width)]
+    spare = np.empty_like(rows[0])
+    for sweep in range(width):
+        for i in range(sweep % 2, width - 1, 2):
+            np.minimum(rows[i], rows[i + 1], out=spare)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i], spare = spare, rows[i]
+    total = np.zeros_like(spare)
+    for row in rows:
+        total += row
+    total /= width
+    return total
 
 
 @dataclass
@@ -146,9 +174,10 @@ def forward_batch(
     k_mat = _kernel_matrix(feats, codebook, kind, kp)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums)
-    memberships = scaling.c_u * k_mat / row_sums[..., None]
+    memberships = np.multiply(k_mat, scaling.c_u)
+    memberships /= row_sums[..., None]
     region_means = np.concatenate(
-        [_region_mean(memberships[:, a:b, :], 1) for (a, b) in reversed(regions)], axis=1
+        [_region_mean(memberships[:, a:b, :]) for (a, b) in reversed(regions)], axis=1
     )
     hist = scaling.c_s * region_means
     ctx = BofContext(
@@ -204,7 +233,7 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     if ctx.kind == kernels.LOGISTIC:
         d_z = d_kk  # dL/dK * K * (1 - K), in place
         d_z *= 1.0 - ctx.k_mat
-        d_feats = d_z @ ctx.codebook
+        d_feats = rows_matmul(d_z, ctx.codebook)
         # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(f * (d_z @ codebook))
         d_alpha = float(2.0 * np.sum(ctx.feats * d_feats))
         d_feats *= 2.0 * ctx.kp.alpha
@@ -214,7 +243,8 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     else:
         d_sq = d_kk  # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2))
         d_sq *= -1.0 / (2.0 * ctx.kp.sigma**2)
-        d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats - d_sq @ ctx.codebook)
+        d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats
+                         - rows_matmul(d_sq, ctx.codebook))
         d_codebook = 2.0 * (
             d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook
             - d_sq.reshape(-1, n_codewords).T @ feats_rows

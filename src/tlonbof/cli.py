@@ -34,7 +34,7 @@ import numpy as np
 from . import config as config_mod
 from . import data, metrics, training
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
-from .network import ModelConfig
+from .network import ARCH_TLONBOF, ModelConfig
 
 # ablation grid: (deep_features, temporal_modeling, kernel_param_learning,
 # adaptive_scaling), ordered from the plainest model to the full one
@@ -199,10 +199,13 @@ def _eval_fold_rows(args, rc, corpus):
     fixed = None
     if args.model is not None:
         fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)
-        d_in, d_corpus = fixed[1].d_in, corpus[0].features.shape[1]
-        if d_in != d_corpus:
-            raise _Usage(f"checkpoint {args.model} takes d_in={d_in} features per row, "
+        mcfg, d_corpus = fixed[1], corpus[0].features.shape[1]
+        if mcfg.d_in != d_corpus:
+            raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
                          f"but the corpus has {d_corpus}")
+        if mcfg.arch == ARCH_TLONBOF and mcfg.n_regions > rc.window:
+            raise _Usage(f"checkpoint {args.model} pools n_regions={mcfg.n_regions} temporal "
+                         f"regions, but window = {rc.window} steps cannot fill them")
     if rc.folds == "single":
         if fixed is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
@@ -310,6 +313,11 @@ def cmd_ablate(args) -> int:
             raise _Usage(str(exc)) from None
     else:
         grid = DEFAULT_GRID
+    for row in grid:
+        try:
+            config_mod.check_window_fills_regions(replace(rc, **dict(zip(_GRID_HEADER, row))))
+        except FormatError as exc:
+            raise _Usage(f"grid row ({','.join(map(str, row))}): {exc}") from None
     try:
         seeds = config_mod.parse_seed_list(rc.ablation_seeds)
     except FormatError as exc:

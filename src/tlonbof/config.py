@@ -117,8 +117,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def check_window_fills_regions(rc: RunConfig, location: str | None = None) -> None:
+    """Refuse a window too short to fill every temporal region."""
+    if rc.temporal_modeling and rc.window < rc.n_regions:
+        raise FormatError(f"window = {rc.window} is below n_regions = {rc.n_regions}; "
+                          "with temporal_modeling = true every region needs a timestep",
+                          location=location)
+
+
 def loads(text: str) -> RunConfig:
     seen: dict[str, object] = {}
+    region_line = 0  # last line setting a key of the window/regions rule
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -134,7 +143,11 @@ def loads(text: str) -> RunConfig:
         if key in seen:
             raise FormatError(f"duplicate key {key!r}", location=f"line {lineno}")
         seen[key] = parse_value(key, raw, lineno)
-    return RunConfig(**seen)
+        if key in ("window", "n_regions", "temporal_modeling"):
+            region_line = lineno
+    rc = RunConfig(**seen)
+    check_window_fills_regions(rc, f"line {region_line}")  # the defaults pass it
+    return rc
 
 
 def dumps(cfg: RunConfig) -> str:

@@ -10,15 +10,15 @@ class NumericError(ArithmeticError):
 
 
 class TrainingDiverged(NumericError):
-    """Training loss became non-finite.
+    """Training loss became non-finite, or the model left the checkpoint's range.
 
     Carries the step index where divergence was detected and the last
     known-good parameter snapshot (end of the previous epoch, or the
     initialization if the first epoch diverged).
     """
 
-    def __init__(self, step, last_good_params):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step, last_good_params, what="non-finite loss"):
+        super().__init__(f"{what} at step {step}")
         self.step = step
         self.last_good_params = last_good_params
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import rows_matmul
+
 LOGISTIC = "logistic"
 GAUSSIAN = "gaussian"
 
@@ -40,11 +42,14 @@ def sigmoid(z):
     ``e / (1 + e)`` below, so ``exp`` never overflows and tiny values keep
     their relative precision (the tanh identity rounds to exactly 0 once
     z < -38, which would empty the kernel rows long before this form does).
+    The numerator is ``max(e, z >= 0)``: for ``z >= 0`` it is 1 because
+    ``e <= 1``, below zero it is ``e``, and a NaN stays NaN. That picks the
+    same values as a ``where`` in about half the time.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for 0-d input, so it can be reused
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)
     out /= np.add(e, 1.0, out=e)
     return out if out.ndim else float(out)
 
@@ -76,7 +81,7 @@ def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np
         raise ValueError(f"sigma must be positive, got {sigma}")
     sq = (
         np.sum(feats**2, axis=-1)[..., None]
-        - 2.0 * (feats @ codebook.T)
+        - 2.0 * rows_matmul(feats, codebook.T)
         + np.sum(codebook**2, axis=-1)
     )
     np.maximum(sq, 0.0, out=sq)  # guard tiny negative round-off

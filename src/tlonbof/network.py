@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bof, kernels
 from .bof import ScalingParams
-from .core import glorot_uniform
+from .core import glorot_uniform, rows_matmul
 from .kernels import KernelParams
 
 ARCH_TLONBOF = "tlonbof"
@@ -159,11 +159,21 @@ def _kernel_params_from(params: dict[str, np.ndarray], cfg: ModelConfig) -> Kern
 # ---------------------------------------------------------------------------
 # primitive layers
 
+# Output width from which the conv forward flattens each tap into one 2-D
+# GEMM. BLAS packs the whole input for that product, which pays off only over
+# enough output columns: with 144 inputs and batches of 128, flattening is
+# about 18 % faster at 256 filters and 30 % slower at 32.
+FLAT_CONV_MIN_FILTERS = 128
+
 
 def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-padded same-length 1-D convolution over the time axis.
 
     ``x`` is (batch, steps, d_in), ``weights`` is (kernel, d_in, d_out).
+    Each tap's product is added onto the bias, tap by tap. With at least
+    ``FLAT_CONV_MIN_FILTERS`` outputs a tap is one 2-D product over every
+    (batch * steps) row, whose shifted rows are added; narrower taps multiply
+    the shifted input rows window by window, which is faster there.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
@@ -177,7 +187,10 @@ def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
         off = k - center
         lo, hi = max(0, -off), n - max(0, off)
         if lo < hi:
-            out[:, lo:hi] += x[:, lo + off : hi + off] @ weights[k]
+            if d_out >= FLAT_CONV_MIN_FILTERS:
+                out[:, lo:hi] += rows_matmul(x, weights[k])[:, lo + off : hi + off]
+            else:
+                out[:, lo:hi] += x[:, lo + off : hi + off] @ weights[k]
     return out
 
 

@@ -24,6 +24,7 @@ CHECKPOINT_MAGIC = b"TLNB"
 CHECKPOINT_VERSION = 1
 
 LOG_SCALE_FLOOR = math.log(1e-6)  # keeps c_u, c_s >= 1e-6
+F32_MAX = float(np.finfo(np.float32).max)  # checkpoint payloads are float32
 
 
 @dataclass
@@ -125,8 +126,9 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     ``labels``, ``feature_dim``, ``window`` and a ``gather(indices) ->
     (X, y)`` method (see ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
-    non-finite or a forward pass fails numerically, carrying the last
-    end-of-epoch parameter snapshot.
+    non-finite or a forward pass fails numerically, or if at the end of an
+    epoch a parameter or Adam moment could not be stored in a checkpoint,
+    carrying the last end-of-epoch parameter snapshot.
     """
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
@@ -163,14 +165,22 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             g = grads.get("conv_w")
             history.grad_norm_conv.append(float(np.linalg.norm(g)) if g is not None else float("nan"))
             step += 1
+        bad = _unstorable(list(params.items()) + _moment_entries(state))
+        if bad is not None:
+            raise TrainingDiverged(step, last_good, f"{bad} is non-finite or beyond float32")
         last_good = _snapshot(params)
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
 
 def predict(
-    params: dict[str, np.ndarray], cfg: ModelConfig, dataset, chunk: int = 512
+    params: dict[str, np.ndarray], cfg: ModelConfig, dataset, chunk: int = 128
 ) -> np.ndarray:
-    """Argmax class predictions over a whole dataset, evaluated in chunks."""
+    """Argmax class predictions over a whole dataset, evaluated in chunks.
+
+    The default chunk is the training batch. At the paper geometry each
+    (chunk, steps, codewords) temporary is then 3.9 MB, against 16 MB at 512
+    windows, and staying nearer the CPU caches made the whole pass faster.
+    """
     preds = np.empty(dataset.n_samples, dtype=np.int64)
     for start in range(0, dataset.n_samples, chunk):
         idx = np.arange(start, min(start + chunk, dataset.n_samples))
@@ -235,9 +245,23 @@ def _encode_tensors(entries: list[tuple[str, np.ndarray]]) -> bytes:
     return b"".join(parts)
 
 
+def _moment_entries(state: AdamState) -> list[tuple[str, np.ndarray]]:
+    return ([(f"adam.m.{k}", v) for k, v in sorted(state.m.items())]
+            + [(f"adam.v.{k}", v) for k, v in sorted(state.v.items())])
+
+
+def _unstorable(entries: list[tuple[str, np.ndarray]]) -> str | None:
+    """Name of the first tensor holding a NaN, an inf or a value beyond the float32 range."""
+    for name, arr in entries:
+        if not (np.abs(arr) <= F32_MAX).all():
+            return name
+    return None
+
+
 def serialize_checkpoint(
     params: dict[str, np.ndarray], cfg: ModelConfig, state: AdamState | None = None
 ) -> bytes:
+    """Checkpoint bytes; NumericError if a value cannot be stored as a finite float32."""
     entries = [(k, np.asarray(v)) for k, v in sorted(params.items())]
     entries += [(k, np.array(v)) for k, v in sorted(_meta_entries(cfg).items())]
     if state is not None:
@@ -246,8 +270,11 @@ def serialize_checkpoint(
         entries.append(("adam.beta1", np.array(state.beta1)))
         entries.append(("adam.beta2", np.array(state.beta2)))
         entries.append(("adam.eps", np.array(state.eps)))
-        entries += [(f"adam.m.{k}", v) for k, v in sorted(state.m.items())]
-        entries += [(f"adam.v.{k}", v) for k, v in sorted(state.v.items())]
+        entries += _moment_entries(state)
+    bad = _unstorable(entries)
+    if bad is not None:
+        raise NumericError(f"checkpoint tensor {bad} holds a NaN, an inf or a value "
+                           "beyond the float32 range")
     return _encode_tensors(entries)
 
 

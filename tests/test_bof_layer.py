@@ -244,3 +244,43 @@ def test_zero_row_sum_raises():
     with pytest.raises(bof.NumericError):
         forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=0.01),
                       ScalingParams(), n_regions=1)
+
+
+# ties, both zeros, subnormals, values next to 1 and ordinary draws
+REGION_VALUES = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5,
+                          1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, -1.0, 3.0, 1e300])
+
+
+@pytest.mark.parametrize("width", range(1, bof.SORT_NETWORK_MAX_WIDTH + 2))
+def test_region_mean_is_bitwise_sort_then_mean(width):
+    rng = np.random.default_rng(width)
+    pool = np.concatenate([REGION_VALUES, rng.uniform(0.0, 2.0, size=8)])
+    for _ in range(20):
+        # a strided region inside a longer window, as forward_batch slices it
+        window = rng.choice(pool, size=(4, width + 3, 64))
+        block = window[:, 2 : 2 + width, :]
+        want = np.sort(block, axis=1).mean(axis=1)
+        assert np.array_equal(bof._region_mean(block).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", [kernels.LOGISTIC, kernels.GAUSSIAN])
+def test_backward_is_bitwise_the_stacked_form(kind, monkeypatch):
+    # paper geometry: 15-step windows, 256 features, 256 codewords
+    rng = np.random.default_rng(8)
+    feats = np.maximum(rng.normal(size=(6, 15, 256)), 0.0)
+    cb = rng.normal(size=(256, 256))
+    kp = KernelParams(alpha=0.03, beta=-0.2, sigma=12.0)
+    sp = ScalingParams(c_u=15.0, c_s=256.0)
+    upstream = rng.normal(size=(6, 3 * 256))
+    _, ctx = forward_batch(feats, cb, kind, kp, sp, n_regions=3)
+    got = bof.backward(ctx, upstream)
+    # the form before flattening: numpy's stacked product, one GEMM per window
+    monkeypatch.setattr(bof, "rows_matmul", np.matmul)
+    _, ctx = forward_batch(feats, cb, kind, kp, sp, n_regions=3)
+    want = bof.backward(ctx, upstream)
+    for name in ("feats", "codebook", "c_u", "c_s", "alpha", "beta"):
+        a, b = getattr(got, name), getattr(want, name)
+        if a is None:  # no kernel slope or offset for the Gaussian kernel
+            assert b is None
+            continue
+        assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64)), name

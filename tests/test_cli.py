@@ -148,6 +148,55 @@ def test_train_divergence_exits_1_and_saves_last_good(tmp_path, capsys):
     assert all(np.all(np.isfinite(v)) for v in params.values())
 
 
+@pytest.mark.parametrize("lr,seed", [("1e20", 0), ("1e30", 1), ("1e20", 2)])
+def test_train_moments_beyond_float32_exit_1_with_loadable_checkpoint(tmp_path, capsys,
+                                                                      lr, seed):
+    # finite float64 Adam moments above the float32 maximum used to become inf
+    # in the checkpoint payload: train exited 0 and the file could not be loaded
+    datadir = make_data(tmp_path, days=2, rows=60, seed=seed)
+    cfg = write_cfg(tmp_path, text="batch_size = 16\nn_codewords = 4\nconv_filters = 4\n"
+                                   "hidden = 8\nepochs = 3\n", lr=lr)
+    out = tmp_path / "m.tlnb"
+    assert main(["train", "--config", cfg, "--data", datadir, "--out", str(out)]) == 1
+    assert "float32" in capsys.readouterr().err
+    params, mcfg, _ = training.load_checkpoint(out)
+    assert mcfg.conv_filters == 4
+    assert all(np.all(np.isfinite(v)) for v in params.values())
+
+
+def test_train_window_below_n_regions_is_usage_error(tmp_path, capsys, monkeypatch):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = write_cfg(tmp_path, window=2)
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    assert main(["train", "--config", cfg, "--data", datadir,
+                 "--out", str(tmp_path / "m.tlnb")]) == 2
+    err = capsys.readouterr().err
+    assert "window = 2 is below n_regions = 3" in err and "line" in err
+
+
+def test_eval_model_regions_beyond_window_is_usage_error(tmp_path, capsys):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
+    model = tmp_path / "m.tlnb"
+    training.save_checkpoint(model, network.init_params(cfg, np.random.default_rng(0)), cfg)
+    # without temporal modelling the config itself accepts a 2-step window
+    run_cfg = write_cfg(tmp_path, window=2, temporal_modeling="false")
+    assert main(["eval", "--config", run_cfg, "--model", str(model), "--data", datadir,
+                 "--folds", "single", "--report", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "n_regions=3" in err and "window = 2" in err
+
+
+def test_ablate_grid_row_with_window_below_n_regions_is_usage_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = write_cfg(tmp_path, window=2, temporal_modeling="false")
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    assert main(["ablate", "--config", cfg, "--data", datadir,
+                 "--report", str(tmp_path / "r.csv")]) == 2
+    assert "window = 2 is below n_regions = 3" in capsys.readouterr().err
+
+
 def test_eval_single_fold_on_memorized_set(tmp_path, capsys):
     """Degenerate sanity mode: evaluating the training set on itself."""
     datadir = make_data(tmp_path, days=2, rows=60, seed=2)
@@ -233,7 +282,9 @@ def test_eval_non_finite_checkpoint_exit_1(tmp_path, capsys):
     params = network.init_params(cfg, np.random.default_rng(0))
     params["fc1_w"][0, 0] = np.nan
     model = tmp_path / "nan.tlnb"
-    training.save_checkpoint(model, params, cfg)
+    # serialize_checkpoint refuses a NaN, so the corrupt file is encoded directly
+    meta = {k: np.array(v) for k, v in training._meta_entries(cfg).items()}
+    model.write_bytes(training._encode_tensors(sorted({**params, **meta}.items())))
     assert main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
                  "--report", str(tmp_path / "r.csv")]) == 1
     assert "fc1_w" in capsys.readouterr().err

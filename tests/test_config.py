@@ -93,6 +93,25 @@ def test_parse_value_applies_the_schema_rule():
     assert "true or false" in str(err.value) and "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("text,window,n_regions,line", [
+    ("window = 2\n", 2, 3, 1),
+    ("n_regions = 4\nepochs = 1\nwindow = 3\n", 3, 4, 3),
+    ("window = 3\nseed = 1\ntemporal_modeling = true\nn_regions = 4\n", 3, 4, 4),
+])
+def test_window_below_n_regions_rejected(text, window, n_regions, line):
+    # the error sits at the last line that set window, n_regions or temporal_modeling
+    with pytest.raises(FormatError) as err:
+        loads(text)
+    assert f"window = {window} is below n_regions = {n_regions}" in str(err.value)
+    assert f"line {line}" in str(err.value)
+
+
+def test_window_below_n_regions_allowed_without_temporal_modeling():
+    rc = loads("window = 2\ntemporal_modeling = false\n")
+    assert rc.window == 2 and rc.n_regions == 3
+    assert loads("window = 3\nn_regions = 3\n").window == 3
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     config.save_run_config(path, RunConfig(seed=9))

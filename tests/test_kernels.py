@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tlonbof import bof, kernels
+from tlonbof.core import relative_error
 from tlonbof.kernels import KernelParams
 
 SIGM_2 = 0.8807970779778823  # 1 / (1 + e^-2)
@@ -98,3 +99,44 @@ def test_sigmoid_is_bitwise_the_masked_form():
         assert type(kernels.sigmoid(scalar)) is float
     # (tanh(z/2) + 1) / 2 is already exactly 0 here
     assert kernels.sigmoid(-700.0) > 0.0
+    assert np.isnan(kernels.sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+def _stacked_kernel_matrix(feats, codebook, kind, kp):
+    # the kernel matrices as the package built them before, from the stacked
+    # product feats @ codebook.T (one small GEMM per window)
+    dots = feats @ codebook.T
+    if kind == kernels.LOGISTIC:
+        return kernels.sigmoid(2.0 * kp.alpha * dots + 2.0 * kp.beta)
+    sq = np.sum(feats**2, axis=-1)[..., None] - 2.0 * dots + np.sum(codebook**2, axis=-1)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * kp.sigma**2)) / np.sqrt(2.0 * np.pi * kp.sigma)
+
+
+# (batch, steps, dim, codewords, bitwise). With the paper's 256 codewords and
+# windows of 5 or more steps, the flattened product rounds exactly as the
+# per-window products did. Other shapes can round differently, within an ulp:
+# numpy ran a one-step window's stacked product through GEMV, and OpenBLAS
+# picks its GEMM kernel by matrix size, so very short windows and some narrow
+# codebooks get another summation order.
+PRODUCT_SHAPES = [
+    (1, 1, 256, 256, True), (1, 15, 256, 256, True), (6, 5, 256, 256, True),
+    (6, 15, 256, 256, True), (6, 15, 144, 256, True), (128, 15, 256, 256, True),
+    (6, 1, 256, 256, False), (6, 2, 256, 256, False), (6, 15, 32, 20, False),
+]
+
+
+@pytest.mark.parametrize("kind", [kernels.LOGISTIC, kernels.GAUSSIAN])
+@pytest.mark.parametrize("batch,n_steps,dim,n_codewords,bitwise", PRODUCT_SHAPES)
+def test_kernel_matrices_are_bitwise_the_stacked_products(kind, batch, n_steps, dim,
+                                                          n_codewords, bitwise):
+    rng = np.random.default_rng(batch * 100 + n_steps)
+    feats = np.maximum(rng.normal(size=(batch, n_steps, dim)), 0.0)
+    codebook = rng.normal(size=(n_codewords, dim))
+    kp = KernelParams(alpha=0.03, beta=-0.2, sigma=12.0)
+    got = bof._kernel_matrix(feats, codebook, kind, kp)
+    want = _stacked_kernel_matrix(feats, codebook, kind, kp)
+    if bitwise:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert relative_error(got.ravel(), want.ravel()) < 1e-15

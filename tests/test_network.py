@@ -51,6 +51,39 @@ def test_conv_backward_matches_finite_differences(taps, n_steps):
     assert relative_error(d_b, fd_b) < 1e-8
 
 
+def _conv_per_tap_stacked(x, weights, bias):
+    # the per-tap form the package used before: each tap multiplies the
+    # shifted input slice as a stack, one small GEMM per window
+    taps, _, d_out = weights.shape
+    n, center = x.shape[1], taps // 2
+    out = np.broadcast_to(bias, x.shape[:2] + (d_out,)).copy()
+    for k in range(taps):
+        off = k - center
+        lo, hi = max(0, -off), n - max(0, off)
+        if lo < hi:
+            out[:, lo:hi] += x[:, lo + off : hi + off] @ weights[k]
+    return out
+
+
+# 144 features into 256 filters (the paper) takes the flattened product,
+# into 32 filters the stacked one
+@pytest.mark.parametrize("d_out", [256, 32])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 15])
+def test_conv_forward_is_bitwise_the_per_tap_stacked_form(n_steps, d_out):
+    assert (d_out >= network.FLAT_CONV_MIN_FILTERS) == (d_out == 256)
+    rng = np.random.default_rng(n_steps)
+    x = rng.normal(size=(4, n_steps, 144))
+    w = rng.normal(size=(5, 144, d_out))
+    b = rng.normal(size=d_out)
+    got, want = network.conv1d_same_batch(x, w, b), _conv_per_tap_stacked(x, w, b)
+    if n_steps >= 4 or d_out == 32:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        # some taps overlap the window in one row only; numpy ran those stacked
+        # (1, d_in) products through GEMV, whose sums round in another order
+        assert relative_error(got.ravel(), want.ravel()) < 1e-15
+
+
 @pytest.mark.parametrize("seed", [14, 15, 18, 27, 31, 36, 37])
 def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
     # Gaussian kernel values underflow until some row sums are below 1e-300;

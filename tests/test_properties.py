@@ -120,6 +120,7 @@ def check_config(parse, source):
         assert_line_location(exc)
         return
     assert math.isfinite(rc.lr) and math.isfinite(rc.threshold)
+    assert rc.window >= rc.n_regions or not rc.temporal_modeling
     assert config.loads(config.dumps(rc)) == rc
 
 
@@ -140,6 +141,20 @@ def test_config_file_mutations(scratch, blob):
     path = scratch / "run.cfg"
     path.write_bytes(blob)
     check_config(config.load_run_config, path)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.permutations(range(3)))
+def test_config_window_must_fill_the_regions(window, n_regions, temporal, order):
+    lines = [f"window = {window}", f"n_regions = {n_regions}",
+             f"temporal_modeling = {str(temporal).lower()}"]
+    text = "\n".join(lines[i] for i in order)
+    if temporal and window < n_regions:
+        with pytest.raises(FormatError) as err:
+            config.loads(text)
+        assert f"window = {window} is below n_regions = {n_regions}" in err.value.message
+        assert err.value.location == "line 3"
+    else:
+        check_config(config.loads, text)
 
 
 # ---------------------------------------------------------------------------

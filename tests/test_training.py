@@ -8,7 +8,7 @@ import pytest
 
 from tlonbof import config, data, network, training
 from tlonbof.config import RunConfig
-from tlonbof.errors import FormatError, TrainingDiverged
+from tlonbof.errors import FormatError, NumericError, TrainingDiverged
 from tlonbof.training import AdamState, adam_step, balanced_batch, init_adam
 
 TINY_TRAIN = dict(n_codewords=8, conv_filters=8, conv_kernel=3, hidden=16)
@@ -379,6 +379,29 @@ def test_checkpoint_non_finite_values_are_format_errors(edit, name):
     with pytest.raises(FormatError) as err:
         training.deserialize_checkpoint(_layout_blob(edit))
     assert name in str(err.value)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("fc1_w", np.nan), ("conv_b", -np.inf), ("log_cs", 1e39), ("adam.v.codebook", 3.5e38),
+    ("adam.m.alpha", -1e300),
+])
+def test_serialize_refuses_values_float32_cannot_hold(name, value):
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    state = init_adam(params, network.trainable_names(LAYOUT_CFG))
+    prefix, _, key = name.rpartition(".")
+    target = {"": params, "adam.m": state.m, "adam.v": state.v}[prefix]
+    target[key] = np.full(np.shape(target[key]), value)
+    with pytest.raises(NumericError) as err:
+        training.serialize_checkpoint(params, LAYOUT_CFG, state)
+    assert name in str(err.value)
+
+
+def test_serialize_keeps_the_float32_maximum():
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    params["fc2_b"][:] = training.F32_MAX
+    loaded, _, _ = training.deserialize_checkpoint(
+        training.serialize_checkpoint(params, LAYOUT_CFG))
+    assert (loaded["fc2_b"] == training.F32_MAX).all()
 
 
 def test_checkpoint_floored_scale_factor_loads():
