@@ -21,6 +21,7 @@ differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +29,6 @@ from . import kernels
 from .core import rows_matmul
 from .errors import NumericError
 from .kernels import KernelParams
-
-# Widest region that _region_mean sorts with a compare-exchange network; above
-# it np.sort is faster (measured at batches of 128 and 512 windows).
-SORT_NETWORK_MAX_WIDTH = 8
-
 
 @dataclass
 class ScalingParams:
@@ -101,26 +97,43 @@ def _check_row_sums(sums: np.ndarray) -> None:
     raise NumericError(f"all kernel values underflowed to zero for timestep row {row}")
 
 
+@lru_cache(maxsize=None)
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's merge-exchange sort of n items."""
+    # Knuth, TAOCP vol. 3, 5.2.2, Algorithm M: 9 pairs for 5 items, 59 for 15
+    if n < 2:
+        return ()
+    pairs: list[tuple[int, int]] = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
+
+
 def _region_mean(block: np.ndarray) -> np.ndarray:
     """Mean over axis 1 of a (B, width, K) block, summed in sorted order."""
     # Sorting first makes the reduction a function of each column's
     # multiset of values, so reordering timesteps inside a region cannot
-    # change the histogram even at the bit level. A narrow region is sorted
-    # by an odd-even transposition network of elementwise min/max over its
-    # rows, which yields np.sort's values (up to the sign of a zero). The
-    # rows are then added in order onto +0 and divided by the width, as
-    # np.mean does; starting from +0 also makes the sign of a zero row moot,
-    # so both paths give the same bits.
+    # change the histogram even at the bit level. The region is sorted by a
+    # network of elementwise min/max over its rows, which yields np.sort's
+    # values (up to the sign of a zero). The rows are then added in order
+    # onto +0 and divided by the width, as np.mean does; starting from +0
+    # also makes the sign of a zero row moot, so the result has the bits of
+    # np.sort(block, axis=1).mean(axis=1).
     width = block.shape[1]
-    if width > SORT_NETWORK_MAX_WIDTH:
-        return np.sort(block, axis=1).mean(axis=1)
     rows = [block[:, i].copy() for i in range(width)]
     spare = np.empty_like(rows[0])
-    for sweep in range(width):
-        for i in range(sweep % 2, width - 1, 2):
-            np.minimum(rows[i], rows[i + 1], out=spare)
-            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
-            rows[i], spare = spare, rows[i]
+    for i, j in _sorting_network(width):
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], spare = spare, rows[i]
     total = np.zeros_like(spare)
     for row in rows:
         total += row

@@ -34,7 +34,7 @@ import numpy as np
 from . import config as config_mod
 from . import data, metrics, training
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
-from .network import ARCH_TLONBOF, ModelConfig
+from .network import ModelConfig
 
 # ablation grid: (deep_features, temporal_modeling, kernel_param_learning,
 # adaptive_scaling), ordered from the plainest model to the full one
@@ -203,7 +203,7 @@ def _eval_fold_rows(args, rc, corpus):
         if mcfg.d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
                          f"but the corpus has {d_corpus}")
-        if mcfg.arch == ARCH_TLONBOF and mcfg.n_regions > rc.window:
+        if not config_mod.window_fills_regions(rc.window, mcfg.n_regions, mcfg.arch):
             raise _Usage(f"checkpoint {args.model} pools n_regions={mcfg.n_regions} temporal "
                          f"regions, but window = {rc.window} steps cannot fill them")
     if rc.folds == "single":

@@ -117,12 +117,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def window_fills_regions(window: int, n_regions: int, arch: str) -> bool:
+    """Whether a model pooling ``n_regions`` temporal regions can run on ``window`` steps.
+
+    Only the TLoNBoF model splits a window into regions; the GAP baseline
+    averages over the whole window.
+    """
+    return arch != "tlonbof" or window >= n_regions
+
+
 def check_window_fills_regions(rc: RunConfig, location: str | None = None) -> None:
     """Refuse a window too short to fill every temporal region."""
-    if rc.temporal_modeling and rc.window < rc.n_regions:
+    n_regions = rc.n_regions if rc.temporal_modeling else 1
+    if not window_fills_regions(rc.window, n_regions, rc.arch):
         raise FormatError(f"window = {rc.window} is below n_regions = {rc.n_regions}; "
-                          "with temporal_modeling = true every region needs a timestep",
-                          location=location)
+                          "with arch = tlonbof and temporal_modeling = true every region "
+                          "needs a timestep", location=location)
 
 
 def loads(text: str) -> RunConfig:
@@ -143,7 +153,7 @@ def loads(text: str) -> RunConfig:
         if key in seen:
             raise FormatError(f"duplicate key {key!r}", location=f"line {lineno}")
         seen[key] = parse_value(key, raw, lineno)
-        if key in ("window", "n_regions", "temporal_modeling"):
+        if key in ("window", "n_regions", "temporal_modeling", "arch"):
             region_line = lineno
     rc = RunConfig(**seen)
     check_window_fills_regions(rc, f"line {region_line}")  # the defaults pass it

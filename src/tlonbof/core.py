@@ -33,10 +33,10 @@ def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     numpy multiplies a stack by a matrix with one small GEMM per leading
     index. Flattening the leading axes makes one large GEMM out of the same
-    row-by-column dot products in about half the time. At the paper geometry
-    the bits are the same (the tests pin the shapes); for windows of a few
-    steps or narrow codebooks BLAS may pick another kernel and round the
-    last bit differently.
+    row-by-column dot products in about half the time. BLAS picks its kernel,
+    and so the summation order, by matrix size, so the result can differ from
+    the stacked product in the last bit; whether it does depends on the BLAS
+    build and the shapes.
     """
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (b.shape[-1],))
 

@@ -174,6 +174,15 @@ def test_train_window_below_n_regions_is_usage_error(tmp_path, capsys, monkeypat
     assert "window = 2 is below n_regions = 3" in err and "line" in err
 
 
+def test_train_gap_baseline_on_window_below_n_regions(tmp_path):
+    # the GAP baseline makes no temporal regions, so n_regions does not bound its window
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = write_cfg(tmp_path, window=2, epochs=1, arch="cnn_gap")
+    out = tmp_path / "m.tlnb"
+    assert main(["train", "--config", cfg, "--data", datadir, "--out", str(out)]) == 0
+    assert training.load_checkpoint(out)[1].arch == "cnn_gap"
+
+
 def test_eval_model_regions_beyond_window_is_usage_error(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
     cfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)

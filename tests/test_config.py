@@ -97,9 +97,10 @@ def test_parse_value_applies_the_schema_rule():
     ("window = 2\n", 2, 3, 1),
     ("n_regions = 4\nepochs = 1\nwindow = 3\n", 3, 4, 3),
     ("window = 3\nseed = 1\ntemporal_modeling = true\nn_regions = 4\n", 3, 4, 4),
+    ("window = 2\narch = tlonbof\nepochs = 1\n", 2, 3, 2),
 ])
 def test_window_below_n_regions_rejected(text, window, n_regions, line):
-    # the error sits at the last line that set window, n_regions or temporal_modeling
+    # the error sits at the last line that set window, n_regions, temporal_modeling or arch
     with pytest.raises(FormatError) as err:
         loads(text)
     assert f"window = {window} is below n_regions = {n_regions}" in str(err.value)
@@ -109,6 +110,9 @@ def test_window_below_n_regions_rejected(text, window, n_regions, line):
 def test_window_below_n_regions_allowed_without_temporal_modeling():
     rc = loads("window = 2\ntemporal_modeling = false\n")
     assert rc.window == 2 and rc.n_regions == 3
+    # the GAP baseline averages over the whole window and makes no regions
+    rc = loads("arch = cnn_gap\nwindow = 2\n")
+    assert rc.window == 2 and rc.n_regions == 3 and rc.temporal_modeling
     assert loads("window = 3\nn_regions = 3\n").window == 3
 
 

@@ -120,7 +120,7 @@ def check_config(parse, source):
         assert_line_location(exc)
         return
     assert math.isfinite(rc.lr) and math.isfinite(rc.threshold)
-    assert rc.window >= rc.n_regions or not rc.temporal_modeling
+    assert rc.window >= rc.n_regions or not rc.temporal_modeling or rc.arch != "tlonbof"
     assert config.loads(config.dumps(rc)) == rc
 
 
@@ -143,16 +143,17 @@ def test_config_file_mutations(scratch, blob):
     check_config(config.load_run_config, path)
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.permutations(range(3)))
-def test_config_window_must_fill_the_regions(window, n_regions, temporal, order):
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.sampled_from(config.ARCH_CHOICES),
+       st.permutations(range(4)))
+def test_config_window_must_fill_the_regions(window, n_regions, temporal, arch, order):
     lines = [f"window = {window}", f"n_regions = {n_regions}",
-             f"temporal_modeling = {str(temporal).lower()}"]
+             f"temporal_modeling = {str(temporal).lower()}", f"arch = {arch}"]
     text = "\n".join(lines[i] for i in order)
-    if temporal and window < n_regions:
+    if arch == "tlonbof" and temporal and window < n_regions:
         with pytest.raises(FormatError) as err:
             config.loads(text)
         assert f"window = {window} is below n_regions = {n_regions}" in err.value.message
-        assert err.value.location == "line 3"
+        assert err.value.location == "line 4"
     else:
         check_config(config.loads, text)
 
