@@ -8,6 +8,33 @@ small fully connected head. Everything trains end to end with
 hand-derived gradients and Adam.
 """
 
+import os
+
+
+def _configure_threads() -> None:
+    """Cap the BLAS thread pools from TLNB_THREADS, or to 1 under TLNB_DETERMINISTIC=1.
+
+    The caps only work if they are in the environment before numpy is first
+    imported, so this runs before any submodule is imported: the ``tlonbof``
+    console script and ``python -m tlonbof.cli`` import this package first.
+    Variables already set are left alone.
+    """
+    threads = os.environ.get("TLNB_THREADS")
+    if os.environ.get("TLNB_DETERMINISTIC") == "1":
+        threads = "1"
+    if threads and threads.isdigit() and int(threads) > 0:
+        for var in (
+            "OMP_NUM_THREADS",
+            "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS",
+        ):
+            os.environ.setdefault(var, threads)
+
+
+_configure_threads()
+
+# the submodules import numpy, so they come after the caps
 from .bof import ScalingParams, forward_batch as bof_forward_batch, segment
 from .config import RunConfig, load_run_config, save_run_config
 from .core import finite_diff_grad, glorot_uniform, relative_error

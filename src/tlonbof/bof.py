@@ -117,8 +117,11 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _region_mean(block: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 of a (B, width, K) block, summed in sorted order."""
+def _region_mean(steps) -> np.ndarray:
+    """Mean of a region's ``width`` timesteps, each a (B, K) array, summed in sorted order.
+
+    ``steps`` is a (width, B, K) array or a sequence of (B, K) arrays.
+    """
     # Sorting first makes the reduction a function of each column's
     # multiset of values, so reordering timesteps inside a region cannot
     # change the histogram even at the bit level. The region is sorted by a
@@ -126,9 +129,9 @@ def _region_mean(block: np.ndarray) -> np.ndarray:
     # values (up to the sign of a zero). The rows are then added in order
     # onto +0 and divided by the width, as np.mean does; starting from +0
     # also makes the sign of a zero row moot, so the result has the bits of
-    # np.sort(block, axis=1).mean(axis=1).
-    width = block.shape[1]
-    rows = [block[:, i].copy() for i in range(width)]
+    # np.sort(block, axis=1).mean(axis=1) for the (B, width, K) block.
+    rows = [step.copy() for step in steps]
+    width = len(rows)
     spare = np.empty_like(rows[0])
     for i, j in _sorting_network(width):
         np.minimum(rows[i], rows[j], out=spare)
@@ -166,6 +169,32 @@ class BofGrads:
     beta: float | None = None
 
 
+def assign(
+    feats: np.ndarray, codebook: np.ndarray, kind: str, kp: KernelParams, scaling: ScalingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel values K and memberships c_u * K / rowsum(K) of feature rows (..., D)."""
+    k_mat = _kernel_matrix(feats, codebook, kind, kp)
+    row_sums = k_mat.sum(axis=-1)
+    _check_row_sums(row_sums)
+    memberships = np.multiply(k_mat, scaling.c_u)
+    memberships /= row_sums[..., None]
+    return k_mat, memberships
+
+
+def histogram(
+    steps, regions: list[tuple[int, int]], scaling: ScalingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram c_s * region means, and the means, newest region first.
+
+    ``steps`` holds the memberships of each window position: an (N, B, K)
+    array or a sequence of N (B, K) arrays.
+    """
+    region_means = np.concatenate(
+        [_region_mean(steps[a:b]) for (a, b) in reversed(regions)], axis=1
+    )
+    return scaling.c_s * region_means, region_means
+
+
 def forward_batch(
     feats: np.ndarray,
     codebook: np.ndarray,
@@ -184,15 +213,8 @@ def forward_batch(
     if feats.ndim != 3:
         raise ValueError(f"expected (batch, steps, dim) input, got shape {feats.shape}")
     regions = segment(feats.shape[1], n_regions, nested)
-    k_mat = _kernel_matrix(feats, codebook, kind, kp)
-    row_sums = k_mat.sum(axis=-1)
-    _check_row_sums(row_sums)
-    memberships = np.multiply(k_mat, scaling.c_u)
-    memberships /= row_sums[..., None]
-    region_means = np.concatenate(
-        [_region_mean(memberships[:, a:b, :]) for (a, b) in reversed(regions)], axis=1
-    )
-    hist = scaling.c_s * region_means
+    k_mat, memberships = assign(feats, codebook, kind, kp, scaling)
+    hist, region_means = histogram(memberships.swapaxes(0, 1), regions, scaling)
     ctx = BofContext(
         feats=feats,
         codebook=codebook,

@@ -1,31 +1,14 @@
 """Command line entry points: synth, train, eval, ablate, config.
 
-Thread caps must land in the environment before numpy is first imported,
-so this module reads TLNB_THREADS / TLNB_DETERMINISTIC at the very top.
+The BLAS thread caps of TLNB_THREADS / TLNB_DETERMINISTIC are applied when
+the ``tlonbof`` package is imported, before numpy loads; ``main`` rejects a
+malformed TLNB_THREADS.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _configure_threads() -> None:
-    threads = os.environ.get("TLNB_THREADS")
-    if os.environ.get("TLNB_DETERMINISTIC") == "1":
-        threads = "1"
-    if threads and threads.isdigit() and int(threads) > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, threads)
-
-
-_configure_threads()
-
 import argparse
+import os
 import sys
 from dataclasses import replace
 

@@ -20,6 +20,8 @@ SCALING_CHOICES = ("off", "frozen", "learned")
 LABEL_MODE_CHOICES = ("mean_horizon", "point_horizon")
 FOLD_CHOICES = ("anchored", "single")
 
+F32_MAX = 3.4028234663852886e38  # the largest float32; checkpoints store values as float32
+
 
 @dataclass
 class RunConfig:
@@ -101,6 +103,9 @@ def parse_value(key: str, raw: str, lineno: int | str):
             raise FormatError(f"{key} must be finite, got {raw!r}", location=loc)
         if key in ("lr", "threshold") and value <= 0:
             raise FormatError(f"{key} must be positive, got {value}", location=loc)
+        if key == "lr" and value > F32_MAX:
+            raise FormatError(f"lr must be at most the float32 maximum {F32_MAX!r} that a "
+                              f"checkpoint stores, got {value!r}", location=loc)
         return value
     if key in _CHOICES and raw not in _CHOICES[key]:
         raise FormatError(

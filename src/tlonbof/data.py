@@ -210,6 +210,22 @@ class WindowDataset:
             x[row] = day[t - self.window + 1 : t + 1]
         return x, self.labels[indices]
 
+    def runs(self, chunk: int):
+        """Consecutive windows of one day, at most ``chunk`` at a time, in sample order.
+
+        Yields ``(first, rows)``: sample ``first + j`` is the window
+        ``rows[j : j + window]``. ``rows`` is a view into the day array, and a
+        run never crosses a day.
+        """
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        cuts = [0, *(np.flatnonzero(np.diff(self._day_idx)) + 1).tolist(), self.n_samples]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            for first in range(lo, hi, chunk):
+                last = min(first + chunk, hi) - 1
+                day = self._days[self._day_idx[first]]
+                yield first, day[self._t[first] - self.window + 1 : self._t[last] + 1]
+
 
 # ---------------------------------------------------------------------------
 # CSV corpus format. One file per day, header day_id,mid_price,f1..f144,

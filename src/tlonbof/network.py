@@ -280,11 +280,7 @@ def forward_batch(
     else:
         pooled = feats.mean(axis=1)
 
-    fc1_pre = fully_connected(pooled, params["fc1_w"], params["fc1_b"])
-    fc1_act = relu(fc1_pre)
-    logits = fully_connected(fc1_act, params["fc2_w"], params["fc2_b"])
-    logp = log_softmax(logits)
-    probs = np.exp(logp)
+    fc1_pre, fc1_act, logp, probs = _head(pooled, params)
     ctx = NetworkContext(
         cfg=cfg,
         params=params,
@@ -299,6 +295,70 @@ def forward_batch(
         probs=probs,
     )
     return probs, ctx
+
+
+def _head(pooled: np.ndarray, params: dict[str, np.ndarray]):
+    """Dense head on pooled features: fc1 pre-activation and ReLU, log-probs, probs."""
+    fc1_pre = fully_connected(pooled, params["fc1_w"], params["fc1_b"])
+    fc1_act = relu(fc1_pre)
+    logp = log_softmax(fully_connected(fc1_act, params["fc2_w"], params["fc2_b"]))
+    return fc1_pre, fc1_act, logp, np.exp(logp)
+
+
+def forward_windows(
+    rows: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig, n_steps: int
+) -> np.ndarray:
+    """Class probabilities of every window ``rows[s : s + n_steps]`` of consecutive rows.
+
+    The same numbers as ``forward_batch`` on the gathered windows, with each
+    row's work done once instead of once per window that holds it. A window
+    position's conv output depends only on its row and on which taps stay
+    inside the window, so there is one table per distinct tap set: the bias
+    plus those taps' shifted products of a per-tap GEMM over all rows, added
+    in tap order as ``conv1d_same_batch`` adds them. The kernel values and
+    memberships are computed once over the stacked tables, and each window
+    position reads its rows out of its table.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != cfg.d_in:
+        raise ValueError(f"expected (rows, {cfg.d_in}) input, got shape {rows.shape}")
+    batch = rows.shape[0] - n_steps + 1
+    if n_steps < 1 or batch < 1:
+        raise ValueError(f"{rows.shape[0]} rows hold no window of {n_steps} steps")
+
+    # position p of window s is row base[p] + s of ``feats``
+    feats, base = rows, range(n_steps)
+    if cfg.deep_features:
+        weights, bias = params["conv_w"], params["conv_b"]
+        taps = weights.shape[0]
+        center = taps // 2
+        products = [rows @ weights[k] for k in range(taps)]
+        # taps lo .. hi - 1 stay inside the window at position p
+        tap_sets = [(max(0, center - p), min(taps, n_steps + center - p)) for p in range(n_steps)]
+        # positions with the same tap set are consecutive; one table each
+        firsts = [p for p in range(n_steps) if p == 0 or tap_sets[p] != tap_sets[p - 1]]
+        spans = list(zip(firsts, firsts[1:] + [n_steps]))
+        feats = np.empty((n_steps + len(spans) * (batch - 1), bias.size))
+        base, at = [], 0
+        for a, b in spans:
+            table = feats[at : at + b - a + batch - 1]  # for rows a .. b + batch - 2
+            table[...] = bias
+            for k in range(*tap_sets[a]):
+                table += products[k][a + k - center : b - 1 + batch + k - center]
+            np.maximum(table, 0.0, out=table)
+            base += range(at, at + b - a)
+            at += len(table)
+
+    if cfg.arch == ARCH_TLONBOF:
+        scaling = _scaling_from(params)
+        _, memberships = bof.assign(
+            feats, params["codebook"], cfg.kernel, _kernel_params_from(params, cfg), scaling
+        )
+        regions = bof.segment(n_steps, cfg.n_regions, cfg.nested_regions)
+        pooled, _ = bof.histogram([memberships[i : i + batch] for i in base], regions, scaling)
+    else:
+        pooled = np.stack([feats[i : i + batch] for i in base], axis=1).mean(axis=1)
+    return _head(pooled, params)[3]
 
 
 def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:

@@ -270,7 +270,8 @@ def test_region_mean_is_bitwise_sort_then_mean(width):
         window = rng.choice(pool, size=(4, width + 3, 64))
         block = window[:, 2 : 2 + width, :]
         want = np.sort(block, axis=1).mean(axis=1)
-        assert np.array_equal(bof._region_mean(block).view(np.uint64), want.view(np.uint64))
+        got = bof._region_mean(block.swapaxes(0, 1))  # the region's (4, 64) timesteps
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", [kernels.LOGISTIC, kernels.GAUSSIAN])

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,18 @@ def test_train_window_below_n_regions_is_usage_error(tmp_path, capsys, monkeypat
                  "--out", str(tmp_path / "m.tlnb")]) == 2
     err = capsys.readouterr().err
     assert "window = 2 is below n_regions = 3" in err and "line" in err
+
+
+def test_train_lr_beyond_float32_is_usage_error(tmp_path, capsys, monkeypatch):
+    # no checkpoint could store it (adam.lr is float32)
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = write_cfg(tmp_path, lr="1e39", epochs=0)
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    assert main(["train", "--config", cfg, "--data", datadir,
+                 "--out", str(tmp_path / "m.tlnb")]) == 2
+    err = capsys.readouterr().err
+    assert "float32 maximum" in err and "line" in err
+    assert not (tmp_path / "m.tlnb").exists()
 
 
 def test_train_gap_baseline_on_window_below_n_regions(tmp_path):
@@ -470,6 +484,34 @@ def test_ablate_grid_cells_follow_config_rules(tmp_path, capsys, row, fragment):
                  "--report", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
     assert fragment in err and "grid.csv" in err and "line 2" in err
+
+
+# records OPENBLAS_NUM_THREADS at the moment numpy is first imported
+NUMPY_IMPORT_PROBE = """
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import tlonbof.cli
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("setting,cap", [("TLNB_DETERMINISTIC=1", "1"), ("TLNB_THREADS=3", "3")])
+def test_thread_caps_are_set_before_numpy_loads(setting, cap):
+    # the console script and ``python -m tlonbof.cli`` import the package
+    # first, and its submodules import numpy
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_THREADS") and not k.startswith("TLNB_")}
+    name, _, value = setting.partition("=")
+    env[name] = value
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr([cap])
 
 
 def test_thread_env_validation(monkeypatch, capsys):

@@ -63,6 +63,7 @@ def test_duplicate_key_rejected():
     ("lr = free", "number"),
     ("lr = 0", "positive"),
     ("lr = nan", "finite"),
+    ("lr = 1e39", "float32 maximum"),
     ("threshold = 1e400", "finite"),
     ("conv_kernel = 4", "odd"),
     ("deep_features = yes", "true or false"),

@@ -265,6 +265,69 @@ def test_batch_forward_matches_single_sample():
         assert np.allclose(batch_probs[b], single[0], atol=1e-12)
 
 
+def _windows_vs_batch(cfg, n_steps, n_windows, seed, sigma=None):
+    """forward_windows on a run of rows against forward_batch on its gathered windows."""
+    rng = np.random.default_rng(seed)
+    params = network.init_params(cfg, rng)
+    for name in ("conv_b", "fc1_b", "fc2_b"):  # init leaves the biases at zero
+        if name in params:
+            params[name] = rng.normal(scale=0.1, size=params[name].shape)
+    if "beta" in params:
+        params["beta"] = np.array(0.05)
+    if sigma is not None:
+        params["sigma"] = np.array(float(sigma))
+    rows = rng.normal(size=(n_steps + n_windows - 1, cfg.d_in))
+    x = rows[np.arange(n_windows)[:, None] + np.arange(n_steps)]
+    want, ctx = network.forward_batch(x, params, cfg)
+    got = network.forward_windows(rows, params, cfg, n_steps)
+    assert got.shape == (n_windows, cfg.n_classes)
+    # the per-tap GEMMs run over other row counts, so BLAS may round them
+    # differently in the last bit
+    assert relative_error(got, want) < 1e-13
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+    return ctx
+
+
+@pytest.mark.parametrize("sizes", [
+    dict(d_in=144),  # the paper geometry: 256 filters, 256 codewords, 512 hidden
+    dict(d_in=144, conv_filters=32, n_codewords=32, hidden=64),
+])
+def test_forward_windows_matches_forward_batch_at_the_protocol_geometries(sizes):
+    _windows_vs_batch(network.ModelConfig(**sizes), n_steps=15, n_windows=40, seed=1)
+
+
+# every kernel width with windows from 1 step up to two past the kernel,
+# windows shorter than the kernel included
+@pytest.mark.parametrize("taps,n_steps", [(t, n) for t in (1, 3, 5, 7) for n in range(1, t + 3)])
+def test_forward_windows_matches_forward_batch_for_every_tap_set(taps, n_steps):
+    cfg = tiny_config(conv_kernel=taps, n_regions=min(3, n_steps))
+    _windows_vs_batch(cfg, n_steps, n_windows=9, seed=taps * 10 + n_steps)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"deep_features": False},
+    {"arch": network.ARCH_CNN_GAP},
+    {"nested_regions": True},
+    {"n_regions": 1},
+    {"kernel": kernels.GAUSSIAN},
+])
+def test_forward_windows_matches_forward_batch_for_every_model(overrides):
+    cfg = tiny_config(**overrides)
+    sigma = 4.0 if cfg.kernel == kernels.GAUSSIAN else None
+    ctx = _windows_vs_batch(cfg, n_steps=7, n_windows=11, seed=2, sigma=sigma)
+    if sigma is not None:  # a sigma whose kernel rows keep their magnitude
+        assert ctx.bof_ctx.k_mat.sum(axis=-1).min() > 1e-3
+
+
+def test_forward_windows_needs_a_whole_window():
+    cfg = tiny_config()
+    params = network.init_params(cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no window"):
+        network.forward_windows(np.zeros((5, cfg.d_in)), params, cfg, 6)
+    with pytest.raises(ValueError, match="input"):
+        network.forward_windows(np.zeros((6, cfg.d_in + 1)), params, cfg, 6)
+
+
 def test_batch_loss_is_mean_cross_entropy():
     cfg = tiny_config()
     params = network.init_params(cfg, np.random.default_rng(7))

@@ -1,4 +1,4 @@
-"""Property tests for the four input readers.
+"""Property tests for the four input readers and the window runs.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
@@ -120,6 +120,7 @@ def check_config(parse, source):
         assert_line_location(exc)
         return
     assert math.isfinite(rc.lr) and math.isfinite(rc.threshold)
+    assert rc.lr <= config.F32_MAX  # a checkpoint can store it
     assert rc.window >= rc.n_regions or not rc.temporal_modeling or rc.arch != "tlonbof"
     assert config.loads(config.dumps(rc)) == rc
 
@@ -237,3 +238,30 @@ def test_checkpoint_mutations(blob):
 def test_checkpoint_valid_blobs_load():
     for blob in VALID_CHECKPOINTS:
         assert training.deserialize_checkpoint(blob)[2] is not None
+
+
+# ---------------------------------------------------------------------------
+# window runs
+
+
+@given(st.lists(st.integers(0, 30), max_size=5), st.integers(1, 6), st.integers(1, 4),
+       st.integers(1, 12))
+def test_window_runs_cover_every_sample_once_in_order(day_lengths, window, horizon, chunk):
+    rng = np.random.default_rng(len(day_lengths))
+    corpus = [data.FeatureSeries(d, rng.normal(size=(n, data.N_FEATURES)),
+                                 100.0 + rng.uniform(size=n))
+              for d, n in enumerate(day_lengths, start=1)]
+    ds = data.WindowDataset(corpus, window=window, horizon=horizon)
+    expected_first = 0
+    for first, rows in ds.runs(chunk):
+        assert first == expected_first
+        count = len(rows) - window + 1
+        assert 1 <= count <= chunk
+        day = int(ds.day_ids[first])
+        assert (ds.day_ids[first : first + count] == day).all()  # never crosses a day
+        assert np.shares_memory(rows, corpus[day - 1].features)  # a view, not a copy
+        x, _ = ds.gather(np.arange(first, first + count))
+        for j in range(count):
+            assert np.array_equal(rows[j : j + window], x[j])
+        expected_first += count
+    assert expected_first == ds.n_samples

@@ -150,12 +150,19 @@ def test_train_nan_guard_reports_step_and_snapshot():
 
 
 def test_predict_chunking_is_invisible():
-    ds = small_dataset(n_days=2, rows=80)
+    # days of different lengths; the 20-row day is too short to give a window
+    corpus = [data.synth_generate(1, n, seed=n)[0] for n in (80, 20, 143, 61)]
+    for day_id, series in enumerate(corpus, start=1):
+        series.day_id = day_id
+    ds = data.WindowDataset(corpus)
+    assert ds.n_samples == 56 + 0 + 119 + 37
     rc = RunConfig(epochs=1, **TINY_TRAIN)
     r = training.train(rc, ds)
-    a = training.predict(r.params, r.model_cfg, ds, chunk=7)
-    b = training.predict(r.params, r.model_cfg, ds, chunk=512)
-    assert np.array_equal(a, b)
+    x, _ = ds.gather(np.arange(ds.n_samples))
+    probs, _ = network.forward_batch(x, r.params, r.model_cfg)
+    want = probs.argmax(axis=1)
+    for chunk in (1, 7, 128, 512):
+        assert np.array_equal(training.predict(r.params, r.model_cfg, ds, chunk=chunk), want)
 
 
 # ---------------------------------------------------------------------------
