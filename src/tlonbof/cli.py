@@ -39,13 +39,13 @@ class _Usage(Exception):
 
 
 def _read_input(what: str, path, reader):
-    """``reader(path)``, with a missing path or a directory as a usage error."""
+    """``reader(path)``, with a missing file or a directory as a usage error naming it."""
     try:
         return reader(path)
-    except FileNotFoundError:
-        raise _Usage(f"{what} not found: {path}") from None
-    except IsADirectoryError:
-        raise _Usage(f"{what} is a directory: {path}") from None
+    except FileNotFoundError as exc:
+        raise _Usage(f"{what} not found: {exc.filename or path}") from None
+    except IsADirectoryError as exc:
+        raise _Usage(f"{what} is a directory: {exc.filename or path}") from None
 
 
 def _load_config(path) -> config_mod.RunConfig:
@@ -68,12 +68,13 @@ def _check_out_paths(*paths) -> None:
             raise _Usage(f"directory of output path does not exist: {path}")
 
 
-def _require_data_dir(path) -> str:
+def _load_corpus(path) -> tuple[str, list[data.FeatureSeries]]:
+    """The data directory and its days; a missing directory or a bad entry is a usage error."""
     if path is None:
         raise _Usage("no data directory given (use --data or set data_dir in the config)")
     if not os.path.isdir(path):
         raise _Usage(f"data directory does not exist: {path}")
-    return path
+    return path, _read_input("feature file", path, data.load_feature_dir)
 
 
 def _windows(rc: config_mod.RunConfig, corpus) -> data.WindowDataset:
@@ -146,8 +147,7 @@ def cmd_train(args) -> int:
         rc.seed = args.seed
     history_path = args.history or os.path.splitext(args.out)[0] + ".history.csv"
     _check_out_paths(args.out, history_path)
-    data_dir = _require_data_dir(args.data or rc.data_dir or None)
-    corpus = data.load_feature_dir(data_dir)
+    data_dir, corpus = _load_corpus(args.data or rc.data_dir or None)
     trainset = _windows(rc, corpus)
     if trainset.n_samples == 0:
         raise _Usage(f"no usable windows in {data_dir} "
@@ -213,8 +213,7 @@ def cmd_eval(args) -> int:
     if args.folds:
         rc.folds = args.folds
     _check_out_paths(args.report, args.dump_predictions)
-    data_dir = _require_data_dir(args.data or rc.data_dir or None)
-    corpus = data.load_feature_dir(data_dir)
+    _, corpus = _load_corpus(args.data or rc.data_dir or None)
     per_fold = []
     fold_rows = []
     dump_rows = []
@@ -285,8 +284,7 @@ def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
 def cmd_ablate(args) -> int:
     rc = _load_config(args.config)
     _check_out_paths(args.report)
-    data_dir = _require_data_dir(args.data or rc.data_dir or None)
-    corpus = data.load_feature_dir(data_dir)
+    data_dir, corpus = _load_corpus(args.data or rc.data_dir or None)
     if len(corpus) < 2:
         raise _Usage("ablation needs at least 2 days (train on all but last, test on last)")
     if args.grid is not None:

@@ -10,6 +10,7 @@ windows of the most recent rows.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -232,9 +233,36 @@ class WindowDataset:
 # one event per row. Floats are written with repr() so a round trip is exact.
 
 _HEADER = ["day_id", "mid_price"] + [f"f{i}" for i in range(1, N_FEATURES + 1)]
+_HEADER_LINE = (",".join(_HEADER) + "\n").encode()
+# every byte a plain body holds; any other sends the file to the row loop
+_PLAIN = b"0123456789.,+-eE\n"
 
 
 def load_feature_csv(path) -> FeatureSeries:
+    """One day file, parsed in bulk when plain and by the csv row loop otherwise.
+
+    Both routes round each cell correctly, so they return the same values. A
+    file the bulk parse refuses goes to the row loop, which reports its format
+    error with the line; the finite/positive check runs after either route.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    day_id, mid_arr, feats = _bulk_parse(raw) or _parse_rows(path)
+    # one vectorized pass: every value finite, every mid-price strictly positive
+    bad = np.column_stack([~(np.isfinite(mid_arr) & (mid_arr > 0)), ~np.isfinite(feats)])
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        value = mid_arr[r] if c == 0 else feats[r, c - 1]
+        rule = "finite and strictly positive" if c == 0 else "finite"
+        raise FormatError(
+            f"{path}: {_HEADER[c + 1]} must be {rule}, got {float(value)!r}",
+            location=f"line {r + 2}",
+        )
+    return FeatureSeries(day_id, feats, mid_arr)
+
+
+def _parse_rows(path):
+    """(day_id, mids, features) through the csv module, one row at a time."""
     day_id = None
     mids: list[float] = []
     rows: list[list[float]] = []
@@ -281,18 +309,30 @@ def load_feature_csv(path) -> FeatureSeries:
             raise
     if day_id is None:
         raise FormatError(f"{path}: no data rows", location="line 2")
-    mid_arr, feats = np.array(mids), np.array(rows)
-    # one vectorized pass: every value finite, every mid-price strictly positive
-    bad = np.column_stack([~(np.isfinite(mid_arr) & (mid_arr > 0)), ~np.isfinite(feats)])
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        value = mid_arr[r] if c == 0 else feats[r, c - 1]
-        rule = "finite and strictly positive" if c == 0 else "finite"
-        raise FormatError(
-            f"{path}: {_HEADER[c + 1]} must be {rule}, got {float(value)!r}",
-            location=f"line {r + 2}",
-        )
-    return FeatureSeries(day_id, feats, mid_arr)
+    return day_id, np.array(mids), np.array(rows)
+
+
+def _bulk_parse(raw: bytes):
+    """(day_id, mids, features) of a plain file in one C-level parse, or None.
+
+    None leaves the file to ``_parse_rows``: another header, no rows, a byte
+    outside ``_PLAIN`` (quotes, CR, spaces, ``1_0``, non-UTF-8), a blank line,
+    a line over the csv module's field limit, a cell numpy cannot parse, a
+    row of another width, or day ids that are not one integer.
+    """
+    body = raw[len(_HEADER_LINE) :]
+    if (not raw.startswith(_HEADER_LINE) or not body or body.translate(None, _PLAIN)
+            or b"\n\n" in raw or max(map(len, body.split(b"\n"))) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, quotechar=None,
+                           dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    days = table[:, 0]
+    if table.shape[1] != len(_HEADER) or (days != days[0]).any() or not days[0].is_integer():
+        return None
+    return int(days[0]), table[:, 1].copy(), np.ascontiguousarray(table[:, 2:])
 
 
 def write_feature_csv(path, series: FeatureSeries) -> None:

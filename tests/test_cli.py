@@ -105,6 +105,22 @@ def test_train_missing_data_dir_exit_2(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry,message", [
+    ("directory", "feature file is a directory"),
+    ("dangling link", "feature file not found"),
+])
+def test_train_bad_csv_entry_in_data_dir_exit_2(tmp_path, capsys, entry, message):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    bad = os.path.join(datadir, "zz.csv")
+    if entry == "directory":
+        os.mkdir(bad)
+    else:
+        os.symlink(os.path.join(datadir, "gone.csv"), bad)
+    code = main(["train", "--data", datadir, "--out", str(tmp_path / "m.tlnb")])
+    assert code == 2
+    assert f"{message}: {bad}" in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_and_history(tmp_path):
     datadir = make_data(tmp_path)
     cfg = write_cfg(tmp_path)

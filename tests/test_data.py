@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,14 +150,87 @@ def test_window_dataset_skips_short_days():
 # CSV round trip and validation
 
 
-def test_csv_round_trip_is_exact(tmp_path):
+def _no_row_loop(path):
+    raise AssertionError(f"{path} must take the bulk parse")
+
+
+def test_csv_round_trip_is_exact(tmp_path, monkeypatch):
     series = synth_generate(1, 40, seed=9)[0]
+    series.features[0, :7] = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1 + 2**-52, -2 / 3]
     path = tmp_path / "day_001.csv"
     write_feature_csv(path, series)
-    back = load_feature_csv(path)
+    for route, disabled in [("_parse_rows", _no_row_loop), ("_bulk_parse", lambda raw: None)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(data, route, disabled)  # load through the other route
+            back = load_feature_csv(path)
+        assert back.day_id == series.day_id
+        assert back.features.tobytes() == series.features.tobytes()  # repr() round trip
+        assert back.mid_prices.tobytes() == series.mid_prices.tobytes()
+        assert back.features.flags.c_contiguous and back.mid_prices.flags.c_contiguous
+        assert np.shares_memory(WindowDataset([back])._days[0], back.features)
+
+
+def _join(lines, end=b"\n"):
+    return end.join(lines) + end
+
+
+def _edit_cells(lines, edit, rows=(3,), column=6):
+    """``lines`` joined, with ``edit`` applied to one column of the given 1-based lines."""
+    lines = list(lines)
+    for line in rows:
+        cells = lines[line - 1].split(b",")
+        cells[column] = edit(cells[column])
+        lines[line - 1] = b",".join(cells)
+    return _join(lines)
+
+
+# Files that the bulk parse leaves to the csv row loop, each with the row
+# loop's result: a FormatError fragment and its line, or the value read for f5
+# on line 3 (None: the value as written).
+ROW_LOOP_FILES = {
+    "blank-line": (lambda ls: _join(ls[:3] + [b""] + ls[3:]), ("expected 146 columns, got 0", 4)),
+    "trailing-blank-line": (lambda ls: _join(ls) + b"\n", ("expected 146 columns, got 0", 7)),
+    "no-final-newline": (lambda ls: b"\n".join(ls), None),
+    "crlf": (lambda ls: _join(ls, b"\r\n"), None),
+    "quoted-cell": (lambda ls: _edit_cells(ls, lambda c: b'"' + c + b'"'), None),
+    "underscore": (lambda ls: _edit_cells(ls, lambda c: b"1_0"), 10.0),
+    "leading-space": (lambda ls: _edit_cells(ls, lambda c: b" " + c), None),
+    "header-only": (lambda ls: _join(ls[:1]), ("no data rows", 2)),
+    "over-long-field": (lambda ls: _edit_cells(ls, lambda c: b"0." + b"0" * 200_000 + b"1"),
+                        ("field larger than field limit (131072)", 3)),
+    "latin-1-space": (lambda ls: _edit_cells(ls, lambda c: c + b"\xa0"), ("not UTF-8", 3)),
+    "file-separator": (lambda ls: _edit_cells(ls, lambda c: b"\x1c" + c),
+                       ("could not convert string to float", 3)),
+    "renamed-column": (lambda ls: _join([ls[0].replace(b",f1,", b",g1,")] + ls[1:]),
+                       ("bad header", 1)),
+    "every-row-short": (lambda ls: _join(ls[:1] + [ln.rsplit(b",", 1)[0] for ln in ls[1:]]),
+                        ("expected 146 columns, got 145", 2)),
+    "fractional-day": (lambda ls: _edit_cells(ls, lambda c: b"1.5", rows=range(2, 7), column=0),
+                       ("day_id must be an integer, got 1.5", 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_LOOP_FILES))
+def test_csv_formatting_only_the_row_loop_reads(tmp_path, case):
+    series = synth_generate(1, 5, seed=0)[0]
+    path = tmp_path / "day.csv"
+    write_feature_csv(path, series)
+    edit, outcome = ROW_LOOP_FILES[case]
+    path.write_bytes(edit(path.read_bytes().splitlines()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        if isinstance(outcome, tuple):
+            fragment, line = outcome
+            with pytest.raises(FormatError) as err:
+                load_feature_csv(path)
+            assert fragment in str(err.value) and err.value.location == f"line {line}"
+            return
+        back = load_feature_csv(path)
+    if outcome is not None:
+        series.features[1, 4] = outcome
     assert back.day_id == series.day_id
-    assert np.array_equal(back.features, series.features)  # repr() round trip
-    assert np.array_equal(back.mid_prices, series.mid_prices)
+    assert back.features.tobytes() == series.features.tobytes()
+    assert back.mid_prices.tobytes() == series.mid_prices.tobytes()
 
 
 def test_csv_rejects_wrong_column_count(tmp_path):

@@ -2,7 +2,8 @@
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
-line. Example counts and determinism come from the profile in conftest.
+line, and the feature CSV loader must give what its csv row loop alone
+gives. Example counts and determinism come from the profile in conftest.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import os
 import re
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,12 +77,24 @@ CSV_HEADER = VALID_CSV.split(b"\n", 1)[0] + b"\n"
 
 
 def check_csv(path):
+    """Load ``path``; the result must be valid and equal the row loop's alone."""
+    with mock.patch.object(data, "_bulk_parse", lambda raw: None):
+        try:
+            row_loop = data.load_feature_csv(path)
+        except FormatError as exc:
+            row_loop = str(exc)
     try:
         series = data.load_feature_csv(path)
     except FormatError as exc:
         assert_line_location(exc)
+        assert str(exc) == row_loop
         return
+    assert not isinstance(row_loop, str), row_loop
+    assert series.day_id == row_loop.day_id
+    assert series.mid_prices.tobytes() == row_loop.mid_prices.tobytes()
+    assert series.features.tobytes() == row_loop.features.tobytes()
     assert series.features.shape == (len(series), data.N_FEATURES) and len(series) > 0
+    assert series.features.flags.c_contiguous and series.mid_prices.flags.c_contiguous
     assert np.isfinite(series.features).all()
     assert np.isfinite(series.mid_prices).all() and (series.mid_prices > 0).all()
 
