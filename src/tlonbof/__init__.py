@@ -35,7 +35,7 @@ def _configure_threads() -> None:
 _configure_threads()
 
 # the submodules import numpy, so they come after the caps
-from .bof import ScalingParams, forward_batch as bof_forward_batch, segment
+from .bof import forward_batch as bof_forward_batch, segment
 from .config import RunConfig, load_run_config, save_run_config
 from .core import finite_diff_grad, glorot_uniform, relative_error
 from .data import (
@@ -54,7 +54,7 @@ from .data import (
     write_feature_csv,
 )
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
-from .kernels import KernelParams, gaussian_kernel, logistic_kernel
+from .kernels import gaussian_kernel, logistic_kernel
 from .metrics import cohens_kappa, confusion, macro_prf
 from .network import ModelConfig, init_params
 from .training import (
@@ -76,12 +76,10 @@ __all__ = [
     "FeatureSeries",
     "FoldSpec",
     "FormatError",
-    "KernelParams",
     "ModelConfig",
     "NumericError",
     "RunConfig",
     "STATIONARY",
-    "ScalingParams",
     "TrainResult",
     "TrainingDiverged",
     "UP",

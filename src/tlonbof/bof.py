@@ -12,9 +12,13 @@ the per-region averages, so every histogram segment sums to
 ``c_s * c_u``. With ``c_u = c_s = 1`` the layer degenerates to the
 classical soft-assignment bag-of-features.
 
-The backward pass is derived by hand (quotient rule through the row
-normalization, then the chosen kernel) and reads only the cached kernel
-values and memberships; it is validated against central finite
+The layer reads its parameters from the model's ``name -> array`` dict:
+``codebook``, the scales as ``log_cu``/``log_cs`` (c = exp(log c)), and
+``alpha``/``beta`` for the logistic kernel or ``sigma`` for the Gaussian
+one. The backward pass is derived by hand (quotient rule through the row
+normalization, then the chosen kernel), reads only the cached kernel
+values and memberships, and returns its gradients under the same names,
+the scales' in log space; it is validated against central finite
 differences in the test suite.
 """
 
@@ -28,23 +32,6 @@ import numpy as np
 from . import kernels
 from .core import rows_matmul
 from .errors import NumericError
-from .kernels import KernelParams
-
-@dataclass
-class ScalingParams:
-    """Assignment-mass and histogram-mass scale factors."""
-
-    c_u: float = 1.0
-    c_s: float = 1.0
-
-    def __post_init__(self):
-        if self.c_u <= 0 or self.c_s <= 0:
-            raise ValueError(f"scale factors must be positive, got c_u={self.c_u}, c_s={self.c_s}")
-
-    @classmethod
-    def protocol_init(cls, n_codewords: int, avg_seq_len: float) -> "ScalingParams":
-        """Standard initialization: c_s = codebook size, c_u = mean sequence length."""
-        return cls(c_u=float(avg_seq_len), c_s=float(n_codewords))
 
 
 def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[int, int]]:
@@ -71,21 +58,20 @@ def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[in
     return list(reversed(recent_first))
 
 
-def _kernel_matrix(feats: np.ndarray, codebook: np.ndarray, kind: str, kp: KernelParams):
+def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str):
     """Kernel values K, shape (..., N, K), between every feature row and codeword."""
+    codebook = params["codebook"]
     if feats.shape[-1] != codebook.shape[1]:
         raise ValueError(
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
     if kind == kernels.LOGISTIC:
         z = rows_matmul(feats, codebook.T)
-        z *= 2.0 * kp.alpha
-        z += 2.0 * kp.beta
+        z *= 2.0 * float(params["alpha"])
+        z += 2.0 * float(params["beta"])
         return kernels.sigmoid(z)
     if kind == kernels.GAUSSIAN:
-        if kp.sigma is None:
-            raise ValueError("Gaussian kernel requires sigma")
-        return kernels.gaussian_matrix(feats, codebook, kp.sigma)
+        return kernels.gaussian_matrix(feats, codebook, float(params["sigma"]))
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -150,39 +136,28 @@ class BofContext:
 
     feats: np.ndarray  # (B, N, D)
     codebook: np.ndarray
+    params: dict[str, np.ndarray]
     kind: str
-    kp: KernelParams
-    scaling: ScalingParams
     regions: list[tuple[int, int]]
     k_mat: np.ndarray  # (B, N, K) kernel values
     memberships: np.ndarray  # (B, N, K) scaled soft assignments
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
 
 
-@dataclass
-class BofGrads:
-    feats: np.ndarray
-    codebook: np.ndarray
-    c_u: float
-    c_s: float
-    alpha: float | None = None
-    beta: float | None = None
-
-
 def assign(
-    feats: np.ndarray, codebook: np.ndarray, kind: str, kp: KernelParams, scaling: ScalingParams
+    feats: np.ndarray, params: dict[str, np.ndarray], kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values K and memberships c_u * K / rowsum(K) of feature rows (..., D)."""
-    k_mat = _kernel_matrix(feats, codebook, kind, kp)
+    k_mat = _kernel_matrix(feats, params, kind)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums)
-    memberships = np.multiply(k_mat, scaling.c_u)
+    memberships = np.multiply(k_mat, float(np.exp(params["log_cu"])))
     memberships /= row_sums[..., None]
     return k_mat, memberships
 
 
 def histogram(
-    steps, regions: list[tuple[int, int]], scaling: ScalingParams
+    steps, regions: list[tuple[int, int]], params: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram c_s * region means, and the means, newest region first.
 
@@ -192,35 +167,30 @@ def histogram(
     region_means = np.concatenate(
         [_region_mean(steps[a:b]) for (a, b) in reversed(regions)], axis=1
     )
-    return scaling.c_s * region_means, region_means
+    return float(np.exp(params["log_cs"])) * region_means, region_means
 
 
 def forward_batch(
-    feats: np.ndarray,
-    codebook: np.ndarray,
-    kind: str,
-    kp: KernelParams,
-    scaling: ScalingParams,
-    n_regions: int,
-    nested: bool = False,
+    feats: np.ndarray, params: dict[str, np.ndarray], cfg
 ) -> tuple[np.ndarray, BofContext]:
     """Pool a batch of equal-length sequences into temporal histograms.
 
     ``feats`` is (batch, n_steps, dim); the result is
-    (batch, n_regions * n_codewords), newest region first.
+    (batch, n_regions * n_codewords), newest region first. ``cfg`` (a
+    ``network.ModelConfig``) gives ``kernel``, ``n_regions`` and
+    ``nested_regions``.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3:
         raise ValueError(f"expected (batch, steps, dim) input, got shape {feats.shape}")
-    regions = segment(feats.shape[1], n_regions, nested)
-    k_mat, memberships = assign(feats, codebook, kind, kp, scaling)
-    hist, region_means = histogram(memberships.swapaxes(0, 1), regions, scaling)
+    regions = segment(feats.shape[1], cfg.n_regions, cfg.nested_regions)
+    k_mat, memberships = assign(feats, params, cfg.kernel)
+    hist, region_means = histogram(memberships.swapaxes(0, 1), regions, params)
     ctx = BofContext(
         feats=feats,
-        codebook=codebook,
-        kind=kind,
-        kp=kp,
-        scaling=scaling,
+        codebook=params["codebook"],
+        params=params,
+        kind=cfg.kernel,
         regions=regions,
         k_mat=k_mat,
         memberships=memberships,
@@ -229,19 +199,23 @@ def forward_batch(
     return hist, ctx
 
 
-def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
+def backward(
+    ctx: BofContext, upstream: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradients of a scalar loss given its gradient w.r.t. the histogram.
 
-    ``upstream`` matches the forward output shape. Returns gradients for
-    the input features, the codebook, both scale factors, and (logistic
-    kernel only) the kernel slope and offset.
+    ``upstream`` matches the forward output shape. Returns the gradient
+    for the input features and a name -> gradient dict: ``codebook``,
+    ``log_cu`` and ``log_cs`` (in log space), and for the logistic kernel
+    ``alpha`` and ``beta``.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     batch, n_steps, n_codewords = ctx.k_mat.shape
     if upstream.shape != (batch, len(ctx.regions) * n_codewords):
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected "
                          f"({batch}, {len(ctx.regions) * n_codewords})")
-    c_u, c_s = ctx.scaling.c_u, ctx.scaling.c_s
+    c_u = float(np.exp(ctx.params["log_cu"]))
+    c_s = float(np.exp(ctx.params["log_cs"]))
 
     # Undo the concatenation + per-region averaging; overlapping (nested)
     # regions accumulate additively.
@@ -265,33 +239,26 @@ def backward(ctx: BofContext, upstream: np.ndarray) -> BofGrads:
     # codebook gradients are one (K, B*N) x (B*N, D) product
     feats_rows = ctx.feats.reshape(-1, ctx.feats.shape[-1])
 
+    # the stored parameters are log c; chain through c = exp(log c)
+    grads = {"log_cu": np.array(dc_u * c_u), "log_cs": np.array(dc_s * c_s)}
     if ctx.kind == kernels.LOGISTIC:
+        alpha = float(ctx.params["alpha"])
         d_z = d_kk  # dL/dK * K * (1 - K), in place
         d_z *= 1.0 - ctx.k_mat
         d_feats = rows_matmul(d_z, ctx.codebook)
         # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(f * (d_z @ codebook))
-        d_alpha = float(2.0 * np.sum(ctx.feats * d_feats))
-        d_feats *= 2.0 * ctx.kp.alpha
-        d_codebook = d_z.reshape(-1, n_codewords).T @ feats_rows
-        d_codebook *= 2.0 * ctx.kp.alpha
-        d_beta = float(2.0 * np.sum(d_z))
+        grads["alpha"] = np.array(float(2.0 * np.sum(ctx.feats * d_feats)))
+        d_feats *= 2.0 * alpha
+        grads["codebook"] = d_z.reshape(-1, n_codewords).T @ feats_rows
+        grads["codebook"] *= 2.0 * alpha
+        grads["beta"] = np.array(float(2.0 * np.sum(d_z)))
     else:
         d_sq = d_kk  # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2))
-        d_sq *= -1.0 / (2.0 * ctx.kp.sigma**2)
+        d_sq *= -1.0 / (2.0 * float(ctx.params["sigma"]) ** 2)
         d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats
                          - rows_matmul(d_sq, ctx.codebook))
-        d_codebook = 2.0 * (
+        grads["codebook"] = 2.0 * (
             d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook
             - d_sq.reshape(-1, n_codewords).T @ feats_rows
         )
-        d_alpha = None
-        d_beta = None
-
-    return BofGrads(
-        feats=d_feats,
-        codebook=d_codebook,
-        c_u=dc_u,
-        c_s=dc_s,
-        alpha=d_alpha,
-        beta=d_beta,
-    )
+    return d_feats, grads

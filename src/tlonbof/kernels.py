@@ -18,21 +18,12 @@ taken in ``bof.backward``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import rows_matmul
 
 LOGISTIC = "logistic"
 GAUSSIAN = "gaussian"
-
-
-@dataclass
-class KernelParams:
-    alpha: float = 1.0
-    beta: float = 0.0
-    sigma: float | None = None  # Gaussian width, ignored by the logistic kernel
 
 
 def sigmoid(z):
@@ -62,18 +53,18 @@ def _check_dims(x, v):
     return x, v
 
 
-def logistic_kernel(x: np.ndarray, v: np.ndarray, p: KernelParams) -> float:
+def logistic_kernel(x: np.ndarray, v: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> float:
     """Rescaled logistic similarity, strictly inside (0, 1)."""
     x, v = _check_dims(x, v)
-    return float(sigmoid(2.0 * p.alpha * float(x @ v) + 2.0 * p.beta))
+    return float(sigmoid(2.0 * alpha * float(x @ v) + 2.0 * beta))
 
 
-def gaussian_kernel(x: np.ndarray, v: np.ndarray, p: KernelParams) -> float:
+def gaussian_kernel(x: np.ndarray, v: np.ndarray, sigma: float) -> float:
     x, v = _check_dims(x, v)
-    if p.sigma is None or p.sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {p.sigma}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     d2 = float(np.sum((x - v) ** 2))
-    return float(np.exp(-d2 / (2.0 * p.sigma**2)) / np.sqrt(2.0 * np.pi * p.sigma))
+    return float(np.exp(-d2 / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma))
 
 
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:

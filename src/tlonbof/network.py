@@ -11,9 +11,10 @@ Default architecture for 15-step windows of 144-dim feature vectors:
 A global-average-pooling variant ("cnn_gap") replaces the pooling layer
 with a timestep mean and serves as the ablation baseline. Parameters live
 in a flat name -> array dict so the optimizer, the checkpoint format and
-the gradient checks all see one enumeration. The two scale factors are
-stored in log space (keys ``log_cu``/``log_cs``) so they stay positive
-without projection; gradients are mapped accordingly.
+the gradient checks all see one enumeration; the pooling layer reads its
+parameters from it and returns its gradients under the same names. The two
+scale factors are stored in log space (keys ``log_cu``/``log_cs``) so they
+stay positive without projection, and their gradients are taken in log space.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bof, kernels
-from .bof import ScalingParams
 from .core import glorot_uniform, rows_matmul
-from .kernels import KernelParams
 
 ARCH_TLONBOF = "tlonbof"
 ARCH_CNN_GAP = "cnn_gap"
@@ -119,11 +118,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
         else:
             params[name] = np.zeros(shape)
     if cfg.arch == ARCH_TLONBOF:
-        # log_cu = log_cs = 0 already is c_u = c_s = 1, i.e. scaling off
+        # log_cu = log_cs = 0 already is c_u = c_s = 1, i.e. scaling off;
+        # the protocol init is c_u = mean sequence length, c_s = codebook size
         if cfg.adaptive_scaling != SCALING_OFF:
-            scaling = ScalingParams.protocol_init(cfg.n_codewords, cfg.avg_seq_len)
-            params["log_cu"] = np.array(np.log(scaling.c_u))
-            params["log_cs"] = np.array(np.log(scaling.c_s))
+            params["log_cu"] = np.array(np.log(float(cfg.avg_seq_len)))
+            params["log_cs"] = np.array(np.log(float(cfg.n_codewords)))
         if cfg.kernel == kernels.LOGISTIC:
             params["alpha"] = np.array(1.0)
         else:
@@ -144,16 +143,6 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
         if cfg.kernel_param_learning and cfg.kernel == kernels.LOGISTIC:
             names += ["alpha", "beta"]
     return names
-
-
-def _scaling_from(params: dict[str, np.ndarray]) -> ScalingParams:
-    return ScalingParams(c_u=float(np.exp(params["log_cu"])), c_s=float(np.exp(params["log_cs"])))
-
-
-def _kernel_params_from(params: dict[str, np.ndarray], cfg: ModelConfig) -> KernelParams:
-    if cfg.kernel == kernels.LOGISTIC:
-        return KernelParams(alpha=float(params["alpha"]), beta=float(params["beta"]))
-    return KernelParams(sigma=float(params["sigma"]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +257,7 @@ def forward_batch(
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
-        pooled, bof_ctx = bof.forward_batch(
-            feats,
-            params["codebook"],
-            cfg.kernel,
-            _kernel_params_from(params, cfg),
-            _scaling_from(params),
-            cfg.n_regions,
-            cfg.nested_regions,
-        )
+        pooled, bof_ctx = bof.forward_batch(feats, params, cfg)
     else:
         pooled = feats.mean(axis=1)
 
@@ -350,12 +331,9 @@ def forward_windows(
             at += len(table)
 
     if cfg.arch == ARCH_TLONBOF:
-        scaling = _scaling_from(params)
-        _, memberships = bof.assign(
-            feats, params["codebook"], cfg.kernel, _kernel_params_from(params, cfg), scaling
-        )
+        _, memberships = bof.assign(feats, params, cfg.kernel)
         regions = bof.segment(n_steps, cfg.n_regions, cfg.nested_regions)
-        pooled, _ = bof.histogram([memberships[i : i + batch] for i in base], regions, scaling)
+        pooled, _ = bof.histogram([memberships[i : i + batch] for i in base], regions, params)
     else:
         pooled = np.stack([feats[i : i + batch] for i in base], axis=1).mean(axis=1)
     return _head(pooled, params)[3]
@@ -395,16 +373,8 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
     d_pooled = d_fc1_pre @ params["fc1_w"].T
 
     if cfg.arch == ARCH_TLONBOF:
-        bg = bof.backward(ctx.bof_ctx, d_pooled)
-        d_feats = bg.feats
-        grads["codebook"] = bg.codebook
-        scaling = ctx.bof_ctx.scaling
-        # Stored parameters are log(c); chain through c = exp(log c).
-        grads["log_cu"] = np.array(bg.c_u * scaling.c_u)
-        grads["log_cs"] = np.array(bg.c_s * scaling.c_s)
-        if bg.alpha is not None:
-            grads["alpha"] = np.array(bg.alpha)
-            grads["beta"] = np.array(bg.beta)
+        d_feats, bof_grads = bof.backward(ctx.bof_ctx, d_pooled)
+        grads.update(bof_grads)
     else:
         n = ctx.feats.shape[1]
         d_feats = np.broadcast_to(d_pooled[:, None, :] / n, ctx.feats.shape).copy()

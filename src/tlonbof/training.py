@@ -156,7 +156,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_good)
             grads = network.backward_batch(ctx, y)
-            updates = {k: grads[k] for k in trainable if k in grads}
+            updates = {k: grads[k] for k in trainable}
             adam_step(params, updates, state)
             for k in ("log_cu", "log_cs"):
                 if k in params and params[k] < LOG_SCALE_FLOOR:
@@ -368,6 +368,9 @@ def deserialize_checkpoint(blob: bytes):
             if name in params and not 0.0 < np.exp(params[name]) < np.inf:
                 raise FormatError(f"checkpoint tensor {name} = {float(params[name])!r} "
                                   "gives a scale factor of 0 or inf")
+    # the Gaussian kernel divides by sigma
+    if "sigma" in params and not params["sigma"] > 0.0:
+        raise FormatError(f"checkpoint tensor sigma = {float(params['sigma'])!r} is not positive")
     if not (adam_scalar or adam_m or adam_v):
         return params, cfg, None
     _check_tensor_set("adam.", adam_scalar, dict.fromkeys(("t", "lr", "beta1", "beta2", "eps"), ()))

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
 from tlonbof import bof, cli, data, kernels, metrics, network, training
-from tlonbof.bof import KernelParams, ScalingParams
 from tlonbof.config import RunConfig
 from tlonbof.core import finite_diff_grad, relative_error
 from tlonbof.training import AdamState, adam_step
@@ -78,24 +77,27 @@ def _random_bof_case(seed, min_regions=1):
     d = int(rng.integers(2, 7))
     k = int(rng.integers(2, 9))
     kind = kernels.LOGISTIC if seed % 2 else kernels.GAUSSIAN
-    kp = KernelParams(alpha=rng.uniform(0.5, 1.5), beta=0.3 * rng.normal(),
-                      sigma=rng.uniform(0.6, 1.6))
-    sp = ScalingParams(c_u=rng.uniform(0.5, 3.0), c_s=rng.uniform(0.5, 3.0))
+    params = {"alpha": rng.uniform(0.5, 1.5), "beta": 0.3 * rng.normal(),
+              "sigma": rng.uniform(0.6, 1.6)}
+    # the layer stores the scales as their logs
+    params["log_cu"] = np.log(rng.uniform(0.5, 3.0))
+    params["log_cs"] = np.log(rng.uniform(0.5, 3.0))
     feats = rng.normal(size=(n, d))
-    codebook = rng.normal(size=(k, d))
-    return feats, codebook, kind, kp, sp, nt
+    params["codebook"] = rng.normal(size=(k, d))
+    return feats, params, network.ModelConfig(kernel=kind, n_regions=nt)
 
 
 def test_criterion_02_normalization_invariants():
     """Rows carry mass c_u, histogram segments mass c_s * c_u."""
     worst_row = worst_seg = 0.0
     for seed in range(1000):
-        feats, codebook, kind, kp, sp, nt = _random_bof_case(seed)
-        hist, ctx = bof.forward_batch(feats[None], codebook, kind, kp, sp, nt)
+        feats, params, cfg = _random_bof_case(seed)
+        c_u, c_s = float(np.exp(params["log_cu"])), float(np.exp(params["log_cs"]))
+        hist, ctx = bof.forward_batch(feats[None], params, cfg)
         row_sums = ctx.memberships[0].sum(axis=-1)
-        worst_row = max(worst_row, float(np.max(np.abs(row_sums - sp.c_u)) / sp.c_u))
-        seg_sums = hist[0].reshape(nt, -1).sum(axis=1)
-        target = sp.c_s * sp.c_u
+        worst_row = max(worst_row, float(np.max(np.abs(row_sums - c_u)) / c_u))
+        seg_sums = hist[0].reshape(cfg.n_regions, -1).sum(axis=1)
+        target = c_s * c_u
         worst_seg = max(worst_seg, float(np.max(np.abs(seg_sums - target)) / target))
     record(2, "1000 forwards: row sums equal c_u, segment sums equal c_s*c_u",
            worst_row < 1e-9 and worst_seg < 1e-9,
@@ -105,16 +107,17 @@ def test_criterion_02_normalization_invariants():
 def test_criterion_03_temporal_semantics():
     ok_perm = ok_swap = 0
     for seed in range(100):
-        feats, codebook, kind, kp, sp, nt = _random_bof_case(5000 + seed, min_regions=2)
+        feats, params, cfg = _random_bof_case(5000 + seed, min_regions=2)
+        nt = cfg.n_regions
         regions = bof.segment(len(feats), nt)
-        base, _ = bof.forward_batch(feats[None], codebook, kind, kp, sp, nt)
+        base, _ = bof.forward_batch(feats[None], params, cfg)
 
         rng = np.random.default_rng(9000 + seed)
         a, b = regions[int(rng.integers(0, nt))]
         perm = a + rng.permutation(b - a)
         shuffled = feats.copy()
         shuffled[a:b] = feats[perm]
-        permuted, _ = bof.forward_batch(shuffled[None], codebook, kind, kp, sp, nt)
+        permuted, _ = bof.forward_batch(shuffled[None], params, cfg)
         ok_perm += int(np.array_equal(base, permuted))
 
         ri, rj = rng.choice(nt, size=2, replace=False)
@@ -123,7 +126,7 @@ def test_criterion_03_temporal_semantics():
         j = int(rng.integers(a2, b2))
         swapped = feats.copy()
         swapped[[i, j]] = feats[[j, i]]
-        crossed, _ = bof.forward_batch(swapped[None], codebook, kind, kp, sp, nt)
+        crossed, _ = bof.forward_batch(swapped[None], params, cfg)
         ok_swap += int(not np.array_equal(base, crossed))
     record(3, "within-region permutations bit-identical, cross-region swaps visible",
            ok_perm == 100 and ok_swap == 100,
@@ -155,8 +158,10 @@ def test_criterion_04_classical_bof_degeneracy():
                 direct[j] += kv[j] / total / n
         direct = np.array(direct)
 
-        hist, _ = bof.forward_batch(feats[None], codebook, kernels.GAUSSIAN,
-                                    KernelParams(sigma=sigma), ScalingParams(1.0, 1.0), 1)
+        # log c = 0 is c_u = c_s = 1
+        params = {"codebook": codebook, "log_cu": 0.0, "log_cs": 0.0, "sigma": sigma}
+        hist, _ = bof.forward_batch(feats[None], params,
+                                    network.ModelConfig(kernel=kernels.GAUSSIAN, n_regions=1))
         worst = max(worst, float(np.max(np.abs(hist[0] - direct))))
     record(4, "classical-BoF output matches a direct transcription at 1e-12",
            worst < 1e-12, f"100 instances, worst abs diff {worst:.1e}")

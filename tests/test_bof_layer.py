@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from tlonbof import bof, kernels
-from tlonbof.bof import ScalingParams, forward_batch, segment
+from tlonbof import bof, kernels, network
+from tlonbof.bof import forward_batch, segment
 from tlonbof.core import finite_diff_grad, relative_error
-from tlonbof.kernels import KernelParams
+
+
+def _params(codebook, c_u=1.0, c_s=1.0, alpha=1.0, beta=0.0, sigma=None):
+    """The layer's entries of a model params dict; the scales are stored as their logs."""
+    return {"codebook": codebook, "log_cu": np.log(c_u), "log_cs": np.log(c_s),
+            "alpha": alpha, "beta": beta, "sigma": sigma}
+
+
+def _cfg(kind=kernels.LOGISTIC, n_regions=3, nested=False):
+    return network.ModelConfig(kernel=kind, n_regions=n_regions, nested_regions=nested)
 
 
 def test_segment_fifteen_into_three():
@@ -45,8 +54,7 @@ def test_soft_assign_rows_sum_to_cu():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(9, 4))
     codebook = rng.normal(size=(5, 4))
-    sp = ScalingParams(c_u=7.5, c_s=2.0)
-    _, ctx = forward_batch(feats[None], codebook, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+    _, ctx = forward_batch(feats[None], _params(codebook, c_u=7.5, c_s=2.0), _cfg(n_regions=3))
     u = ctx.memberships[0]
     assert u.shape == (9, 5)
     assert np.allclose(u.sum(axis=1), 7.5, rtol=1e-12)
@@ -56,8 +64,8 @@ def test_soft_assign_rows_sum_to_cu():
 def test_soft_assign_single_codeword_saturates():
     # with one codeword the normalization forces every row to c_u exactly
     rng = np.random.default_rng(1)
-    _, ctx = forward_batch(rng.normal(size=(1, 6, 3)), rng.normal(size=(1, 3)),
-                           kernels.LOGISTIC, KernelParams(), ScalingParams(c_u=3.0), n_regions=1)
+    _, ctx = forward_batch(rng.normal(size=(1, 6, 3)), _params(rng.normal(size=(1, 3)), c_u=3.0),
+                           _cfg(n_regions=1))
     assert np.allclose(ctx.memberships, 3.0, rtol=1e-15)
 
 
@@ -66,8 +74,8 @@ def test_accumulate_is_scaled_column_mean():
     # two unit codewords give memberships [[1, 3], [3, 1], [2, 2]] at c_u = 4
     ln3 = np.log(3.0)
     feats = np.array([[[-ln3, ln3], [ln3, -ln3], [0.0, 0.0]]])
-    s, ctx = forward_batch(feats, np.eye(2), kernels.LOGISTIC, KernelParams(alpha=0.5),
-                           ScalingParams(c_u=4.0, c_s=5.0), n_regions=1)
+    s, ctx = forward_batch(feats, _params(np.eye(2), c_u=4.0, c_s=5.0, alpha=0.5),
+                           _cfg(n_regions=1))
     assert np.allclose(ctx.memberships[0], [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
     assert np.allclose(s[0], [10.0, 10.0])
     assert s.sum() == pytest.approx(5.0 * 4.0)  # c_s * c_u
@@ -77,30 +85,40 @@ def _random_case(seed, n=9, d=4, k=5, kind=kernels.LOGISTIC, nt=3, nested=False)
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))
     codebook = rng.normal(size=(k, d))
-    kp = KernelParams(alpha=0.5 + rng.uniform(0.0, 1.0), beta=0.3 * rng.normal(),
-                      sigma=0.8 + rng.uniform(0.0, 1.0))
-    sp = ScalingParams(c_u=0.5 + 2 * rng.uniform(0.0, 1.0), c_s=0.5 + 2 * rng.uniform(0.0, 1.0))
-    return feats, codebook, kind, kp, sp, nt, nested
+    alpha, beta = 0.5 + rng.uniform(0.0, 1.0), 0.3 * rng.normal()
+    sigma = 0.8 + rng.uniform(0.0, 1.0)
+    c_u, c_s = 0.5 + 2 * rng.uniform(0.0, 1.0), 0.5 + 2 * rng.uniform(0.0, 1.0)
+    params = _params(codebook, c_u=c_u, c_s=c_s, alpha=alpha, beta=beta, sigma=sigma)
+    return feats, params, _cfg(kind, nt, nested)
+
+
+def _scales(params):
+    """c_u and c_s as the layer computes them from their logs."""
+    return float(np.exp(params["log_cu"])), float(np.exp(params["log_cs"]))
 
 
 def test_histogram_mass_conservation():
     # every region segment sums to c_s * c_u, for both kernels
     for seed in range(50):
         kind = kernels.LOGISTIC if seed % 2 else kernels.GAUSSIAN
-        feats, cb, kind, kp, sp, nt, nested = _random_case(seed, kind=kind)
-        hist, _ = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt)
+        feats, params, cfg = _random_case(seed, kind=kind)
+        cb, nt = params["codebook"], cfg.n_regions
+        c_u, c_s = _scales(params)
+        hist, _ = forward_batch(feats[None], params, cfg)
         assert hist.shape == (1, nt * cb.shape[0])
         for r in range(nt):
             seg = hist[0, r * cb.shape[0] : (r + 1) * cb.shape[0]]
-            assert abs(seg.sum() - sp.c_s * sp.c_u) / (sp.c_s * sp.c_u) < 1e-9
+            assert abs(seg.sum() - c_s * c_u) / (c_s * c_u) < 1e-9
 
 
 def test_brute_force_oracle():
     """Compare against a direct per-element transcription of the math."""
     for seed in range(30):
-        feats, cb, kind, kp, sp, nt, _ = _random_case(seed)
+        feats, params, cfg = _random_case(seed)
+        cb, nt = params["codebook"], cfg.n_regions
+        c_u, c_s = _scales(params)
         n, k = feats.shape[0], cb.shape[0]
-        hist, _ = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt)
+        hist, _ = forward_batch(feats[None], params, cfg)
         regions = segment(n, nt)
         expected = []
         for start, stop in reversed(regions):  # newest first in the output
@@ -108,10 +126,11 @@ def test_brute_force_oracle():
             u = np.zeros((len(block), k))
             for j, x in enumerate(block):
                 sims = np.array([
-                    kernels.logistic_kernel(x, cb[m], kp) for m in range(k)
+                    kernels.logistic_kernel(x, cb[m], params["alpha"], params["beta"])
+                    for m in range(k)
                 ])
-                u[j] = sp.c_u * sims / sims.sum()
-            expected.append(sp.c_s * u.mean(axis=0))
+                u[j] = c_u * sims / sims.sum()
+            expected.append(c_s * u.mean(axis=0))
         assert relative_error(hist[0], np.concatenate(expected)) < 1e-12
 
 
@@ -119,9 +138,8 @@ def test_output_order_is_newest_region_first():
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(9, 3))
     cb = rng.normal(size=(4, 3))
-    sp = ScalingParams()
-    hist, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
-    solo, _ = forward_batch(feats[None, 6:9], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=1)
+    hist, _ = forward_batch(feats[None], _params(cb), _cfg(n_regions=3))
+    solo, _ = forward_batch(feats[None, 6:9], _params(cb), _cfg(n_regions=1))
     assert np.array_equal(hist[0, :4], solo[0])
 
 
@@ -131,12 +149,12 @@ def test_within_region_permutation_invariance():
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
-        sp = ScalingParams(c_u=1.7, c_s=2.2)
-        base, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        params = _params(cb, c_u=1.7, c_s=2.2)
+        base, _ = forward_batch(feats[None], params, _cfg(n_regions=3))
         shuffled = feats.copy()
         for start, stop in segment(9, 3):
             shuffled[start:stop] = shuffled[start:stop][rng.permutation(stop - start)]
-        out, _ = forward_batch(shuffled[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        out, _ = forward_batch(shuffled[None], params, _cfg(n_regions=3))
         assert np.array_equal(base, out)  # bit-identical, same additions
 
 
@@ -146,11 +164,10 @@ def test_cross_region_swap_changes_output():
         rng = np.random.default_rng(seed + 500)
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
-        sp = ScalingParams()
-        base, _ = forward_batch(feats[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        base, _ = forward_batch(feats[None], _params(cb), _cfg(n_regions=3))
         swapped = feats.copy()
         swapped[[0, 8]] = swapped[[8, 0]]  # oldest <-> newest region
-        out, _ = forward_batch(swapped[None], cb, kernels.LOGISTIC, KernelParams(), sp, n_regions=3)
+        out, _ = forward_batch(swapped[None], _params(cb), _cfg(n_regions=3))
         if not np.array_equal(base, out):
             changed += 1
     assert changed == 100
@@ -163,8 +180,8 @@ def test_classical_bof_degeneracy():
         feats = rng.normal(size=(7, 3))
         cb = rng.normal(size=(4, 3))
         sigma = 0.7 + rng.uniform(0.0, 1.0)
-        hist, _ = forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=sigma),
-                                ScalingParams(), n_regions=1)
+        hist, _ = forward_batch(feats[None], _params(cb, sigma=sigma),
+                                _cfg(kernels.GAUSSIAN, n_regions=1))
         # direct transcription: normalized Gaussian memberships, then average
         prefactor = 1.0 / np.sqrt(2.0 * np.pi * sigma)
         expected = np.zeros(4)
@@ -180,11 +197,10 @@ def test_batch_forward_matches_single():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 9, 4))
     cb = rng.normal(size=(6, 4))
-    kp = KernelParams(alpha=0.9, beta=0.1)
-    sp = ScalingParams(c_u=2.0, c_s=3.0)
-    batch, _ = forward_batch(x, cb, kernels.LOGISTIC, kp, sp, n_regions=3)
+    params = _params(cb, c_u=2.0, c_s=3.0, alpha=0.9, beta=0.1)
+    batch, _ = forward_batch(x, params, _cfg(n_regions=3))
     for b in range(5):
-        single, _ = forward_batch(x[b : b + 1], cb, kernels.LOGISTIC, kp, sp, n_regions=3)
+        single, _ = forward_batch(x[b : b + 1], params, _cfg(n_regions=3))
         assert np.array_equal(batch[b], single[0])
 
 
@@ -197,44 +213,28 @@ def test_batch_forward_matches_single():
 ])
 def test_backward_matches_finite_differences(kind, nt, nested):
     for seed in range(10):
-        feats, cb, kind_, kp, sp, _, _ = _random_case(seed, kind=kind)
+        feats, params, cfg = _random_case(seed, kind=kind, nt=nt, nested=nested)
         rng = np.random.default_rng(seed + 999)
-        upstream = rng.normal(size=nt * cb.shape[0])
+        upstream = rng.normal(size=nt * params["codebook"].shape[0])
 
-        def value(f, c, cu, cs):
-            spx = ScalingParams(c_u=float(cu), c_s=float(cs))
-            h, _ = forward_batch(f[None], c, kind, kp, spx, n_regions=nt, nested=nested)
+        def value(f, **entries):
+            h, _ = forward_batch(f[None], {**params, **entries}, cfg)
             return float(h[0] @ upstream)
 
-        _, ctx = forward_batch(feats[None], cb, kind, kp, sp, n_regions=nt, nested=nested)
-        g = bof.backward(ctx, upstream[None])
+        _, ctx = forward_batch(feats[None], params, cfg)
+        d_feats, g = bof.backward(ctx, upstream[None])
 
-        fd_f = finite_diff_grad(
-            lambda v: value(v.reshape(feats.shape), cb, sp.c_u, sp.c_s), feats.copy()
-        )
-        fd_c = finite_diff_grad(
-            lambda v: value(feats, v.reshape(cb.shape), sp.c_u, sp.c_s), cb.copy()
-        )
-        fd_cu = finite_diff_grad(
-            lambda v: value(feats, cb, float(v), sp.c_s), np.array(sp.c_u)
-        )
-        fd_cs = finite_diff_grad(
-            lambda v: value(feats, cb, sp.c_u, float(v)), np.array(sp.c_s)
-        )
-        assert relative_error(g.feats[0].ravel(), fd_f.ravel()) < 1e-7
-        assert relative_error(g.codebook.ravel(), fd_c.ravel()) < 1e-7
-        assert relative_error(np.atleast_1d(g.c_u), np.atleast_1d(fd_cu)) < 1e-7
-        assert relative_error(np.atleast_1d(g.c_s), np.atleast_1d(fd_cs)) < 1e-7
+        fd_f = finite_diff_grad(lambda v: value(v.reshape(feats.shape)), feats.copy())
+        assert relative_error(d_feats[0].ravel(), fd_f.ravel()) < 1e-7
+        # the scales' gradients are taken in log space, as the model stores them
+        names = ["codebook", "log_cu", "log_cs"]
         if kind == kernels.LOGISTIC:
-            def value_ab(a, b):
-                kpx = KernelParams(alpha=float(a), beta=float(b), sigma=kp.sigma)
-                h, _ = forward_batch(feats[None], cb, kind, kpx, sp, n_regions=nt, nested=nested)
-                return float(h[0] @ upstream)
-
-            fd_a = finite_diff_grad(lambda v: value_ab(float(v), kp.beta), np.array(kp.alpha))
-            fd_b = finite_diff_grad(lambda v: value_ab(kp.alpha, float(v)), np.array(kp.beta))
-            assert relative_error(np.atleast_1d(g.alpha), np.atleast_1d(fd_a)) < 1e-7
-            assert relative_error(np.atleast_1d(g.beta), np.atleast_1d(fd_b)) < 1e-7
+            names += ["alpha", "beta"]
+        assert sorted(g) == sorted(names)
+        for name in names:
+            start = np.array(params[name], dtype=np.float64)
+            fd = finite_diff_grad(lambda v, n=name: value(feats, **{n: v}), start)
+            assert relative_error(g[name].ravel(), fd.ravel()) < 1e-7, name
 
 
 def test_zero_row_sum_raises():
@@ -242,8 +242,7 @@ def test_zero_row_sum_raises():
     feats = np.full((3, 2), 100.0)
     cb = np.full((1, 2), -100.0)
     with pytest.raises(bof.NumericError):
-        forward_batch(feats[None], cb, kernels.GAUSSIAN, KernelParams(sigma=0.01),
-                      ScalingParams(), n_regions=1)
+        forward_batch(feats[None], _params(cb, sigma=0.01), _cfg(kernels.GAUSSIAN, n_regions=1))
 
 
 # ties, both zeros, subnormals, values next to 1 and ordinary draws
@@ -280,20 +279,17 @@ def test_backward_matches_the_stacked_form(kind, monkeypatch):
     rng = np.random.default_rng(8)
     feats = np.maximum(rng.normal(size=(6, 15, 256)), 0.0)
     cb = rng.normal(size=(256, 256))
-    kp = KernelParams(alpha=0.03, beta=-0.2, sigma=12.0)
-    sp = ScalingParams(c_u=15.0, c_s=256.0)
+    params = _params(cb, c_u=15.0, c_s=256.0, alpha=0.03, beta=-0.2, sigma=12.0)
     upstream = rng.normal(size=(6, 3 * 256))
-    _, ctx = forward_batch(feats, cb, kind, kp, sp, n_regions=3)
-    got = bof.backward(ctx, upstream)
+    _, ctx = forward_batch(feats, params, _cfg(kind, n_regions=3))
+    got_feats, got = bof.backward(ctx, upstream)
     # the form before flattening: numpy's stacked product, one GEMM per window
     monkeypatch.setattr(bof, "rows_matmul", np.matmul)
-    _, ctx = forward_batch(feats, cb, kind, kp, sp, n_regions=3)
-    want = bof.backward(ctx, upstream)
-    for name in ("feats", "codebook", "c_u", "c_s", "alpha", "beta"):
-        a, b = getattr(got, name), getattr(want, name)
-        if a is None:  # no kernel slope or offset for the Gaussian kernel
-            assert b is None
-            continue
+    _, ctx = forward_batch(feats, params, _cfg(kind, n_regions=3))
+    want_feats, want = bof.backward(ctx, upstream)
+    # no kernel slope or offset for the Gaussian kernel
+    assert got.keys() == want.keys()
+    for name, a, b in [("feats", got_feats, want_feats)] + [(k, got[k], want[k]) for k in got]:
         # BLAS may round the flattened products differently in the last bit,
         # and the scalar gradients sum thousands of such terms of both signs
         assert relative_error(a, b) < 1e-13, name

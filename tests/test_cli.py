@@ -329,6 +329,21 @@ def test_eval_non_finite_checkpoint_exit_1(tmp_path, capsys):
     assert "fc1_w" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_eval_non_positive_sigma_checkpoint_exit_1(tmp_path, capsys, sigma):
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6,
+                              kernel="gaussian")
+    params = network.init_params(cfg, np.random.default_rng(0))
+    params["sigma"] = np.array(sigma)
+    model = tmp_path / "sigma.tlnb"
+    training.save_checkpoint(model, params, cfg)
+    assert main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
+                 "--report", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma" in err and "Traceback" not in err
+
+
 def test_eval_missing_model_is_usage_error(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
     missing = str(tmp_path / "nope.tlnb")

@@ -3,7 +3,6 @@ import pytest
 
 from tlonbof import bof, kernels
 from tlonbof.core import relative_error
-from tlonbof.kernels import KernelParams
 
 SIGM_2 = 0.8807970779778823  # 1 / (1 + e^-2)
 GAUSS_PEAK = 0.3989422804014327  # 1 / sqrt(2*pi), sigma = 1
@@ -13,59 +12,56 @@ GAUSS_D2_2 = 0.14676266317373993  # peak * exp(-1)
 def test_logistic_known_value():
     x = np.array([1.0, 0.0])
     v = np.array([1.0, 0.0])
-    assert kernels.logistic_kernel(x, v, KernelParams()) == pytest.approx(SIGM_2, abs=1e-15)
+    assert kernels.logistic_kernel(x, v) == pytest.approx(SIGM_2, abs=1e-15)
 
 
 def test_logistic_equals_shifted_tanh():
     # sigm(2z) and (tanh(z) + 1) / 2 are the same function
     rng = np.random.default_rng(0)
-    p = KernelParams(alpha=0.7, beta=-0.3)
+    alpha, beta = 0.7, -0.3
     for _ in range(200):
         x, v = rng.normal(size=3), rng.normal(size=3)
-        z = p.alpha * float(x @ v) + p.beta
-        assert kernels.logistic_kernel(x, v, p) == pytest.approx(
+        z = alpha * float(x @ v) + beta
+        assert kernels.logistic_kernel(x, v, alpha, beta) == pytest.approx(
             0.5 * (np.tanh(z) + 1.0), abs=1e-12
         )
 
 
 def test_logistic_range_and_extremes():
-    p = KernelParams()
     big = np.array([1e4]), np.array([1e4])
     small = np.array([1e4]), np.array([-1e4])
-    assert kernels.logistic_kernel(*big, p) == pytest.approx(1.0)
-    assert kernels.logistic_kernel(*small, p) == pytest.approx(0.0)
+    assert kernels.logistic_kernel(*big) == pytest.approx(1.0)
+    assert kernels.logistic_kernel(*small) == pytest.approx(0.0)
     # extreme negative input must not overflow in exp
     assert np.isfinite(kernels.sigmoid(np.array([-1e6, 1e6]))).all()
 
 
 def test_gaussian_known_values():
-    p = KernelParams(sigma=1.0)
     x = np.array([0.5, 0.5])
-    assert kernels.gaussian_kernel(x, x, p) == pytest.approx(GAUSS_PEAK, abs=1e-15)
+    assert kernels.gaussian_kernel(x, x, sigma=1.0) == pytest.approx(GAUSS_PEAK, abs=1e-15)
     v = x + np.array([1.0, 1.0])  # squared distance 2
-    assert kernels.gaussian_kernel(x, v, p) == pytest.approx(GAUSS_D2_2, abs=1e-15)
+    assert kernels.gaussian_kernel(x, v, sigma=1.0) == pytest.approx(GAUSS_D2_2, abs=1e-15)
 
 
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        kernels.gaussian_kernel(np.ones(2), np.ones(2), KernelParams(sigma=0.0))
+        kernels.gaussian_kernel(np.ones(2), np.ones(2), sigma=0.0)
 
 
 def test_matrix_forms_match_scalar_kernels():
     rng = np.random.default_rng(5)
     feats = rng.normal(size=(6, 3))
     codebook = rng.normal(size=(4, 3))
-    lm = bof._kernel_matrix(feats, codebook, kernels.LOGISTIC, KernelParams(alpha=0.8, beta=0.1))
+    params = {"codebook": codebook, "alpha": 0.8, "beta": 0.1}
+    lm = bof._kernel_matrix(feats, params, kernels.LOGISTIC)
     gm = kernels.gaussian_matrix(feats, codebook, sigma=0.9)
-    pl = KernelParams(alpha=0.8, beta=0.1)
-    pg = KernelParams(sigma=0.9)
     for i in range(6):
         for k in range(4):
             assert lm[i, k] == pytest.approx(
-                kernels.logistic_kernel(feats[i], codebook[k], pl), abs=1e-12
+                kernels.logistic_kernel(feats[i], codebook[k], alpha=0.8, beta=0.1), abs=1e-12
             )
             assert gm[i, k] == pytest.approx(
-                kernels.gaussian_kernel(feats[i], codebook[k], pg), abs=1e-12
+                kernels.gaussian_kernel(feats[i], codebook[k], sigma=0.9), abs=1e-12
             )
 
 
@@ -102,15 +98,17 @@ def test_sigmoid_is_bitwise_the_masked_form():
     assert np.isnan(kernels.sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
-def _stacked_kernel_matrix(feats, codebook, kind, kp):
+def _stacked_kernel_matrix(feats, params, kind):
     # the kernel matrices as the package built them before, from the stacked
     # product feats @ codebook.T (one small GEMM per window)
+    codebook = params["codebook"]
     dots = feats @ codebook.T
     if kind == kernels.LOGISTIC:
-        return kernels.sigmoid(2.0 * kp.alpha * dots + 2.0 * kp.beta)
+        return kernels.sigmoid(2.0 * params["alpha"] * dots + 2.0 * params["beta"])
+    sigma = params["sigma"]
     sq = np.sum(feats**2, axis=-1)[..., None] - 2.0 * dots + np.sum(codebook**2, axis=-1)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * kp.sigma**2)) / np.sqrt(2.0 * np.pi * kp.sigma)
+    return np.exp(-sq / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma)
 
 
 # (batch, steps, dim, codewords): the paper's geometry, windows of one and
@@ -132,7 +130,7 @@ def test_kernel_matrices_match_the_stacked_products(kind, batch, n_steps, dim, n
     rng = np.random.default_rng(batch * 100 + n_steps)
     feats = np.maximum(rng.normal(size=(batch, n_steps, dim)), 0.0)
     codebook = rng.normal(size=(n_codewords, dim))
-    kp = KernelParams(alpha=0.03, beta=-0.2, sigma=12.0)
-    got = bof._kernel_matrix(feats, codebook, kind, kp)
-    want = _stacked_kernel_matrix(feats, codebook, kind, kp)
+    params = {"codebook": codebook, "alpha": 0.03, "beta": -0.2, "sigma": 12.0}
+    got = bof._kernel_matrix(feats, params, kind)
+    want = _stacked_kernel_matrix(feats, params, kind)
     assert relative_error(got.ravel(), want.ravel()) < 1e-15

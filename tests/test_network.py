@@ -255,6 +255,25 @@ def test_model_gradients_match_finite_differences(overrides):
             assert err < 1e-6 or gap < 1e-9, f"{name}: rel {err:.2e}, abs {gap:.2e}"
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"kernel": kernels.GAUSSIAN},
+    {"deep_features": False},
+    {"arch": network.ARCH_CNN_GAP},
+    {"nested_regions": True},
+    {"adaptive_scaling": network.SCALING_OFF},
+])
+def test_backward_returns_one_gradient_per_parameter_but_sigma(overrides):
+    # a misnamed or extra key would escape the finite-difference checks,
+    # which only look up the trainable names
+    cfg = tiny_config(**overrides)
+    params, _, ctx = draw_instance(cfg, seed=0, sigma=1.0)
+    grads = network.backward_batch(ctx, np.array([0]))
+    assert grads.keys() == network.param_shapes(cfg).keys() - {"sigma"}
+    for name, g in grads.items():
+        assert np.shape(g) == params[name].shape, name
+
+
 def test_batch_forward_matches_single_sample():
     cfg = tiny_config()
     params = network.init_params(cfg, np.random.default_rng(5))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tlonbof import cli, config, data, network, training  # noqa: E402
@@ -221,6 +221,12 @@ def _valid_checkpoint(kernel: str) -> bytes:
 VALID_CHECKPOINTS = [_valid_checkpoint("logistic"), _valid_checkpoint("gaussian")]
 
 
+def _with_sigma(blob: bytes, value: float) -> bytes:
+    """``blob`` with the payload of its rank-0 ``sigma`` tensor set to ``value``."""
+    at = blob.index(b"sigma\x00") + len(b"sigma\x00")
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4 :]
+
+
 def check_checkpoint(blob: bytes):
     try:
         params, cfg, state = training.deserialize_checkpoint(blob)
@@ -231,6 +237,8 @@ def check_checkpoint(blob: bytes):
     with np.errstate(over="ignore"):
         scales = [np.exp(params[k]) for k in ("log_cu", "log_cs") if k in params]
     assert all(0.0 < c < np.inf for c in scales)
+    if "sigma" in params:
+        assert params["sigma"] > 0
     if state is not None:
         assert set(state.m) == set(state.v) == set(network.trainable_names(cfg))
         assert all(np.isfinite(v).all() for v in [*state.m.values(), *state.v.values()])
@@ -245,6 +253,8 @@ def test_checkpoint_arbitrary_bytes(blob):
 
 @given(st.sampled_from(VALID_CHECKPOINTS).flatmap(
     lambda valid: mutated(valid, F32_TOKENS + U32_TOKENS)))
+@example(_with_sigma(VALID_CHECKPOINTS[1], 0.0))
+@example(_with_sigma(VALID_CHECKPOINTS[1], -800.0))
 def test_checkpoint_mutations(blob):
     check_checkpoint(blob)
 

@@ -411,6 +411,15 @@ def test_serialize_keeps_the_float32_maximum():
     assert (loaded["fc2_b"] == training.F32_MAX).all()
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0])
+def test_checkpoint_non_positive_sigma_is_format_error(sigma):
+    cfg = replace(LAYOUT_CFG, kernel="gaussian")
+    params = network.init_params(cfg, np.random.default_rng(0))
+    params["sigma"] = np.array(sigma)
+    with pytest.raises(FormatError, match="sigma"):
+        training.deserialize_checkpoint(training.serialize_checkpoint(params, cfg))
+
+
 def test_checkpoint_floored_scale_factor_loads():
     # f32 storage rounds a floored log scale to just below LOG_SCALE_FLOOR
     params, _, _ = training.deserialize_checkpoint(
