@@ -37,7 +37,7 @@ _configure_threads()
 # the submodules import numpy, so they come after the caps
 from .bof import forward_batch as bof_forward_batch, segment
 from .config import RunConfig, load_run_config, save_run_config
-from .core import finite_diff_grad, glorot_uniform, relative_error
+from .core import glorot_uniform
 from .data import (
     DOWN,
     STATIONARY,
@@ -46,15 +46,12 @@ from .data import (
     FoldSpec,
     WindowDataset,
     anchored_folds,
-    label_sample,
     load_feature_csv,
     load_feature_dir,
     synth_generate,
-    windowize,
     write_feature_csv,
 )
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
-from .kernels import gaussian_kernel, logistic_kernel
 from .metrics import cohens_kappa, confusion, macro_prf
 from .network import ModelConfig, init_params
 from .training import (
@@ -91,24 +88,18 @@ __all__ = [
     "bof_forward_batch",
     "cohens_kappa",
     "confusion",
-    "finite_diff_grad",
-    "gaussian_kernel",
     "glorot_uniform",
     "init_adam",
     "init_params",
-    "label_sample",
     "load_checkpoint",
     "load_feature_csv",
     "load_feature_dir",
     "load_run_config",
-    "logistic_kernel",
     "macro_prf",
-    "relative_error",
     "save_checkpoint",
     "save_run_config",
     "segment",
     "synth_generate",
     "train",
-    "windowize",
     "write_feature_csv",
 ]

@@ -253,7 +253,9 @@ def backward(
         grads["codebook"] *= 2.0 * alpha
         grads["beta"] = np.array(float(2.0 * np.sum(d_z)))
     else:
-        d_sq = d_kk  # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2))
+        # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2)); the
+        # row maximum that K was divided by cancels in U, so it takes none
+        d_sq = d_kk
         d_sq *= -1.0 / (2.0 * float(ctx.params["sigma"]) ** 2)
         d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats
                          - rows_matmul(d_sq, ctx.codebook))

@@ -1,18 +1,16 @@
-"""Numeric substrate: initialization, the stacked matrix product, gradient oracle.
+"""Numeric substrate: initialization and the stacked matrix product.
 
 All training math in this package runs in float64; tensors are plain
-C-contiguous numpy arrays. The finite-difference routine here is the
-independent oracle every analytic gradient in the package is checked
-against.
+C-contiguous numpy arrays. The finite-difference oracle that every
+analytic gradient is checked against lives with the tests, so it shares
+no module with the code it checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .errors import NumericError
 
 
 def glorot_uniform(
@@ -39,36 +37,3 @@ def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     build and the shapes.
     """
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (b.shape[-1],))
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Intentionally brute force: this is the oracle used to validate the
-    analytic backward passes, so it must not share any code with them.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + eps
-        f_plus = float(f(x))
-        flat_x[i] = orig - eps
-        f_minus = float(f(x))
-        flat_x[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"non-finite function value while perturbing coordinate {i}")
-        flat_g[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
-
-
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
-    """Norm-relative deviation ||a-b|| / max(||a||, ||b||, floor)."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    denom = max(np.linalg.norm(a), np.linalg.norm(b), floor)
-    return float(np.linalg.norm(a - b) / denom)

@@ -62,40 +62,6 @@ class FoldSpec:
     test_day: int
 
 
-def label_sample(
-    mid_prices: np.ndarray,
-    t: int,
-    horizon: int = 10,
-    threshold: float = 1e-4,
-    mode: str = MEAN_HORIZON,
-) -> int:
-    """Direction of the mid-price after event ``t``.
-
-    ``mean_horizon`` compares the mean of the next ``horizon`` mids to the
-    current one; ``point_horizon`` compares the single mid ``horizon``
-    events ahead. A proportional move of at least ``threshold`` in either
-    direction is up/down, anything smaller is stationary. Equality with
-    the threshold counts as directional.
-    """
-    mid_prices = np.asarray(mid_prices, dtype=np.float64)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if t < 0 or t + horizon >= len(mid_prices):
-        raise ValueError(f"t={t} leaves no {horizon}-step future in {len(mid_prices)} events")
-    if mode == MEAN_HORIZON:
-        future = float(np.mean(mid_prices[t + 1 : t + 1 + horizon]))
-    elif mode == POINT_HORIZON:
-        future = float(mid_prices[t + horizon])
-    else:
-        raise ValueError(f"unknown label mode {mode!r}")
-    r = (future - mid_prices[t]) / mid_prices[t]
-    if r >= threshold:
-        return UP
-    if r <= -threshold:
-        return DOWN
-    return STATIONARY
-
-
 def _label_day(
     mids: np.ndarray, horizon: int, threshold: float, mode: str
 ) -> np.ndarray:
@@ -116,33 +82,6 @@ def _label_day(
     labels[r >= threshold] = UP
     labels[r <= -threshold] = DOWN
     return labels
-
-
-def windowize(
-    series: FeatureSeries,
-    window: int = 15,
-    horizon: int = 10,
-    threshold: float = 1e-4,
-    mode: str = MEAN_HORIZON,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All labeled windows of one day: (n_samples, window, N_FEATURES) and labels.
-
-    Sample t exists when a full window of history ends at t and a full
-    horizon follows it, so n_samples = n_events - window - horizon + 1
-    (zero when the day is too short).
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    n = len(series)
-    count = n - window - horizon + 1
-    if count <= 0:
-        return (
-            np.empty((0, window, N_FEATURES)),
-            np.empty(0, dtype=np.int64),
-        )
-    labels = _label_day(series.mid_prices, horizon, threshold, mode)[window - 1 :]
-    idx = np.arange(count)[:, None] + np.arange(window)[None, :]
-    return series.features[idx], labels
 
 
 def anchored_folds(day_ids: list[int]) -> list[FoldSpec]:

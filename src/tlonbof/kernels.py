@@ -9,10 +9,11 @@ Gaussian kernel
 
     K(x, v) = exp(-||x - v||^2 / (2*sigma^2)) / sqrt(2*pi*sigma)
 
-is kept for the ablation harness with a fixed width sigma. The prefactor
-uses sqrt(2*pi*sigma) deliberately; it cancels in the soft-assignment
-normalization, so the choice is cosmetic downstream. The scalar kernels are
-the references the batch matrices are tested against; their derivatives are
+is kept for the ablation harness with a fixed width sigma. Its matrix form
+divides every row by the row's largest value, which leaves out the
+prefactor too: both cancel in the soft-assignment normalization, and the
+shifted rows cannot underflow to all zeros. The scalar kernels that the
+matrix forms are tested against live with the tests; the derivatives are
 taken in ``bof.backward``.
 """
 
@@ -45,29 +46,13 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def _check_dims(x, v):
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if x.shape != v.shape:
-        raise ValueError(f"dimension mismatch: x has shape {x.shape}, v has shape {v.shape}")
-    return x, v
-
-
-def logistic_kernel(x: np.ndarray, v: np.ndarray, alpha: float = 1.0, beta: float = 0.0) -> float:
-    """Rescaled logistic similarity, strictly inside (0, 1)."""
-    x, v = _check_dims(x, v)
-    return float(sigmoid(2.0 * alpha * float(x @ v) + 2.0 * beta))
-
-
-def gaussian_kernel(x: np.ndarray, v: np.ndarray, sigma: float) -> float:
-    x, v = _check_dims(x, v)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d2 = float(np.sum((x - v) ** 2))
-    return float(np.exp(-d2 / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma))
-
-
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel values of feature rows (..., D), each row divided by its largest.
+
+    The log kernel -d^2 / (2 sigma^2) is shifted by its row maximum before it
+    is exponentiated, so every row holds a 1 even where each unshifted value
+    would underflow.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     sq = (
@@ -76,7 +61,9 @@ def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np
         + np.sum(codebook**2, axis=-1)
     )
     np.maximum(sq, 0.0, out=sq)  # guard tiny negative round-off
-    return np.exp(-sq / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma)
+    log_k = sq / (-2.0 * sigma**2)
+    log_k -= log_k.max(axis=-1, keepdims=True)
+    return np.exp(log_k, out=log_k)
 
 
 def default_sigma(codebook: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bof, kernels
-from .core import glorot_uniform, rows_matmul
+from .core import glorot_uniform
 
 ARCH_TLONBOF = "tlonbof"
 ARCH_CNN_GAP = "cnn_gap"
@@ -148,39 +148,40 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # primitive layers
 
-# Output width from which the conv forward flattens each tap into one 2-D
-# GEMM. BLAS packs the whole input for that product, which pays off only over
-# enough output columns: with 144 inputs and batches of 128, flattening is
-# about 18 % faster at 256 filters and 30 % slower at 32.
-FLAT_CONV_MIN_FILTERS = 128
-
-
 def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-padded same-length 1-D convolution over the time axis.
 
     ``x`` is (batch, steps, d_in), ``weights`` is (kernel, d_in, d_out).
-    Each tap's product is added onto the bias, tap by tap. With at least
-    ``FLAT_CONV_MIN_FILTERS`` outputs a tap is one 2-D product over every
-    (batch * steps) row, whose shifted rows are added; narrower taps multiply
-    the shifted input rows window by window, which is faster there.
+    Each tap is one 2-D product over every (batch * steps) row, written into
+    one reused buffer and added onto the bias, tap by tap, as one flat slice
+    shifted by the tap's offset. The product rows that the shift would carry
+    into a neighbouring window are zeroed first, which is the zero padding.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {taps}")
     if x.shape[-1] != d_in:
         raise ValueError(f"input dim {x.shape[-1]} does not match kernel dim {d_in}")
-    n = x.shape[1]
+    batch, n = x.shape[:2]
     center = taps // 2
-    out = np.broadcast_to(bias, x.shape[:2] + (d_out,)).copy()
+    rows = x.reshape(-1, d_in)
+    out = np.broadcast_to(bias, (rows.shape[0], d_out)).copy()
+    prod = np.empty_like(out)
+    steps = prod.reshape(batch, n, d_out)
     for k in range(taps):
         off = k - center
-        lo, hi = max(0, -off), n - max(0, off)
-        if lo < hi:
-            if d_out >= FLAT_CONV_MIN_FILTERS:
-                out[:, lo:hi] += rows_matmul(x, weights[k])[:, lo + off : hi + off]
-            else:
-                out[:, lo:hi] += x[:, lo + off : hi + off] @ weights[k]
-    return out
+        if abs(off) >= n:
+            continue
+        np.matmul(rows, weights[k], out=prod)
+        if off > 0:
+            steps[:, :off] = 0.0
+            out[:-off] += prod[off:]
+        elif off < 0:
+            steps[:, n + off :] = 0.0
+            out[-off:] += prod[:off]
+        else:
+            out += prod
+    return out.reshape(batch, n, d_out)
 
 
 def conv1d_same_backward(

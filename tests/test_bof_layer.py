@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from reference import finite_diff_grad, logistic_kernel, relative_error
 
 from tlonbof import bof, kernels, network
 from tlonbof.bof import forward_batch, segment
-from tlonbof.core import finite_diff_grad, relative_error
 
 
 def _params(codebook, c_u=1.0, c_s=1.0, alpha=1.0, beta=0.0, sigma=None):
@@ -126,7 +126,7 @@ def test_brute_force_oracle():
             u = np.zeros((len(block), k))
             for j, x in enumerate(block):
                 sims = np.array([
-                    kernels.logistic_kernel(x, cb[m], params["alpha"], params["beta"])
+                    logistic_kernel(x, cb[m], params["alpha"], params["beta"])
                     for m in range(k)
                 ])
                 u[j] = c_u * sims / sims.sum()
@@ -238,11 +238,18 @@ def test_backward_matches_finite_differences(kind, nt, nested):
 
 
 def test_zero_row_sum_raises():
-    # force underflow: features far from the single far-away codeword
+    # force underflow: features far from the single far-away codeword, whose
+    # logistic kernel value sigm(2 * -20000) is 0
     feats = np.full((3, 2), 100.0)
     cb = np.full((1, 2), -100.0)
     with pytest.raises(bof.NumericError):
-        forward_batch(feats[None], _params(cb, sigma=0.01), _cfg(kernels.GAUSSIAN, n_regions=1))
+        forward_batch(feats[None], _params(cb), _cfg(kernels.LOGISTIC, n_regions=1))
+    # a Gaussian row is divided by its largest value, so it holds a 1 where
+    # the unshifted value exp(-80000 / (2 * 0.01**2)) is 0
+    hist, ctx = forward_batch(feats[None], _params(cb, sigma=0.01),
+                              _cfg(kernels.GAUSSIAN, n_regions=1))
+    assert np.array_equal(ctx.k_mat, np.ones((1, 3, 1)))
+    assert np.isfinite(hist).all()
 
 
 # ties, both zeros, subnormals, values next to 1 and ordinary draws

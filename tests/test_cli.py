@@ -153,17 +153,33 @@ def test_train_fixed_seed_reruns_identically(tmp_path):
 
 def test_train_divergence_exits_1_and_saves_last_good(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
-    # Gaussian kernel + absurd lr: after the first update every kernel
-    # value underflows to zero, a guaranteed numeric abort
+    # Gaussian kernel + absurd lr: the kernel rows cannot underflow (each is
+    # divided by its largest value), but the model leaves the float32 range
+    # within the first epoch, a guaranteed abort
     cfg = write_cfg(tmp_path, text="batch_size = 16\nn_codewords = 4\nconv_filters = 4\n"
                                    "hidden = 8\nepochs = 3\nkernel = gaussian\n"
                                    "kernel_param_learning = false\n", lr="1e30")
     out = tmp_path / "m.tlnb"
     code = main(["train", "--config", cfg, "--data", datadir, "--out", str(out)])
     assert code == 1
-    assert "loss" in capsys.readouterr().err
+    assert "beyond float32" in capsys.readouterr().err
     params, _, _ = training.load_checkpoint(out)  # last-good snapshot still usable
     assert all(np.all(np.isfinite(v)) for v in params.values())
+
+
+def test_train_gaussian_kernel_at_the_default_geometry(tmp_path):
+    # 256 conv features sit far from the codewords at the default sigma, so
+    # every unshifted kernel value of a row underflows; training still runs
+    datadir = make_data(tmp_path, days=3, rows=200, seed=3)
+    cfg = write_cfg(tmp_path, text="kernel = gaussian\nbatch_size = 32\nepochs = 1\n")
+    hist = tmp_path / "m.history.csv"
+    assert main(["train", "--config", cfg, "--data", datadir,
+                 "--out", str(tmp_path / "m.tlnb"), "--history", str(hist)]) == 0
+    header, rows = read_csv(hist)
+    assert header == ["step", "loss", "grad_norm_conv"] and len(rows) == 17
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+    _, mcfg, _ = training.load_checkpoint(tmp_path / "m.tlnb")
+    assert mcfg.kernel == "gaussian" and mcfg.conv_filters == 256
 
 
 @pytest.mark.parametrize("lr,seed", [("1e20", 0), ("1e30", 1), ("1e20", 2)])

@@ -1,7 +1,14 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import reference
+from reference import finite_diff_grad, relative_error
 
-from tlonbof.core import finite_diff_grad, glorot_uniform, relative_error
+import tlonbof
+from tlonbof.core import glorot_uniform
 from tlonbof.errors import NumericError
 
 
@@ -66,3 +73,32 @@ def test_finite_diff_rejects_nonfinite():
 def test_relative_error_floor():
     assert relative_error(np.zeros(3), np.zeros(3)) == 0.0
     assert relative_error(np.ones(3), np.ones(3)) == 0.0
+
+
+# the only package modules the oracles may import: data types, constants, exceptions
+ORACLE_ALLOWED = {"tlonbof.data", "tlonbof.errors"}
+MOVED_TO_REFERENCE = ("finite_diff_grad", "gaussian_kernel", "label_sample", "logistic_kernel",
+                      "relative_error", "windowize")
+
+
+def test_reference_imports_nothing_it_checks():
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module)  # ``from tlonbof import network`` is "tlonbof"
+    assert imported, "no imports found"
+    for name in imported:
+        top = name.split(".")[0]
+        assert top in sys.stdlib_module_names or top == "numpy" or name in ORACLE_ALLOWED, name
+
+
+def test_public_names_resolve():
+    assert len(tlonbof.__all__) == len(set(tlonbof.__all__)) == 34
+    for name in tlonbof.__all__:
+        assert getattr(tlonbof, name) is not None, name
+    for name in MOVED_TO_REFERENCE:
+        assert name not in tlonbof.__all__ and callable(getattr(reference, name))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import label_sample, windowize
 
 from tlonbof import data
 from tlonbof.data import (
@@ -11,11 +12,9 @@ from tlonbof.data import (
     FeatureSeries,
     WindowDataset,
     anchored_folds,
-    label_sample,
     load_feature_csv,
     load_feature_dir,
     synth_generate,
-    windowize,
     write_feature_csv,
 )
 from tlonbof.errors import FormatError

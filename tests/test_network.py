@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from conftest import draw_instance, tiny_config
+from reference import conv_flat_per_tap, finite_diff_grad, relative_error
 
 from tlonbof import kernels, network
-from tlonbof.core import finite_diff_grad, relative_error
 
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
@@ -65,35 +65,38 @@ def _conv_per_tap_stacked(x, weights, bias):
     return out
 
 
-# 144 features into 256 filters (the paper) takes the flattened product,
-# into 32 filters the stacked one
+# 144 features into the paper's 256 filters and the acceptance geometry's 32
 @pytest.mark.parametrize("d_out", [256, 32])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 15])
+@pytest.mark.parametrize("n_steps", range(1, 16))
 def test_conv_forward_matches_the_per_tap_stacked_form(n_steps, d_out):
-    assert (d_out >= network.FLAT_CONV_MIN_FILTERS) == (d_out == 256)
     rng = np.random.default_rng(n_steps)
     x = rng.normal(size=(4, n_steps, 144))
     w = rng.normal(size=(5, 144, d_out))
     b = rng.normal(size=d_out)
-    got, want = network.conv1d_same_batch(x, w, b), _conv_per_tap_stacked(x, w, b)
-    if d_out < network.FLAT_CONV_MIN_FILTERS:
-        # the same products, added in the same order
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    else:
-        # one product over every row: BLAS may sum it in another order
-        assert relative_error(got.ravel(), want.ravel()) < 1e-15
+    got = network.conv1d_same_batch(x, w, b)
+    # the same products, added in the same order
+    want = conv_flat_per_tap(x, w, b)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # one product over every row: BLAS may sum it in another order than the
+    # per-window products
+    assert relative_error(got.ravel(), _conv_per_tap_stacked(x, w, b).ravel()) < 1e-15
 
 
 @pytest.mark.parametrize("seed", [14, 15, 18, 27, 31, 36, 37])
 def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
-    # Gaussian kernel values underflow until some row sums are below 1e-300;
-    # the row normalisation's gradient must not divide by them
+    # unshifted Gaussian kernel values underflow until some row sums are
+    # below 1e-300; each row of K is divided by its largest value, and the
+    # row normalisation's gradient must not divide by the row sums either
     cfg = network.ModelConfig(d_in=12, conv_filters=16, n_codewords=10, hidden=8,
                               kernel=kernels.GAUSSIAN)
     params = network.init_params(cfg, np.random.default_rng(1))
     x = np.random.default_rng(seed).normal(size=(9, 15, 12))
     probs, ctx = network.forward_batch(x, params, cfg)
-    assert ctx.bof_ctx.k_mat.sum(axis=-1).min() < 1e-300
+    sigma = float(params["sigma"])
+    d2 = np.sum((ctx.feats[..., None, :] - params["codebook"]) ** 2, axis=-1)
+    unshifted = np.exp(-d2 / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma)
+    assert unshifted.sum(axis=-1).min() < 1e-300
+    assert np.array_equal(ctx.bof_ctx.k_mat.max(axis=-1), np.ones((9, 15)))
     assert np.isfinite(probs).all()
     grads = network.backward_batch(ctx, np.arange(9) % 3)
     for name, g in grads.items():

@@ -1,4 +1,4 @@
-"""Property tests for the four input readers and the window runs.
+"""Property tests for the four input readers, the window runs and the conv.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
@@ -20,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from reference import conv_flat_per_tap  # noqa: E402
 
 from tlonbof import cli, config, data, network, training  # noqa: E402
 from tlonbof.errors import FormatError  # noqa: E402
@@ -289,3 +290,20 @@ def test_window_runs_cover_every_sample_once_in_order(day_lengths, window, horiz
             assert np.array_equal(rows[j : j + window], x[j])
         expected_first += count
     assert expected_first == ds.n_samples
+
+
+@given(st.integers(1, 5), st.integers(1, 16), st.sampled_from([1, 3, 5, 7]),
+       st.integers(1, 300), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@example(4, 15, 5, 127, 144, 0)
+@example(4, 15, 5, 128, 144, 0)
+@example(4, 15, 5, 129, 144, 0)
+def test_conv_forward_is_bitwise_the_flat_per_tap_reference(batch, n_steps, taps, d_out, d_in,
+                                                             seed):
+    # every width takes the same path: the same products, added in the same order
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, n_steps, d_in))
+    w = rng.normal(size=(taps, d_in, d_out))
+    b = rng.normal(size=d_out)
+    got = network.conv1d_same_batch(x, w, b)
+    want = conv_flat_per_tap(x, w, b)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
