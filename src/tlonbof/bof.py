@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
+from .config import KERNEL_GAUSSIAN, KERNEL_LOGISTIC
 from .core import rows_matmul
 from .errors import NumericError
 
@@ -65,14 +66,23 @@ def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str):
         raise ValueError(
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
-    if kind == kernels.LOGISTIC:
+    if kind == KERNEL_LOGISTIC:
         z = rows_matmul(feats, codebook.T)
         z *= 2.0 * float(params["alpha"])
         z += 2.0 * float(params["beta"])
         return kernels.sigmoid(z)
-    if kind == kernels.GAUSSIAN:
+    if kind == KERNEL_GAUSSIAN:
         return kernels.gaussian_matrix(feats, codebook, float(params["sigma"]))
     raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def scale(params: dict[str, np.ndarray], key: str) -> float:
+    """The scale factor c = exp(log c) stored as ``key``; NumericError if it is 0 or inf."""
+    with np.errstate(over="ignore"):
+        c = float(np.exp(params[key]))
+    if not 0.0 < c < np.inf:
+        raise NumericError(f"{key} = {float(params[key])!r} gives a scale factor of {c!r}")
+    return c
 
 
 def _check_row_sums(sums: np.ndarray) -> None:
@@ -151,7 +161,7 @@ def assign(
     k_mat = _kernel_matrix(feats, params, kind)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums)
-    memberships = np.multiply(k_mat, float(np.exp(params["log_cu"])))
+    memberships = np.multiply(k_mat, scale(params, "log_cu"))
     memberships /= row_sums[..., None]
     return k_mat, memberships
 
@@ -167,7 +177,7 @@ def histogram(
     region_means = np.concatenate(
         [_region_mean(steps[a:b]) for (a, b) in reversed(regions)], axis=1
     )
-    return float(np.exp(params["log_cs"])) * region_means, region_means
+    return scale(params, "log_cs") * region_means, region_means
 
 
 def forward_batch(
@@ -214,8 +224,7 @@ def backward(
     if upstream.shape != (batch, len(ctx.regions) * n_codewords):
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected "
                          f"({batch}, {len(ctx.regions) * n_codewords})")
-    c_u = float(np.exp(ctx.params["log_cu"]))
-    c_s = float(np.exp(ctx.params["log_cs"]))
+    c_u, c_s = scale(ctx.params, "log_cu"), scale(ctx.params, "log_cs")
 
     # Undo the concatenation + per-region averaging; overlapping (nested)
     # regions accumulate additively.
@@ -241,7 +250,7 @@ def backward(
 
     # the stored parameters are log c; chain through c = exp(log c)
     grads = {"log_cu": np.array(dc_u * c_u), "log_cs": np.array(dc_s * c_s)}
-    if ctx.kind == kernels.LOGISTIC:
+    if ctx.kind == KERNEL_LOGISTIC:
         alpha = float(ctx.params["alpha"])
         d_z = d_kk  # dL/dK * K * (1 - K), in place
         d_z *= 1.0 - ctx.k_mat

@@ -22,13 +22,13 @@ from .network import ModelConfig
 # ablation grid: (deep_features, temporal_modeling, kernel_param_learning,
 # adaptive_scaling), ordered from the plainest model to the full one
 DEFAULT_GRID = [
-    (False, False, False, "frozen"),
-    (True, False, False, "frozen"),
-    (False, True, False, "frozen"),
-    (True, True, False, "frozen"),
-    (True, True, True, "off"),
-    (True, True, True, "frozen"),
-    (True, True, True, "learned"),
+    (False, False, False, config_mod.SCALING_FROZEN),
+    (True, False, False, config_mod.SCALING_FROZEN),
+    (False, True, False, config_mod.SCALING_FROZEN),
+    (True, True, False, config_mod.SCALING_FROZEN),
+    (True, True, True, config_mod.SCALING_OFF),
+    (True, True, True, config_mod.SCALING_FROZEN),
+    (True, True, True, config_mod.SCALING_LEARNED),
 ]
 
 _GRID_HEADER = ["deep_features", "temporal_modeling", "kernel_param_learning", "adaptive_scaling"]
@@ -186,10 +186,11 @@ def _eval_fold_rows(args, rc, corpus):
         if mcfg.d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
                          f"but the corpus has {d_corpus}")
-        if not config_mod.window_fills_regions(rc.window, mcfg.n_regions, mcfg.arch):
-            raise _Usage(f"checkpoint {args.model} pools n_regions={mcfg.n_regions} temporal "
-                         f"regions, but window = {rc.window} steps cannot fill them")
-    if rc.folds == "single":
+        try:
+            config_mod.check_model(mcfg.arch, mcfg.deep_features, mcfg.n_regions, rc.window)
+        except FormatError as exc:
+            raise _Usage(f"checkpoint {args.model}: {exc}") from None
+    if rc.folds == config_mod.FOLDS_SINGLE:
         if fixed is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
         params, mcfg, _ = fixed
@@ -294,15 +295,14 @@ def cmd_ablate(args) -> int:
             raise _Usage(str(exc)) from None
     else:
         grid = DEFAULT_GRID
-    for row in grid:
+    for n, row in enumerate(grid, start=1):
+        cell = replace(rc, **dict(zip(_GRID_HEADER, row)))
         try:
-            config_mod.check_window_fills_regions(replace(rc, **dict(zip(_GRID_HEADER, row))))
+            config_mod.check_model(cell.arch, cell.deep_features,
+                                   config_mod.pooled_regions(cell), cell.window)
         except FormatError as exc:
-            raise _Usage(f"grid row ({','.join(map(str, row))}): {exc}") from None
-    try:
-        seeds = config_mod.parse_seed_list(rc.ablation_seeds)
-    except FormatError as exc:
-        raise _Usage(str(exc)) from None
+            raise _Usage(f"grid row {n} ({','.join(map(str, row))}): {exc}") from None
+    seeds = config_mod.parse_seed_list(rc.ablation_seeds)  # the loader checked it
     trainset = _windows(rc, corpus[:-1])
     testset = _windows(rc, corpus[-1:])
     if trainset.n_samples == 0 or testset.n_samples == 0:

@@ -14,11 +14,13 @@ from dataclasses import dataclass, fields
 
 from .errors import FormatError
 
-ARCH_CHOICES = ("tlonbof", "cnn_gap")
-KERNEL_CHOICES = ("logistic", "gaussian")
-SCALING_CHOICES = ("off", "frozen", "learned")
-LABEL_MODE_CHOICES = ("mean_horizon", "point_horizon")
-FOLD_CHOICES = ("anchored", "single")
+# every choice value is spelled here once; other modules import the names
+ARCH_CHOICES = ARCH_TLONBOF, ARCH_CNN_GAP = ("tlonbof", "cnn_gap")
+KERNEL_CHOICES = KERNEL_LOGISTIC, KERNEL_GAUSSIAN = ("logistic", "gaussian")
+# off: c_u = c_s = 1, frozen; frozen: protocol init, not trained; learned: trained
+SCALING_CHOICES = SCALING_OFF, SCALING_FROZEN, SCALING_LEARNED = ("off", "frozen", "learned")
+LABEL_MODE_CHOICES = MEAN_HORIZON, POINT_HORIZON = ("mean_horizon", "point_horizon")
+FOLD_CHOICES = FOLDS_ANCHORED, FOLDS_SINGLE = ("anchored", "single")
 
 F32_MAX = 3.4028234663852886e38  # the largest float32; checkpoints store values as float32
 
@@ -34,28 +36,28 @@ class RunConfig:
     window: int = 15
     horizon: int = 10
     threshold: float = 1e-4
-    label_mode: str = "mean_horizon"
+    label_mode: str = MEAN_HORIZON
     # architecture
-    arch: str = "tlonbof"
+    arch: str = ARCH_TLONBOF
     n_codewords: int = 256
     conv_filters: int = 256
     conv_kernel: int = 5
     hidden: int = 512
     n_regions: int = 3
-    kernel: str = "logistic"
+    kernel: str = KERNEL_LOGISTIC
     # ablation switches
     deep_features: bool = True
     temporal_modeling: bool = True
     kernel_param_learning: bool = True
-    adaptive_scaling: str = "learned"
+    adaptive_scaling: str = SCALING_LEARNED
     nested_regions: bool = False
     ablation_seeds: str = "0,1,2"
     # data path and evaluation layout
     data_dir: str = ""
-    folds: str = "anchored"
+    folds: str = FOLDS_ANCHORED
 
 
-_CHOICES = {
+CHOICES = {
     "arch": ARCH_CHOICES,
     "kernel": KERNEL_CHOICES,
     "adaptive_scaling": SCALING_CHOICES,
@@ -63,55 +65,89 @@ _CHOICES = {
     "folds": FOLD_CHOICES,
 }
 
-_POSITIVE_INTS = {
-    "batch_size", "window", "horizon", "n_codewords",
-    "conv_filters", "conv_kernel", "hidden", "n_regions",
+# run-config sizes and rates, and the model fields a run derives rather than sets
+_POSITIVE = {
+    "batch_size", "window", "horizon", "n_codewords", "conv_filters", "conv_kernel", "hidden",
+    "n_regions", "lr", "threshold", "d_in", "n_classes", "avg_seq_len",
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotation strings: "int", ...
 _FIELD_ORDER = [f.name for f in fields(RunConfig)]
 
 
+def value_error(key: str, value) -> str | None:
+    """Why ``value`` breaks the rule of ``key``, or None if it keeps it.
+
+    ``key`` is a run-config key or a ``network.ModelConfig`` field, so a
+    config file and a checkpoint's model metadata obey the same rules.
+    """
+    if key in CHOICES and value not in CHOICES[key]:
+        return f"{key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{key} must be finite, got {value!r}"
+    if key in _POSITIVE and not value > 0:
+        return f"{key} must be {'>= 1' if isinstance(value, int) else 'positive'}, got {value}"
+    if key == "epochs" and value < 0:
+        return f"epochs must be >= 0, got {value}"
+    if key == "conv_kernel" and value % 2 == 0:
+        return f"conv_kernel must be odd, got {value}"
+    if key == "lr" and value > F32_MAX:
+        return (f"lr must be at most the float32 maximum {F32_MAX!r} that a checkpoint "
+                f"stores, got {value!r}")
+    if key == "ablation_seeds":
+        try:
+            parse_seed_list(value)
+        except FormatError as exc:
+            return exc.message
+    return None
+
+
+def pooled_regions(rc) -> int:
+    """Temporal regions a run's model pools: ``n_regions``, or one without temporal modelling."""
+    return rc.n_regions if rc.temporal_modeling else 1
+
+
+def check_model(arch: str, deep_features: bool, n_regions: int, window: int | None = None,
+                lines: dict[str, int] | None = None) -> None:
+    """Raise FormatError if a model breaks a cross-field rule.
+
+    ``n_regions`` counts the regions pooled (see ``pooled_regions``). Only the
+    TLoNBoF model splits its ``window``, which a model alone lacks, into
+    regions. With ``lines`` (key -> the line that set it) the error sits at
+    the last line that set one of the rule's keys.
+    """
+    if arch == ARCH_CNN_GAP and not deep_features:
+        message = f"arch = {ARCH_CNN_GAP} averages conv features, so it needs deep_features = true"
+        keys = ("arch", "deep_features")
+    elif arch == ARCH_TLONBOF and window is not None and window < n_regions:
+        message = (f"window = {window} is below n_regions = {n_regions}; with arch = "
+                   f"{ARCH_TLONBOF} and temporal_modeling = true every region needs a timestep")
+        keys = ("window", "n_regions", "temporal_modeling", "arch")
+    else:
+        return
+    line = max(lines.get(k, 0) for k in keys) if lines else None
+    raise FormatError(message, location=line and f"line {line}")
+
+
 def parse_value(key: str, raw: str, lineno: int | str):
     """Parse one value of ``key`` by the schema's rules, or raise FormatError at ``lineno``."""
     kind = _FIELD_TYPES[key]
     loc = f"line {lineno}"
+    value = raw
     if kind == "bool":
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise FormatError(f"{key} must be true or false, got {raw!r}", location=loc)
-    if kind == "int":
+        if raw not in ("true", "false"):
+            raise FormatError(f"{key} must be true or false, got {raw!r}", location=loc)
+        value = raw == "true"
+    elif kind in ("int", "float"):
         try:
-            value = int(raw)
+            value = int(raw) if kind == "int" else float(raw)
         except ValueError:
-            raise FormatError(f"{key} must be an integer, got {raw!r}", location=loc) from None
-        if key in _POSITIVE_INTS and value < 1:
-            raise FormatError(f"{key} must be >= 1, got {value}", location=loc)
-        if key == "conv_kernel" and value % 2 == 0:
-            raise FormatError(f"conv_kernel must be odd, got {value}", location=loc)
-        if key == "epochs" and value < 0:
-            raise FormatError(f"epochs must be >= 0, got {value}", location=loc)
-        return value
-    if kind == "float":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise FormatError(f"{key} must be a number, got {raw!r}", location=loc) from None
-        if not math.isfinite(value):
-            raise FormatError(f"{key} must be finite, got {raw!r}", location=loc)
-        if key in ("lr", "threshold") and value <= 0:
-            raise FormatError(f"{key} must be positive, got {value}", location=loc)
-        if key == "lr" and value > F32_MAX:
-            raise FormatError(f"lr must be at most the float32 maximum {F32_MAX!r} that a "
-                              f"checkpoint stores, got {value!r}", location=loc)
-        return value
-    if key in _CHOICES and raw not in _CHOICES[key]:
-        raise FormatError(
-            f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}", location=loc
-        )
-    return raw
+            what = "an integer" if kind == "int" else "a number"
+            raise FormatError(f"{key} must be {what}, got {raw!r}", location=loc) from None
+    problem = value_error(key, value)
+    if problem is not None:
+        raise FormatError(problem, location=loc)
+    return value
 
 
 def _format_value(value) -> str:
@@ -122,27 +158,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def window_fills_regions(window: int, n_regions: int, arch: str) -> bool:
-    """Whether a model pooling ``n_regions`` temporal regions can run on ``window`` steps.
-
-    Only the TLoNBoF model splits a window into regions; the GAP baseline
-    averages over the whole window.
-    """
-    return arch != "tlonbof" or window >= n_regions
-
-
-def check_window_fills_regions(rc: RunConfig, location: str | None = None) -> None:
-    """Refuse a window too short to fill every temporal region."""
-    n_regions = rc.n_regions if rc.temporal_modeling else 1
-    if not window_fills_regions(rc.window, n_regions, rc.arch):
-        raise FormatError(f"window = {rc.window} is below n_regions = {rc.n_regions}; "
-                          "with arch = tlonbof and temporal_modeling = true every region "
-                          "needs a timestep", location=location)
-
-
 def loads(text: str) -> RunConfig:
     seen: dict[str, object] = {}
-    region_line = 0  # last line setting a key of the window/regions rule
+    lines: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -158,10 +176,9 @@ def loads(text: str) -> RunConfig:
         if key in seen:
             raise FormatError(f"duplicate key {key!r}", location=f"line {lineno}")
         seen[key] = parse_value(key, raw, lineno)
-        if key in ("window", "n_regions", "temporal_modeling", "arch"):
-            region_line = lineno
+        lines[key] = lineno
     rc = RunConfig(**seen)
-    check_window_fills_regions(rc, f"line {region_line}")  # the defaults pass it
+    check_model(rc.arch, rc.deep_features, pooled_regions(rc), rc.window, lines)
     return rc
 
 

@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_text, write_atomic
+from .config import MEAN_HORIZON, POINT_HORIZON, read_text, write_atomic
 from .errors import FormatError
 
 N_FEATURES = 144
 
 DOWN, STATIONARY, UP = 0, 1, 2
-
-MEAN_HORIZON = "mean_horizon"
-POINT_HORIZON = "point_horizon"
 
 # synthetic corpus: planted-signal columns and the generator's fixed shape
 SIGNAL_COLUMNS = tuple(range(4, N_FEATURES, 9))
@@ -113,7 +110,6 @@ class WindowDataset:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self.horizon = horizon
         self._days = [np.ascontiguousarray(s.features) for s in corpus]
         day_idx, ts, labels, day_ids = [], [], [], []
         for i, s in enumerate(corpus):

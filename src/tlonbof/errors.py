@@ -10,7 +10,7 @@ class NumericError(ArithmeticError):
 
 
 class TrainingDiverged(NumericError):
-    """Training loss became non-finite, or the model left the checkpoint's range.
+    """Training loss or a scale factor became non-finite, or the model left the checkpoint's range.
 
     Carries the step index where divergence was detected and the last
     known-good parameter snapshot (end of the previous epoch, or the

@@ -23,9 +23,6 @@ import numpy as np
 
 from .core import rows_matmul
 
-LOGISTIC = "logistic"
-GAUSSIAN = "gaussian"
-
 
 def sigmoid(z):
     """Numerically stable logistic function, elementwise.

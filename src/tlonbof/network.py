@@ -25,46 +25,37 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bof, kernels
+from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_LEARNED, SCALING_OFF,
+                     RunConfig, check_model, pooled_regions, value_error)
 from .core import glorot_uniform
-
-ARCH_TLONBOF = "tlonbof"
-ARCH_CNN_GAP = "cnn_gap"
-
-SCALING_OFF = "off"  # c_u = c_s = 1, frozen
-SCALING_FROZEN = "frozen"  # protocol init, not trained
-SCALING_LEARNED = "learned"  # protocol init, trained
+from .data import N_FEATURES
 
 
 @dataclass
 class ModelConfig:
-    arch: str = ARCH_TLONBOF
-    d_in: int = 144
-    conv_filters: int = 256
-    conv_kernel: int = 5
-    n_codewords: int = 256
-    n_regions: int = 3
-    hidden: int = 512
+    # the fields a run config shares take its defaults: the paper geometry
+    arch: str = RunConfig.arch
+    d_in: int = N_FEATURES
+    conv_filters: int = RunConfig.conv_filters
+    conv_kernel: int = RunConfig.conv_kernel
+    n_codewords: int = RunConfig.n_codewords
+    n_regions: int = RunConfig.n_regions
+    hidden: int = RunConfig.hidden
     n_classes: int = 3
-    kernel: str = kernels.LOGISTIC
-    deep_features: bool = True
-    nested_regions: bool = False
-    kernel_param_learning: bool = True
-    adaptive_scaling: str = SCALING_LEARNED
-    avg_seq_len: float = 15.0
+    kernel: str = RunConfig.kernel
+    deep_features: bool = RunConfig.deep_features
+    nested_regions: bool = RunConfig.nested_regions
+    kernel_param_learning: bool = RunConfig.kernel_param_learning
+    adaptive_scaling: str = RunConfig.adaptive_scaling
+    avg_seq_len: float = float(RunConfig.window)
 
     def __post_init__(self):
-        if self.arch not in (ARCH_TLONBOF, ARCH_CNN_GAP):
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.arch == ARCH_CNN_GAP and not self.deep_features:
-            raise ValueError(
-                "the global-average-pooling baseline requires the convolutional extractor"
-            )
-        for name in ("d_in", "conv_filters", "conv_kernel", "n_codewords", "n_regions", "hidden",
-                     "n_classes", "avg_seq_len"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.conv_kernel % 2 == 0:
-            raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
+        # the run config's rules, so checkpoint metadata obeys them too
+        for f in fields(self):
+            problem = value_error(f.name, getattr(self, f.name))
+            if problem is not None:
+                raise ValueError(problem)
+        check_model(self.arch, self.deep_features, self.n_regions)  # FormatError is a ValueError
 
     @classmethod
     def from_run(cls, rc, d_in: int, avg_seq_len: float) -> "ModelConfig":
@@ -74,7 +65,7 @@ class ModelConfig:
         modelling the histogram has a single region.
         """
         shared = {f.name: getattr(rc, f.name) for f in fields(cls) if hasattr(rc, f.name)}
-        shared["n_regions"] = rc.n_regions if rc.temporal_modeling else 1
+        shared["n_regions"] = pooled_regions(rc)
         return cls(**shared, d_in=d_in, avg_seq_len=avg_seq_len)
 
     @property
@@ -102,7 +93,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["fc2_w"] = (cfg.hidden, cfg.n_classes)
     shapes["fc2_b"] = (cfg.n_classes,)
     if cfg.arch == ARCH_TLONBOF:
-        kernel_params = ("alpha", "beta") if cfg.kernel == kernels.LOGISTIC else ("sigma",)
+        kernel_params = ("alpha", "beta") if cfg.kernel == KERNEL_LOGISTIC else ("sigma",)
         shapes.update(dict.fromkeys(("log_cu", "log_cs") + kernel_params, ()))
     return shapes
 
@@ -123,7 +114,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
         if cfg.adaptive_scaling != SCALING_OFF:
             params["log_cu"] = np.array(np.log(float(cfg.avg_seq_len)))
             params["log_cs"] = np.array(np.log(float(cfg.n_codewords)))
-        if cfg.kernel == kernels.LOGISTIC:
+        if cfg.kernel == KERNEL_LOGISTIC:
             params["alpha"] = np.array(1.0)
         else:
             params["sigma"] = np.array(kernels.default_sigma(params["codebook"]))
@@ -140,7 +131,7 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
     if cfg.arch == ARCH_TLONBOF:
         if cfg.adaptive_scaling == SCALING_LEARNED:
             names += ["log_cu", "log_cs"]
-        if cfg.kernel_param_learning and cfg.kernel == kernels.LOGISTIC:
+        if cfg.kernel_param_learning and cfg.kernel == KERNEL_LOGISTIC:
             names += ["alpha", "beta"]
     return names
 

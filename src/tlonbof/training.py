@@ -15,9 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import network
-from .config import (ARCH_CHOICES, F32_MAX, KERNEL_CHOICES, SCALING_CHOICES, RunConfig,
-                     write_atomic)
+from . import bof, network
+from .config import CHOICES, F32_MAX, RunConfig, write_atomic
 from .errors import FormatError, NumericError, TrainingDiverged
 from .network import ModelConfig
 
@@ -114,6 +113,12 @@ class TrainResult:
     history: TrainHistory
 
 
+def _check_scales(params: dict[str, np.ndarray]) -> None:
+    """NumericError naming the first scale whose factor c = exp(log c) is 0 or inf."""
+    for name in [k for k in ("log_cu", "log_cs") if k in params]:
+        bof.scale(params, name)
+
+
 def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
@@ -127,8 +132,9 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     (X, y)`` method (see ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
     non-finite or a forward pass fails numerically, or if at the end of an
-    epoch a parameter or Adam moment could not be stored in a checkpoint,
-    carrying the last end-of-epoch parameter snapshot.
+    epoch a parameter or Adam moment could not be stored in a checkpoint or
+    a scale factor exp(log c) is 0 or inf, carrying the last end-of-epoch
+    parameter snapshot.
     """
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
@@ -152,7 +158,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
                 _, ctx = network.forward_batch(x, params, cfg)
                 loss = network.batch_loss(ctx, y)
             except NumericError as exc:
-                raise TrainingDiverged(step, last_good) from exc
+                raise TrainingDiverged(step, last_good, str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_good)
             grads = network.backward_batch(ctx, y)
@@ -168,6 +174,10 @@ def train(rc: RunConfig, dataset) -> TrainResult:
         bad = _unstorable(list(params.items()) + _moment_entries(state))
         if bad is not None:
             raise TrainingDiverged(step, last_good, f"{bad} is non-finite or beyond float32")
+        try:
+            _check_scales(params)  # or the snapshot would not load
+        except NumericError as exc:
+            raise TrainingDiverged(step, last_good, str(exc)) from exc
         last_good = _snapshot(params)
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
@@ -198,7 +208,6 @@ def predict(
 # "meta.<field>" entry, enum-valued ones as their index in the run-config
 # choice tuple; optimizer moments travel as "adam.*" entries.
 
-_META_CHOICES = {"arch": ARCH_CHOICES, "kernel": KERNEL_CHOICES, "adaptive_scaling": SCALING_CHOICES}
 _META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
 
 
@@ -206,8 +215,8 @@ def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
     entries = {}
     for f in fields(ModelConfig):
         value = getattr(cfg, f.name)
-        if f.name in _META_CHOICES:
-            value = _META_CHOICES[f.name].index(value)
+        if f.name in CHOICES:
+            value = CHOICES[f.name].index(value)
         entries[f"meta.{f.name}"] = value
     return entries
 
@@ -218,8 +227,8 @@ def _config_from_meta(meta: dict[str, float]) -> ModelConfig:
         key = f"meta.{f.name}"
         if not math.isfinite(meta.get(key, math.nan)):
             raise FormatError(f"checkpoint model metadata {key} is missing or not finite")
-        if f.name in _META_CHOICES:
-            choices, index = _META_CHOICES[f.name], int(meta[key])
+        if f.name in CHOICES:
+            choices, index = CHOICES[f.name], int(meta[key])
             if not 0 <= index < len(choices):
                 raise FormatError(f"checkpoint {key} = {index} is not an index into {choices}")
             values[f.name] = choices[index]
@@ -362,12 +371,10 @@ def deserialize_checkpoint(blob: bytes):
     cfg = _config_from_meta(meta)
     shapes = network.param_shapes(cfg)
     _check_tensor_set("", params, shapes)
-    with np.errstate(over="ignore"):
-        for name in ("log_cu", "log_cs"):
-            # the forward pass uses exp(log c), which must be a positive float
-            if name in params and not 0.0 < np.exp(params[name]) < np.inf:
-                raise FormatError(f"checkpoint tensor {name} = {float(params[name])!r} "
-                                  "gives a scale factor of 0 or inf")
+    try:
+        _check_scales(params)  # the forward pass needs positive, finite scale factors
+    except NumericError as exc:
+        raise FormatError(f"checkpoint tensor {exc}") from None
     # the Gaussian kernel divides by sigma
     if "sigma" in params and not params["sigma"] > 0.0:
         raise FormatError(f"checkpoint tensor sigma = {float(params['sigma'])!r} is not positive")

@@ -18,7 +18,7 @@ for _var in (
 import numpy as np
 import pytest
 
-from tlonbof import network
+from tlonbof import config, network
 
 try:
     from hypothesis import settings
@@ -48,7 +48,7 @@ TINY = dict(d_in=5, conv_filters=7, conv_kernel=3, n_codewords=4,
 
 
 def tiny_config(**overrides) -> network.ModelConfig:
-    merged = {"arch": network.ARCH_TLONBOF, **TINY, **overrides}
+    merged = {"arch": config.ARCH_TLONBOF, **TINY, **overrides}
     return network.ModelConfig(**merged)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
 from reference import finite_diff_grad, relative_error, windowize
-from tlonbof import bof, cli, data, kernels, metrics, network, training
+from tlonbof import bof, cli, config, data, metrics, network, training
 from tlonbof.config import RunConfig
 from tlonbof.training import AdamState, adam_step
 
@@ -76,7 +76,7 @@ def _random_bof_case(seed, min_regions=1):
     n = int(rng.integers(max(3, 2 * nt), 13))
     d = int(rng.integers(2, 7))
     k = int(rng.integers(2, 9))
-    kind = kernels.LOGISTIC if seed % 2 else kernels.GAUSSIAN
+    kind = config.KERNEL_LOGISTIC if seed % 2 else config.KERNEL_GAUSSIAN
     params = {"alpha": rng.uniform(0.5, 1.5), "beta": 0.3 * rng.normal(),
               "sigma": rng.uniform(0.6, 1.6)}
     # the layer stores the scales as their logs
@@ -161,7 +161,7 @@ def test_criterion_04_classical_bof_degeneracy():
         # log c = 0 is c_u = c_s = 1
         params = {"codebook": codebook, "log_cu": 0.0, "log_cs": 0.0, "sigma": sigma}
         hist, _ = bof.forward_batch(feats[None], params,
-                                    network.ModelConfig(kernel=kernels.GAUSSIAN, n_regions=1))
+                                    network.ModelConfig(kernel=config.KERNEL_GAUSSIAN, n_regions=1))
         worst = max(worst, float(np.max(np.abs(hist[0] - direct))))
     record(4, "classical-BoF output matches a direct transcription at 1e-12",
            worst < 1e-12, f"100 instances, worst abs diff {worst:.1e}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import finite_diff_grad, logistic_kernel, relative_error
 
-from tlonbof import bof, kernels, network
+from tlonbof import bof, config, network
 from tlonbof.bof import forward_batch, segment
 
 
@@ -14,7 +14,7 @@ def _params(codebook, c_u=1.0, c_s=1.0, alpha=1.0, beta=0.0, sigma=None):
             "alpha": alpha, "beta": beta, "sigma": sigma}
 
 
-def _cfg(kind=kernels.LOGISTIC, n_regions=3, nested=False):
+def _cfg(kind=config.KERNEL_LOGISTIC, n_regions=3, nested=False):
     return network.ModelConfig(kernel=kind, n_regions=n_regions, nested_regions=nested)
 
 
@@ -81,7 +81,7 @@ def test_accumulate_is_scaled_column_mean():
     assert s.sum() == pytest.approx(5.0 * 4.0)  # c_s * c_u
 
 
-def _random_case(seed, n=9, d=4, k=5, kind=kernels.LOGISTIC, nt=3, nested=False):
+def _random_case(seed, n=9, d=4, k=5, kind=config.KERNEL_LOGISTIC, nt=3, nested=False):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, d))
     codebook = rng.normal(size=(k, d))
@@ -100,7 +100,7 @@ def _scales(params):
 def test_histogram_mass_conservation():
     # every region segment sums to c_s * c_u, for both kernels
     for seed in range(50):
-        kind = kernels.LOGISTIC if seed % 2 else kernels.GAUSSIAN
+        kind = config.KERNEL_LOGISTIC if seed % 2 else config.KERNEL_GAUSSIAN
         feats, params, cfg = _random_case(seed, kind=kind)
         cb, nt = params["codebook"], cfg.n_regions
         c_u, c_s = _scales(params)
@@ -181,7 +181,7 @@ def test_classical_bof_degeneracy():
         cb = rng.normal(size=(4, 3))
         sigma = 0.7 + rng.uniform(0.0, 1.0)
         hist, _ = forward_batch(feats[None], _params(cb, sigma=sigma),
-                                _cfg(kernels.GAUSSIAN, n_regions=1))
+                                _cfg(config.KERNEL_GAUSSIAN, n_regions=1))
         # direct transcription: normalized Gaussian memberships, then average
         prefactor = 1.0 / np.sqrt(2.0 * np.pi * sigma)
         expected = np.zeros(4)
@@ -205,11 +205,11 @@ def test_batch_forward_matches_single():
 
 
 @pytest.mark.parametrize("kind,nt,nested", [
-    (kernels.LOGISTIC, 3, False),
-    (kernels.LOGISTIC, 1, False),
-    (kernels.LOGISTIC, 3, True),
-    (kernels.GAUSSIAN, 3, False),
-    (kernels.GAUSSIAN, 1, False),
+    (config.KERNEL_LOGISTIC, 3, False),
+    (config.KERNEL_LOGISTIC, 1, False),
+    (config.KERNEL_LOGISTIC, 3, True),
+    (config.KERNEL_GAUSSIAN, 3, False),
+    (config.KERNEL_GAUSSIAN, 1, False),
 ])
 def test_backward_matches_finite_differences(kind, nt, nested):
     for seed in range(10):
@@ -228,7 +228,7 @@ def test_backward_matches_finite_differences(kind, nt, nested):
         assert relative_error(d_feats[0].ravel(), fd_f.ravel()) < 1e-7
         # the scales' gradients are taken in log space, as the model stores them
         names = ["codebook", "log_cu", "log_cs"]
-        if kind == kernels.LOGISTIC:
+        if kind == config.KERNEL_LOGISTIC:
             names += ["alpha", "beta"]
         assert sorted(g) == sorted(names)
         for name in names:
@@ -243,11 +243,11 @@ def test_zero_row_sum_raises():
     feats = np.full((3, 2), 100.0)
     cb = np.full((1, 2), -100.0)
     with pytest.raises(bof.NumericError):
-        forward_batch(feats[None], _params(cb), _cfg(kernels.LOGISTIC, n_regions=1))
+        forward_batch(feats[None], _params(cb), _cfg(config.KERNEL_LOGISTIC, n_regions=1))
     # a Gaussian row is divided by its largest value, so it holds a 1 where
     # the unshifted value exp(-80000 / (2 * 0.01**2)) is 0
     hist, ctx = forward_batch(feats[None], _params(cb, sigma=0.01),
-                              _cfg(kernels.GAUSSIAN, n_regions=1))
+                              _cfg(config.KERNEL_GAUSSIAN, n_regions=1))
     assert np.array_equal(ctx.k_mat, np.ones((1, 3, 1)))
     assert np.isfinite(hist).all()
 
@@ -280,7 +280,7 @@ def test_region_mean_is_bitwise_sort_then_mean(width):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("kind", [kernels.LOGISTIC, kernels.GAUSSIAN])
+@pytest.mark.parametrize("kind", [config.KERNEL_LOGISTIC, config.KERNEL_GAUSSIAN])
 def test_backward_matches_the_stacked_form(kind, monkeypatch):
     # paper geometry: 15-step windows, 256 features, 256 codewords
     rng = np.random.default_rng(8)

@@ -167,6 +167,19 @@ def test_train_divergence_exits_1_and_saves_last_good(tmp_path, capsys):
     assert all(np.all(np.isfinite(v)) for v in params.values())
 
 
+def test_train_scale_overflow_exits_1_naming_the_scale(tmp_path, capsys):
+    # a huge update sends log c past log(float max): c = exp(log c) is inf
+    datadir = make_data(tmp_path, days=2, rows=60, seed=6)
+    cfg = write_cfg(tmp_path, text="conv_filters = 4\nn_codewords = 4\nhidden = 8\n"
+                                   "kernel_param_learning = false\n", lr="1e10")
+    out = tmp_path / "m.tlnb"
+    assert main(["train", "--config", cfg, "--data", datadir, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "log_cu = " in err and "scale factor of inf at step" in err
+    params, _, _ = training.load_checkpoint(out)  # the last-good snapshot loads
+    assert all(np.all(np.isfinite(v)) for v in params.values())
+
+
 def test_train_gaussian_kernel_at_the_default_geometry(tmp_path):
     # 256 conv features sit far from the codewords at the default sigma, so
     # every unshifted kernel value of a row underflows; training still runs
@@ -200,12 +213,17 @@ def test_train_moments_beyond_float32_exit_1_with_loadable_checkpoint(tmp_path, 
 
 def test_train_window_below_n_regions_is_usage_error(tmp_path, capsys, monkeypatch):
     datadir = make_data(tmp_path, days=2, rows=60)
-    cfg = write_cfg(tmp_path, window=2)
     monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
-    assert main(["train", "--config", cfg, "--data", datadir,
-                 "--out", str(tmp_path / "m.tlnb")]) == 2
-    err = capsys.readouterr().err
-    assert "window = 2 is below n_regions = 3" in err and "line" in err
+    # the GAP baseline averages the conv features, so it cannot run without the conv
+    for extra, fragment in (
+        ({"window": 2}, "window = 2 is below n_regions = 3"),
+        ({"arch": "cnn_gap", "deep_features": "false"}, "needs deep_features = true"),
+    ):
+        cfg = write_cfg(tmp_path, **extra)
+        assert main(["train", "--config", cfg, "--data", datadir,
+                     "--out", str(tmp_path / "m.tlnb")]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "line" in err
 
 
 def test_train_lr_beyond_float32_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -239,7 +257,7 @@ def test_eval_model_regions_beyond_window_is_usage_error(tmp_path, capsys):
     assert main(["eval", "--config", run_cfg, "--model", str(model), "--data", datadir,
                  "--folds", "single", "--report", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err
-    assert "n_regions=3" in err and "window = 2" in err
+    assert "m.tlnb" in err and "window = 2 is below n_regions = 3" in err
 
 
 def test_ablate_grid_row_with_window_below_n_regions_is_usage_error(tmp_path, capsys,
@@ -250,6 +268,19 @@ def test_ablate_grid_row_with_window_below_n_regions_is_usage_error(tmp_path, ca
     assert main(["ablate", "--config", cfg, "--data", datadir,
                  "--report", str(tmp_path / "r.csv")]) == 2
     assert "window = 2 is below n_regions = 3" in capsys.readouterr().err
+
+
+def test_ablate_gap_baseline_with_the_default_grid_is_usage_error(tmp_path, capsys,
+                                                                   monkeypatch):
+    # grid row 1 turns the conv off, which the GAP baseline cannot do without
+    datadir = make_data(tmp_path, days=2, rows=60)
+    cfg = write_cfg(tmp_path, arch="cnn_gap")
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    assert main(["ablate", "--config", cfg, "--data", datadir,
+                 "--report", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "grid row 1 " in err and "deep_features = true" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_eval_single_fold_on_memorized_set(tmp_path, capsys):

@@ -70,6 +70,7 @@ def test_duplicate_key_rejected():
     ("arch = transformer", "one of"),
     ("adaptive_scaling = auto", "one of"),
     ("label_mode = next", "one of"),
+    ("ablation_seeds = x", "seed list"),
     ("just a line", "key = value"),
 ])
 def test_bad_values_rejected(line, fragment):
@@ -106,6 +107,17 @@ def test_window_below_n_regions_rejected(text, window, n_regions, line):
         loads(text)
     assert f"window = {window} is below n_regions = {n_regions}" in str(err.value)
     assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("arch = cnn_gap\ndeep_features = false\n", 2),
+    ("deep_features = false\nepochs = 1\narch = cnn_gap\nseed = 2\n", 3),
+])
+def test_gap_baseline_without_the_conv_rejected(text, line):
+    # the error sits at the last line that set arch or deep_features
+    with pytest.raises(FormatError) as err:
+        loads(text)
+    assert "needs deep_features = true" in str(err.value) and f"line {line}" in str(err.value)
 
 
 def test_window_below_n_regions_allowed_without_temporal_modeling():

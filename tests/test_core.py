@@ -8,6 +8,7 @@ import reference
 from reference import finite_diff_grad, relative_error
 
 import tlonbof
+from tlonbof import config
 from tlonbof.core import glorot_uniform
 from tlonbof.errors import NumericError
 
@@ -102,3 +103,32 @@ def test_public_names_resolve():
         assert getattr(tlonbof, name) is not None, name
     for name in MOVED_TO_REFERENCE:
         assert name not in tlonbof.__all__ and callable(getattr(reference, name))
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring nodes of a module and of its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_each_choice_is_spelled_once():
+    # config.py's choice tuples spell every choice value; the other modules import the names
+    values = {v for choices in config.CHOICES.values() for v in choices}
+    spelled, strays = [], []
+    for path in sorted(Path(tlonbof.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (path.name == "config.py" and isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", "").endswith("_CHOICES")):
+                owned.update(id(elt) for elt in node.value.elts)
+                spelled += [elt.value for elt in node.value.elts]
+            elif isinstance(node, ast.keyword) and node.arg == "prog":  # argparse's program name
+                owned.add(id(node.value))
+        strays += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in values
+                   and id(node) not in owned]
+    assert sorted(spelled) == sorted(values)  # each value once
+    assert strays == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from reference import gaussian_kernel, logistic_kernel, relative_error
 
-from tlonbof import bof, kernels
+from tlonbof import bof, config, kernels
 
 SIGM_2 = 0.8807970779778823  # 1 / (1 + e^-2)
 GAUSS_PEAK = 0.3989422804014327  # 1 / sqrt(2*pi), sigma = 1
@@ -53,7 +53,7 @@ def test_matrix_forms_match_scalar_kernels():
     feats = rng.normal(size=(6, 3))
     codebook = rng.normal(size=(4, 3))
     params = {"codebook": codebook, "alpha": 0.8, "beta": 0.1}
-    lm = bof._kernel_matrix(feats, params, kernels.LOGISTIC)
+    lm = bof._kernel_matrix(feats, params, config.KERNEL_LOGISTIC)
     gm = kernels.gaussian_matrix(feats, codebook, sigma=0.9)
     for i in range(6):
         for k in range(4):
@@ -104,7 +104,7 @@ def _stacked_kernel_matrix(feats, params, kind):
     # product feats @ codebook.T (one small GEMM per window)
     codebook = params["codebook"]
     dots = feats @ codebook.T
-    if kind == kernels.LOGISTIC:
+    if kind == config.KERNEL_LOGISTIC:
         return kernels.sigmoid(2.0 * params["alpha"] * dots + 2.0 * params["beta"])
     sigma = params["sigma"]
     sq = np.sum(feats**2, axis=-1)[..., None] - 2.0 * dots + np.sum(codebook**2, axis=-1)
@@ -127,7 +127,7 @@ PRODUCT_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("kind", [kernels.LOGISTIC, kernels.GAUSSIAN])
+@pytest.mark.parametrize("kind", [config.KERNEL_LOGISTIC, config.KERNEL_GAUSSIAN])
 @pytest.mark.parametrize("batch,n_steps,dim,n_codewords", PRODUCT_SHAPES)
 def test_kernel_matrices_match_the_stacked_products(kind, batch, n_steps, dim, n_codewords):
     rng = np.random.default_rng(batch * 100 + n_steps)

@@ -3,7 +3,7 @@ import pytest
 from conftest import draw_instance, tiny_config
 from reference import conv_flat_per_tap, finite_diff_grad, relative_error
 
-from tlonbof import kernels, network
+from tlonbof import config, network
 
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
@@ -88,7 +88,7 @@ def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
     # below 1e-300; each row of K is divided by its largest value, and the
     # row normalisation's gradient must not divide by the row sums either
     cfg = network.ModelConfig(d_in=12, conv_filters=16, n_codewords=10, hidden=8,
-                              kernel=kernels.GAUSSIAN)
+                              kernel=config.KERNEL_GAUSSIAN)
     params = network.init_params(cfg, np.random.default_rng(1))
     x = np.random.default_rng(seed).normal(size=(9, 15, 12))
     probs, ctx = network.forward_batch(x, params, cfg)
@@ -104,8 +104,8 @@ def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
 
 
 def test_param_shapes_are_the_init_params_layout():
-    for overrides in ({}, {"kernel": kernels.GAUSSIAN}, {"deep_features": False},
-                      {"arch": network.ARCH_CNN_GAP}):
+    for overrides in ({}, {"kernel": config.KERNEL_GAUSSIAN}, {"deep_features": False},
+                      {"arch": config.ARCH_CNN_GAP}):
         cfg = tiny_config(**overrides)
         params = network.init_params(cfg, np.random.default_rng(0))
         assert {k: v.shape for k, v in params.items()} == network.param_shapes(cfg)
@@ -136,7 +136,7 @@ def test_log_softmax_handles_huge_logits():
 def test_table_shape_walk():
     # 15 x 144 input -> conv (15, 256) -> 3 regions x 256 codewords -> 512 -> 3
     cfg = network.ModelConfig(
-        arch=network.ARCH_TLONBOF, d_in=144, conv_filters=256, conv_kernel=5,
+        arch=config.ARCH_TLONBOF, d_in=144, conv_filters=256, conv_kernel=5,
         n_codewords=256, n_regions=3, hidden=512, n_classes=3, avg_seq_len=15.0,
     )
     params = network.init_params(cfg, np.random.default_rng(0))
@@ -166,7 +166,7 @@ def test_init_protocol_values():
 
 
 def test_init_scaling_off_is_identity():
-    params = network.init_params(tiny_config(adaptive_scaling=network.SCALING_OFF),
+    params = network.init_params(tiny_config(adaptive_scaling=config.SCALING_OFF),
                                  np.random.default_rng(0))
     assert float(params["log_cu"]) == 0.0
     assert float(params["log_cs"]) == 0.0
@@ -181,7 +181,7 @@ def test_init_deterministic():
 
 
 def test_gaussian_config_gets_sigma_parameter():
-    cfg = tiny_config(kernel=kernels.GAUSSIAN, kernel_param_learning=False)
+    cfg = tiny_config(kernel=config.KERNEL_GAUSSIAN, kernel_param_learning=False)
     params = network.init_params(cfg, np.random.default_rng(0))
     assert "sigma" in params and "alpha" not in params
     assert float(params["sigma"]) > 0
@@ -195,7 +195,7 @@ def test_trainable_names_follow_ablation_flags():
             "log_cu", "log_cs", "alpha", "beta"} == set(full)
     no_kpl = network.trainable_names(tiny_config(kernel_param_learning=False))
     assert "alpha" not in no_kpl and "beta" not in no_kpl
-    frozen = network.trainable_names(tiny_config(adaptive_scaling=network.SCALING_FROZEN))
+    frozen = network.trainable_names(tiny_config(adaptive_scaling=config.SCALING_FROZEN))
     assert "log_cu" not in frozen and "log_cs" not in frozen
     shallow = network.trainable_names(tiny_config(deep_features=False))
     assert "conv_w" not in shallow and "conv_b" not in shallow
@@ -203,13 +203,13 @@ def test_trainable_names_follow_ablation_flags():
 
 def test_cnn_gap_requires_deep_features():
     with pytest.raises(ValueError):
-        network.ModelConfig(arch=network.ARCH_CNN_GAP, deep_features=False,
+        network.ModelConfig(arch=config.ARCH_CNN_GAP, deep_features=False,
                             **{k: v for k, v in tiny_config().__dict__.items()
                                if k not in ("arch", "deep_features")})
 
 
 def test_gap_pooling_is_timestep_mean():
-    cfg = tiny_config(arch=network.ARCH_CNN_GAP)
+    cfg = tiny_config(arch=config.ARCH_CNN_GAP)
     params = network.init_params(cfg, np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(1, 6, cfg.d_in))
     _, ctx = network.forward_batch(x, params, cfg)
@@ -228,14 +228,14 @@ def test_fc2_bias_gradient_is_probs_minus_onehot():
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"kernel": kernels.GAUSSIAN, "kernel_param_learning": False},
+    {"kernel": config.KERNEL_GAUSSIAN, "kernel_param_learning": False},
     {"deep_features": False},
-    {"arch": network.ARCH_CNN_GAP},
+    {"arch": config.ARCH_CNN_GAP},
     {"nested_regions": True},
 ])
 def test_model_gradients_match_finite_differences(overrides):
     cfg = tiny_config(**overrides)
-    sigma = 1.0 if cfg.kernel == kernels.GAUSSIAN else None
+    sigma = 1.0 if cfg.kernel == config.KERNEL_GAUSSIAN else None
     for seed in range(3):
         params, x, ctx = draw_instance(cfg, seed=seed, sigma=sigma)
         label = seed % cfg.n_classes
@@ -260,11 +260,11 @@ def test_model_gradients_match_finite_differences(overrides):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"kernel": kernels.GAUSSIAN},
+    {"kernel": config.KERNEL_GAUSSIAN},
     {"deep_features": False},
-    {"arch": network.ARCH_CNN_GAP},
+    {"arch": config.ARCH_CNN_GAP},
     {"nested_regions": True},
-    {"adaptive_scaling": network.SCALING_OFF},
+    {"adaptive_scaling": config.SCALING_OFF},
 ])
 def test_backward_returns_one_gradient_per_parameter_but_sigma(overrides):
     # a misnamed or extra key would escape the finite-difference checks,
@@ -328,14 +328,14 @@ def test_forward_windows_matches_forward_batch_for_every_tap_set(taps, n_steps):
 
 @pytest.mark.parametrize("overrides", [
     {"deep_features": False},
-    {"arch": network.ARCH_CNN_GAP},
+    {"arch": config.ARCH_CNN_GAP},
     {"nested_regions": True},
     {"n_regions": 1},
-    {"kernel": kernels.GAUSSIAN},
+    {"kernel": config.KERNEL_GAUSSIAN},
 ])
 def test_forward_windows_matches_forward_batch_for_every_model(overrides):
     cfg = tiny_config(**overrides)
-    sigma = 4.0 if cfg.kernel == kernels.GAUSSIAN else None
+    sigma = 4.0 if cfg.kernel == config.KERNEL_GAUSSIAN else None
     ctx = _windows_vs_batch(cfg, n_steps=7, n_windows=11, seed=2, sigma=sigma)
     if sigma is not None:  # a sigma whose kernel rows keep their magnitude
         assert ctx.bof_ctx.k_mat.sum(axis=-1).min() > 1e-3

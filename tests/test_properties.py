@@ -138,6 +138,7 @@ def check_config(parse, source):
     assert rc.lr <= config.F32_MAX  # a checkpoint can store it
     assert rc.window >= rc.n_regions or not rc.temporal_modeling or rc.arch != "tlonbof"
     assert config.loads(config.dumps(rc)) == rc
+    network.ModelConfig.from_run(rc, data.N_FEATURES, float(rc.window))  # every model rule holds
 
 
 config_lines = st.lists(
@@ -148,6 +149,7 @@ config_lines = st.lists(
 
 
 @given(st.one_of(st.text(max_size=200), config_lines))
+@example("arch = cnn_gap\ndeep_features = false")
 def test_config_loads_arbitrary_text(text):
     check_config(config.loads, text)
 

@@ -235,7 +235,7 @@ def test_checkpoint_non_utf8_name_is_format_error():
 
 def test_checkpoint_bad_version():
     blob = bytearray(training.serialize_checkpoint({}, network.ModelConfig(
-        arch=network.ARCH_TLONBOF, avg_seq_len=4.0)))
+        arch=config.ARCH_TLONBOF, avg_seq_len=4.0)))
     blob[4] = 99
     with pytest.raises(FormatError) as err:
         training.deserialize_checkpoint(bytes(blob))
@@ -281,7 +281,7 @@ def test_checkpoint_meta_round_trips_every_enumerated_value():
         config.ARCH_CHOICES, config.KERNEL_CHOICES, config.SCALING_CHOICES,
         (False, True), (False, True), (False, True),
     ):
-        if arch == network.ARCH_CNN_GAP and not deep:
+        if arch == config.ARCH_CNN_GAP and not deep:
             continue  # rejected by ModelConfig itself
         cfg = network.ModelConfig(arch=arch, kernel=kernel, adaptive_scaling=scaling,
                                   deep_features=deep, nested_regions=nested,
@@ -425,6 +425,11 @@ def test_checkpoint_floored_scale_factor_loads():
     params, _, _ = training.deserialize_checkpoint(
         _layout_blob(_set("log_cu", training.LOG_SCALE_FLOOR)))
     assert params["log_cu"] < training.LOG_SCALE_FLOOR
+
+
+def test_model_config_defaults_are_the_run_config_defaults():
+    assert network.ModelConfig() == network.ModelConfig.from_run(
+        RunConfig(), data.N_FEATURES, float(RunConfig().window))
 
 
 def test_model_config_from_run_copies_shared_fields():
