@@ -70,7 +70,7 @@ def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str):
         z = rows_matmul(feats, codebook.T)
         z *= 2.0 * float(params["alpha"])
         z += 2.0 * float(params["beta"])
-        return kernels.sigmoid(z)
+        return kernels.sigmoid(z, out=z)
     if kind == KERNEL_GAUSSIAN:
         return kernels.gaussian_matrix(feats, codebook, float(params["sigma"]))
     raise ValueError(f"unknown kernel kind {kind!r}")
@@ -239,11 +239,15 @@ def backward(
     # Row normalization U = c_u * K / S (S the row sum), written in terms of
     # the cached U so nothing divides by S: with w = sum_k dU * U,
     # dL/dc_u = sum(w) / c_u and dL/dK * K = U * (dU - w / c_u).
-    weighted = np.sum(d_memb * ctx.memberships, axis=-1)  # (B, N)
+    scratch = np.multiply(d_memb, ctx.memberships)  # U * dU, then 1 - K
+    weighted = np.sum(scratch, axis=-1)  # (B, N)
     dc_u = float(np.sum(weighted)) / c_u
     d_kk = d_memb  # dL/dK * K, in d_memb's buffer
     d_kk -= (weighted / c_u)[..., None]
     d_kk *= ctx.memberships
+    if ctx.kind == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
+        d_kk *= np.subtract(1.0, ctx.k_mat, out=scratch)
+    del scratch  # freed before the (B, N, D) products below
 
     # codebook gradients are one (K, B*N) x (B*N, D) product
     feats_rows = ctx.feats.reshape(-1, ctx.feats.shape[-1])
@@ -252,8 +256,7 @@ def backward(
     grads = {"log_cu": np.array(dc_u * c_u), "log_cs": np.array(dc_s * c_s)}
     if ctx.kind == KERNEL_LOGISTIC:
         alpha = float(ctx.params["alpha"])
-        d_z = d_kk  # dL/dK * K * (1 - K), in place
-        d_z *= 1.0 - ctx.k_mat
+        d_z = d_kk
         d_feats = rows_matmul(d_z, ctx.codebook)
         # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(f * (d_z @ codebook))
         grads["alpha"] = np.array(float(2.0 * np.sum(ctx.feats * d_feats)))

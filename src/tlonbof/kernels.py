@@ -24,8 +24,8 @@ import numpy as np
 from .core import rows_matmul
 
 
-def sigmoid(z):
-    """Numerically stable logistic function, elementwise.
+def sigmoid(z, out=None):
+    """Numerically stable logistic function, elementwise, into ``out`` if given.
 
     With ``e = exp(-|z|)`` this is ``1 / (1 + e)`` for ``z >= 0`` and
     ``e / (1 + e)`` below, so ``exp`` never overflows and tiny values keep
@@ -33,12 +33,14 @@ def sigmoid(z):
     z < -38, which would empty the kernel rows long before this form does).
     The numerator is ``max(e, z >= 0)``: for ``z >= 0`` it is 1 because
     ``e <= 1``, below zero it is ``e``, and a NaN stays NaN. That picks the
-    same values as a ``where`` in about half the time.
+    same values as a ``where`` in about half the time. ``out`` may be ``z``
+    itself: ``z`` is read only before ``out`` is written, so the result has
+    the same bits.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for 0-d input, so it can be reused
     np.exp(np.negative(e, out=e), out=e)
-    out = np.maximum(e, z >= 0)
+    out = np.maximum(e, z >= 0, out=out)
     out /= np.add(e, 1.0, out=e)
     return out if out.ndim else float(out)
 

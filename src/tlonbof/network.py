@@ -221,8 +221,7 @@ class NetworkContext:
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     x: np.ndarray  # (B, N, d_in)
-    conv_pre: np.ndarray | None  # pre-ReLU conv output
-    feats: np.ndarray  # what the pooling stage consumed
+    feats: np.ndarray  # what the pooling stage consumed: the post-ReLU conv output, or x
     bof_ctx: bof.BofContext | None
     pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
     fc1_pre: np.ndarray
@@ -241,11 +240,11 @@ def forward_batch(
     if x.shape[-1] != cfg.d_in:
         raise ValueError(f"feature dim {x.shape[-1]} does not match configured d_in={cfg.d_in}")
 
-    conv_pre = None
     feats = x
     if cfg.deep_features:
-        conv_pre = conv1d_same_batch(x, params["conv_w"], params["conv_b"])
-        feats = relu(conv_pre)
+        # the ReLU overwrites the conv output: only the activation is kept
+        feats = conv1d_same_batch(x, params["conv_w"], params["conv_b"])
+        np.maximum(feats, 0.0, out=feats)
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
@@ -258,7 +257,6 @@ def forward_batch(
         cfg=cfg,
         params=params,
         x=x,
-        conv_pre=conv_pre,
         feats=feats,
         bof_ctx=bof_ctx,
         pooled=pooled,
@@ -372,7 +370,8 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
         d_feats = np.broadcast_to(d_pooled[:, None, :] / n, ctx.feats.shape).copy()
 
     if cfg.deep_features:
-        d_conv = d_feats * (ctx.conv_pre > 0.0)
-        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.x, params["conv_w"], d_conv)
+        # relu(c) > 0 exactly where c > 0, so the activation gives the mask
+        d_feats *= ctx.feats > 0.0
+        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.x, params["conv_w"], d_feats)
     return grads
 

@@ -114,9 +114,14 @@ class TrainResult:
 
 
 def _check_scales(params: dict[str, np.ndarray]) -> None:
-    """NumericError naming the first scale whose factor c = exp(log c) is 0 or inf."""
+    """NumericError naming the first scale whose factor c = exp(log c) is 0 or inf.
+
+    log c is taken as a checkpoint stores it, rounded to float32, so a value
+    that passes here also loads: 709.7827 has a finite exp, but its float32
+    rounding 709.78271484375 does not. The caller checks the float32 range first.
+    """
     for name in [k for k in ("log_cu", "log_cs") if k in params]:
-        bof.scale(params, name)
+        bof.scale({name: np.float64(np.float32(params[name]))}, name)
 
 
 def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -271,7 +276,8 @@ def _unstorable(entries: list[tuple[str, np.ndarray]]) -> str | None:
 def serialize_checkpoint(
     params: dict[str, np.ndarray], cfg: ModelConfig, state: AdamState | None = None
 ) -> bytes:
-    """Checkpoint bytes; NumericError if a value cannot be stored as a finite float32."""
+    """Checkpoint bytes; NumericError if a value cannot be stored as a finite float32
+    or a stored log scale would give a scale factor of 0 or inf."""
     entries = [(k, np.asarray(v)) for k, v in sorted(params.items())]
     entries += [(k, np.array(v)) for k, v in sorted(_meta_entries(cfg).items())]
     if state is not None:
@@ -285,6 +291,10 @@ def serialize_checkpoint(
     if bad is not None:
         raise NumericError(f"checkpoint tensor {bad} holds a NaN, an inf or a value "
                            "beyond the float32 range")
+    try:
+        _check_scales(params)  # or deserialize_checkpoint would refuse the bytes
+    except NumericError as exc:
+        raise NumericError(f"checkpoint tensor {exc}") from None
     return _encode_tensors(entries)
 
 

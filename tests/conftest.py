@@ -59,8 +59,9 @@ def relu_margin(ctx) -> float:
     sits within eps of zero, so gradient tests reject such instances.
     """
     m = np.min(np.abs(ctx.fc1_pre))
-    if ctx.conv_pre is not None:
-        m = min(m, np.min(np.abs(ctx.conv_pre)))
+    if ctx.cfg.deep_features:  # the context keeps only the post-ReLU conv output
+        conv_pre = network.conv1d_same_batch(ctx.x, ctx.params["conv_w"], ctx.params["conv_b"])
+        m = min(m, np.min(np.abs(conv_pre)))
     return float(m)
 
 

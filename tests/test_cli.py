@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,9 +64,9 @@ def test_synth_is_byte_deterministic(tmp_path):
     b = make_data(tmp_path, days=2, rows=25, seed=3, name="b")
     c = make_data(tmp_path, days=2, rows=25, seed=4, name="c")
     for name in os.listdir(a):
-        blob_a = open(os.path.join(a, name), "rb").read()
-        assert blob_a == open(os.path.join(b, name), "rb").read()
-        assert blob_a != open(os.path.join(c, name), "rb").read()
+        blob_a = Path(a, name).read_bytes()
+        assert blob_a == Path(b, name).read_bytes()
+        assert blob_a != Path(c, name).read_bytes()
 
 
 def test_synth_rejects_bad_counts(tmp_path):

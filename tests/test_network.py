@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import draw_instance, tiny_config
@@ -385,3 +387,62 @@ def test_gradient_descent_decreases_loss():
             params[k] = params[k] - 0.01 * grads[k]
     assert losses[-1] < losses[0]
     assert losses[-1] < 0.9 * losses[0]
+
+
+# both architectures, both kernels, the conv on and off
+EVERY_MODEL = [
+    {},
+    {"kernel": config.KERNEL_GAUSSIAN},
+    {"deep_features": False},
+    {"kernel": config.KERNEL_GAUSSIAN, "deep_features": False},
+    {"arch": config.ARCH_CNN_GAP},
+]
+
+
+def _bits(arrays: dict) -> dict:
+    return {k: np.asarray(v).tobytes() for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("overrides", EVERY_MODEL)
+def test_in_place_activations_are_invisible(overrides):
+    # the conv ReLU, the sigmoid and the ReLU mask write over buffers the
+    # step owns; none may reach the input or the cached activations
+    cfg = tiny_config(**overrides)
+    rng = np.random.default_rng(4)
+    params = network.init_params(cfg, rng)
+    if "sigma" in params:
+        params["sigma"] = np.array(4.0)
+    x = rng.normal(size=(5, 6, cfg.d_in))
+    x_bits = x.tobytes()
+    _, ctx = network.forward_batch(x, params, cfg)
+    assert x.tobytes() == x_bits
+    feats_bits = ctx.feats.tobytes()
+    labels = np.array([0, 1, 2, 0, 1])
+    first = _bits(network.backward_batch(ctx, labels))
+    assert ctx.feats.tobytes() == feats_bits
+    assert _bits(network.backward_batch(ctx, labels)) == first
+
+
+# Traced peak of one forward + backward, counted in (B, N, K) float64 arrays
+# (K = the conv width here). The context keeps three: the conv activation, K
+# and the memberships U. At its peak the logistic backward adds three more
+# (dL/dU, dL/dfeats and one product), the Gaussian one four (dL/dU and the
+# three terms of dL/dfeats); the histograms and the head stay under one. A
+# second copy of the conv output, or a scratch held into those products,
+# takes the step past the bound.
+@pytest.mark.parametrize("kernel,bound", [(config.KERNEL_LOGISTIC, 7.5),
+                                          (config.KERNEL_GAUSSIAN, 8.3)])
+def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
+    cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16, kernel=kernel)
+    rng = np.random.default_rng(0)
+    params = network.init_params(cfg, rng)
+    x = rng.normal(size=(32, 15, cfg.d_in))
+    unit = x.shape[0] * x.shape[1] * cfg.n_codewords * 8
+    tracemalloc.start()  # traces only what the step allocates
+    try:
+        _, ctx = network.forward_batch(x, params, cfg)
+        network.backward_batch(ctx, np.arange(32) % 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / unit < bound

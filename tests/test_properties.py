@@ -1,4 +1,4 @@
-"""Property tests for the four input readers, the window runs and the conv.
+"""Property tests for the four input readers, the window runs, the conv and the sigmoid.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
@@ -22,7 +22,7 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from reference import conv_flat_per_tap  # noqa: E402
 
-from tlonbof import cli, config, data, network, training  # noqa: E402
+from tlonbof import cli, config, data, kernels, network, training  # noqa: E402
 from tlonbof.errors import FormatError  # noqa: E402
 
 LINE = re.compile(r"line \d+")
@@ -309,3 +309,19 @@ def test_conv_forward_is_bitwise_the_flat_per_tap_reference(batch, n_steps, taps
     got = network.conv1d_same_batch(x, w, b)
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SIGMOID_INPUTS = st.one_of(st.floats(-800.0, 800.0),
+                           st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(st.one_of(SIGMOID_INPUTS.map(np.array), st.lists(SIGMOID_INPUTS, max_size=40).map(np.array)))
+@example(np.array(-0.0))
+@example(np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0, -745.0]))
+def test_sigmoid_into_its_own_input_is_bitwise_the_fresh_result(z):
+    # the kernel matrix is written over its own pre-activation
+    want = kernels.sigmoid(z.copy())
+    got = kernels.sigmoid(z, out=z)
+    assert type(got) is type(want)
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+    assert np.array_equal(z.view(np.uint64), np.asarray(want).view(np.uint64))

@@ -403,6 +403,35 @@ def test_serialize_refuses_values_float32_cannot_hold(name, value):
     assert name in str(err.value)
 
 
+# 709.7827 has a finite exp in float64, but it rounds to 709.78271484375 in
+# the float32 payload, whose exp overflows
+@pytest.mark.parametrize("value", [3.5e9, 709.7827])
+def test_serialize_refuses_a_log_scale_whose_stored_factor_overflows(value):
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    params["log_cs"] = np.array(value)
+    with pytest.raises(NumericError, match="checkpoint tensor log_cs"):
+        training.serialize_checkpoint(params, LAYOUT_CFG)
+
+
+@pytest.mark.parametrize("value", [3.5e9, 709.7827])
+def test_train_keeps_only_snapshots_that_save_and_load(monkeypatch, value):
+    # one step per epoch; the update leaves log_cs where its float32 rounding overflows
+    real_step = training.adam_step
+
+    def step_then_push_scale(params, grads, state):
+        real_step(params, grads, state)
+        params["log_cs"] = np.array(value)
+
+    monkeypatch.setattr(training, "adam_step", step_then_push_scale)
+    ds = small_dataset(n_days=2, rows=40, seed=2)
+    rc = RunConfig(batch_size=ds.n_samples, epochs=1, seed=0, **TINY_TRAIN)
+    with pytest.raises(TrainingDiverged, match="log_cs") as err:
+        training.train(rc, ds)
+    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
+    training.deserialize_checkpoint(
+        training.serialize_checkpoint(err.value.last_good_params, cfg))
+
+
 def test_serialize_keeps_the_float32_maximum():
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
     params["fc2_b"][:] = training.F32_MAX
