@@ -269,8 +269,10 @@ def backward(
         # row maximum that K was divided by cancels in U, so it takes none
         d_sq = d_kk
         d_sq *= -1.0 / (2.0 * float(ctx.params["sigma"]) ** 2)
-        d_feats = 2.0 * (d_sq.sum(axis=-1)[..., None] * ctx.feats
-                         - rows_matmul(d_sq, ctx.codebook))
+        # dL/dfeats = 2 (rowsum(d_sq) * feats - d_sq @ codebook), in the product's buffer
+        d_feats = rows_matmul(d_sq, ctx.codebook)
+        d_feats -= d_sq.sum(axis=-1)[..., None] * ctx.feats
+        d_feats *= -2.0
         grads["codebook"] = 2.0 * (
             d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook
             - d_sq.reshape(-1, n_codewords).T @ feats_rows

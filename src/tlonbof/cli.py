@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import config as config_mod
 from . import data, metrics, training
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
@@ -310,7 +308,7 @@ def cmd_ablate(args) -> int:
     header = _GRID_HEADER + ["f1_mean", "f1_std", "kappa_mean", "kappa_std", "status"]
     rows = []
     for row in grid:
-        f1s, kappas, status = [], [], "ok"
+        scores, status = [], "ok"
         for seed in seeds:
             cell = replace(rc, seed=seed, **dict(zip(_GRID_HEADER, row)))
             try:
@@ -322,12 +320,11 @@ def cmd_ablate(args) -> int:
                 print(f"cell ({','.join(map(str, row))}) seed {seed} {status}: {exc}",
                       file=sys.stderr)
                 break
-            f1s.append(score["f1"])
-            kappas.append(score["kappa"])
+            scores.append(score)
         flags = [str(v).lower() for v in row]  # config spelling: true/false, scaling as is
         if status == "ok":
-            stats = [repr(float(np.mean(f1s))), repr(float(np.std(f1s))),
-                     repr(float(np.mean(kappas))), repr(float(np.std(kappas)))]
+            summary = metrics.summarize(scores)
+            stats = [repr(v) for key in ("f1", "kappa") for v in summary[key]]
         else:
             stats = ["", "", "", ""]
         rows.append(flags + stats + [status])

@@ -45,6 +45,12 @@ def sigmoid(z, out=None):
     return out if out.ndim else float(out)
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_i - b_k||^2 for rows a (..., D) and b (K, D), as sum a^2 - 2 a.b + sum b^2."""
+    sq = np.sum(a**2, axis=-1)[..., None] - 2.0 * rows_matmul(a, b.T) + np.sum(b**2, axis=-1)
+    return np.maximum(sq, 0.0, out=sq)  # guard tiny negative round-off
+
+
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian kernel values of feature rows (..., D), each row divided by its largest.
 
@@ -54,13 +60,7 @@ def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    sq = (
-        np.sum(feats**2, axis=-1)[..., None]
-        - 2.0 * rows_matmul(feats, codebook.T)
-        + np.sum(codebook**2, axis=-1)
-    )
-    np.maximum(sq, 0.0, out=sq)  # guard tiny negative round-off
-    log_k = sq / (-2.0 * sigma**2)
+    log_k = _squared_distances(feats, codebook) / (-2.0 * sigma**2)
     log_k -= log_k.max(axis=-1, keepdims=True)
     return np.exp(log_k, out=log_k)
 
@@ -70,11 +70,5 @@ def default_sigma(codebook: np.ndarray) -> float:
     n = codebook.shape[0]
     if n < 2:
         return 1.0
-    sq = (
-        np.sum(codebook**2, axis=1)[:, None]
-        - 2.0 * codebook @ codebook.T
-        + np.sum(codebook**2, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    dists = np.sqrt(sq[np.triu_indices(n, k=1)])
+    dists = np.sqrt(_squared_distances(codebook, codebook)[np.triu_indices(n, k=1)])
     return float(0.1 * dists.mean())

@@ -30,6 +30,8 @@ from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_LEARNE
 from .core import glorot_uniform
 from .data import N_FEATURES
 
+LOG_SCALES = ("log_cu", "log_cs")  # c_u and c_s, stored as log c
+
 
 @dataclass
 class ModelConfig:
@@ -94,7 +96,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["fc2_b"] = (cfg.n_classes,)
     if cfg.arch == ARCH_TLONBOF:
         kernel_params = ("alpha", "beta") if cfg.kernel == KERNEL_LOGISTIC else ("sigma",)
-        shapes.update(dict.fromkeys(("log_cu", "log_cs") + kernel_params, ()))
+        shapes.update(dict.fromkeys(LOG_SCALES + kernel_params, ()))
     return shapes
 
 
@@ -122,18 +124,14 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
 
 
 def trainable_names(cfg: ModelConfig) -> list[str]:
-    names = []
-    if cfg.deep_features:
-        names += ["conv_w", "conv_b"]
-    if cfg.arch == ARCH_TLONBOF:
-        names.append("codebook")
-    names += ["fc1_w", "fc1_b", "fc2_w", "fc2_b"]
-    if cfg.arch == ARCH_TLONBOF:
-        if cfg.adaptive_scaling == SCALING_LEARNED:
-            names += ["log_cu", "log_cs"]
-        if cfg.kernel_param_learning and cfg.kernel == KERNEL_LOGISTIC:
-            names += ["alpha", "beta"]
-    return names
+    """The parameters Adam updates: all but sigma, the log scales unless learned,
+    and alpha and beta without kernel-parameter learning, in ``param_shapes`` order."""
+    frozen = {"sigma"}
+    if cfg.adaptive_scaling != SCALING_LEARNED:
+        frozen.update(LOG_SCALES)
+    if not cfg.kernel_param_learning:
+        frozen.update(("alpha", "beta"))
+    return [k for k in param_shapes(cfg) if k not in frozen]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bof, network
-from .config import CHOICES, F32_MAX, RunConfig, write_atomic
+from .config import CHOICES, RunConfig, write_atomic
 from .errors import FormatError, NumericError, TrainingDiverged
 from .network import ModelConfig
 
@@ -24,6 +24,7 @@ CHECKPOINT_MAGIC = b"TLNB"
 CHECKPOINT_VERSION = 1
 
 LOG_SCALE_FLOOR = math.log(1e-6)  # keeps c_u, c_s >= 1e-6
+ADAM_SCALARS = ("t", "lr", "beta1", "beta2", "eps")  # stored as "adam.<field>"
 
 
 @dataclass
@@ -113,17 +114,6 @@ class TrainResult:
     history: TrainHistory
 
 
-def _check_scales(params: dict[str, np.ndarray]) -> None:
-    """NumericError naming the first scale whose factor c = exp(log c) is 0 or inf.
-
-    log c is taken as a checkpoint stores it, rounded to float32, so a value
-    that passes here also loads: 709.7827 has a finite exp, but its float32
-    rounding 709.78271484375 does not. The caller checks the float32 range first.
-    """
-    for name in [k for k in ("log_cu", "log_cs") if k in params]:
-        bof.scale({name: np.float64(np.float32(params[name]))}, name)
-
-
 def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
@@ -137,9 +127,9 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     (X, y)`` method (see ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
     non-finite or a forward pass fails numerically, or if at the end of an
-    epoch a parameter or Adam moment could not be stored in a checkpoint or
-    a scale factor exp(log c) is 0 or inf, carrying the last end-of-epoch
-    parameter snapshot.
+    epoch the parameters or the Adam state hold a value a checkpoint
+    cannot (see :func:`refusal`), carrying the last end-of-epoch parameter
+    snapshot.
     """
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
@@ -169,20 +159,16 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             grads = network.backward_batch(ctx, y)
             updates = {k: grads[k] for k in trainable}
             adam_step(params, updates, state)
-            for k in ("log_cu", "log_cs"):
+            for k in network.LOG_SCALES:
                 if k in params and params[k] < LOG_SCALE_FLOOR:
                     params[k] = np.array(LOG_SCALE_FLOOR)
             history.loss.append(float(loss))
             g = grads.get("conv_w")
             history.grad_norm_conv.append(float(np.linalg.norm(g)) if g is not None else float("nan"))
             step += 1
-        bad = _unstorable(list(params.items()) + _moment_entries(state))
-        if bad is not None:
-            raise TrainingDiverged(step, last_good, f"{bad} is non-finite or beyond float32")
-        try:
-            _check_scales(params)  # or the snapshot would not load
-        except NumericError as exc:
-            raise TrainingDiverged(step, last_good, str(exc)) from exc
+        problem = refusal(list(params.items()) + _adam_entries(state))
+        if problem is not None:  # or the snapshot would not load
+            raise TrainingDiverged(step, last_good, problem)
         last_good = _snapshot(params)
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
@@ -260,41 +246,48 @@ def _encode_tensors(entries: list[tuple[str, np.ndarray]]) -> bytes:
     return b"".join(parts)
 
 
-def _moment_entries(state: AdamState) -> list[tuple[str, np.ndarray]]:
-    return ([(f"adam.m.{k}", v) for k, v in sorted(state.m.items())]
+def _adam_entries(state: AdamState) -> list[tuple[str, np.ndarray]]:
+    return ([(f"adam.{k}", np.array(float(getattr(state, k)))) for k in ADAM_SCALARS]
+            + [(f"adam.m.{k}", v) for k, v in sorted(state.m.items())]
             + [(f"adam.v.{k}", v) for k, v in sorted(state.v.items())])
 
 
-def _unstorable(entries: list[tuple[str, np.ndarray]]) -> str | None:
-    """Name of the first tensor holding a NaN, an inf or a value beyond the float32 range."""
-    for name, arr in entries:
-        if not (np.abs(arr) <= F32_MAX).all():
-            return name
+def refusal(entries: list[tuple[str, np.ndarray]]) -> str | None:
+    """Why the checkpoint reader refuses the first tensor of ``entries`` it refuses, or None.
+
+    The one value rule for checkpoints: ``train``, the writer and the reader
+    all apply it. Each tensor is judged as a checkpoint stores it, rounded to float32: its
+    values must be finite, a log scale's factor c = exp(log c) must be neither
+    0 nor inf (709.7827 has a finite exp, but its float32 rounding
+    709.78271484375 does not), and the Gaussian ``sigma`` must be positive
+    (1e-46 rounds to 0), as the forward pass divides by it.
+    """
+    with np.errstate(over="ignore"):
+        for name, arr in entries:
+            stored = np.asarray(arr, dtype=np.float32)
+            if not np.isfinite(stored).all():
+                return f"{name} is non-finite or beyond float32"
+            if name in network.LOG_SCALES:
+                try:
+                    bof.scale({name: stored.astype(np.float64)}, name)
+                except NumericError as exc:
+                    return str(exc)
+            if name == "sigma" and not stored > 0.0:
+                return f"sigma = {float(stored)!r} is not positive"
     return None
 
 
 def serialize_checkpoint(
     params: dict[str, np.ndarray], cfg: ModelConfig, state: AdamState | None = None
 ) -> bytes:
-    """Checkpoint bytes; NumericError if a value cannot be stored as a finite float32
-    or a stored log scale would give a scale factor of 0 or inf."""
+    """Checkpoint bytes; NumericError if the reader would refuse a value (see :func:`refusal`)."""
     entries = [(k, np.asarray(v)) for k, v in sorted(params.items())]
     entries += [(k, np.array(v)) for k, v in sorted(_meta_entries(cfg).items())]
     if state is not None:
-        entries.append(("adam.t", np.array(float(state.t))))
-        entries.append(("adam.lr", np.array(state.lr)))
-        entries.append(("adam.beta1", np.array(state.beta1)))
-        entries.append(("adam.beta2", np.array(state.beta2)))
-        entries.append(("adam.eps", np.array(state.eps)))
-        entries += _moment_entries(state)
-    bad = _unstorable(entries)
-    if bad is not None:
-        raise NumericError(f"checkpoint tensor {bad} holds a NaN, an inf or a value "
-                           "beyond the float32 range")
-    try:
-        _check_scales(params)  # or deserialize_checkpoint would refuse the bytes
-    except NumericError as exc:
-        raise NumericError(f"checkpoint tensor {exc}") from None
+        entries += _adam_entries(state)
+    problem = refusal(entries)
+    if problem is not None:
+        raise NumericError(f"checkpoint tensor {problem}")
     return _encode_tensors(entries)
 
 
@@ -320,17 +313,17 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _check_tensor_set(prefix: str, got: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
-    """Require exactly the tensors ``prefix`` + name of ``shapes``, each with its shape."""
-    missing = sorted(shapes.keys() - got.keys())
+def _check_tensor_set(got: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """Require exactly the tensors of ``shapes``, each with its shape."""
+    missing = [k for k in shapes if k not in got]
     if missing:
-        raise FormatError(f"checkpoint lacks tensor {prefix}{missing[0]} required by its model")
+        raise FormatError(f"checkpoint lacks tensor {missing[0]} required by its model")
     unknown = sorted(got.keys() - shapes.keys())
     if unknown:
-        raise FormatError(f"checkpoint tensor {prefix}{unknown[0]} is not part of its model")
+        raise FormatError(f"checkpoint tensor {unknown[0]} is not part of its model")
     for name, shape in shapes.items():
         if got[name].shape != shape:
-            raise FormatError(f"checkpoint tensor {prefix}{name} has shape {got[name].shape}, "
+            raise FormatError(f"checkpoint tensor {name} has shape {got[name].shape}, "
                               f"expected {shape}")
 
 
@@ -343,6 +336,7 @@ def deserialize_checkpoint(blob: bytes):
         raise FormatError(f"unsupported checkpoint version {version}", location="byte 4")
     count = reader.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
+    meta: dict[str, float] = {}
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
         name_at = reader.off
@@ -356,46 +350,36 @@ def deserialize_checkpoint(blob: bytes):
                               location=f"byte {reader.off - 1}")
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
         payload = reader.take(4 * math.prod(dims), f"payload of {name}")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        if not name.startswith("meta."):
+            tensors[name] = arr
+        elif arr.shape == ():
+            meta[name] = float(arr)
+        else:
+            raise FormatError(f"checkpoint model metadata {name} has shape {arr.shape}, not ()")
     if reader.off != len(blob):
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
-    params, meta = {}, {}
-    adam_m, adam_v, adam_scalar = {}, {}, {}
-    for name, arr in tensors.items():
-        if name.startswith("meta."):
-            if arr.shape != ():
-                raise FormatError(f"checkpoint model metadata {name} has shape {arr.shape}, not ()")
-            meta[name] = float(arr)
-            continue
-        if not np.isfinite(arr).all():
-            raise FormatError(f"checkpoint tensor {name} holds a non-finite value")
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m.") :]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v.") :]] = arr
-        elif name.startswith("adam."):
-            adam_scalar[name[len("adam.") :]] = arr
-        else:
-            params[name] = arr
     cfg = _config_from_meta(meta)
     shapes = network.param_shapes(cfg)
-    _check_tensor_set("", params, shapes)
-    try:
-        _check_scales(params)  # the forward pass needs positive, finite scale factors
-    except NumericError as exc:
-        raise FormatError(f"checkpoint tensor {exc}") from None
-    # the Gaussian kernel divides by sigma
-    if "sigma" in params and not params["sigma"] > 0.0:
-        raise FormatError(f"checkpoint tensor sigma = {float(params['sigma'])!r} is not positive")
-    if not (adam_scalar or adam_m or adam_v):
+    expected = dict(shapes)
+    has_adam = any(k.startswith("adam.") for k in tensors)
+    if has_adam:
+        trainable = network.trainable_names(cfg)
+        expected.update((f"adam.{k}", ()) for k in ADAM_SCALARS)
+        expected.update((f"adam.{kind}.{k}", shapes[k]) for kind in "mv" for k in trainable)
+    _check_tensor_set(tensors, expected)
+    problem = refusal(list(tensors.items()))
+    if problem is not None:
+        raise FormatError(f"checkpoint tensor {problem}")
+    params = {k: tensors[k] for k in shapes}
+    if not has_adam:
         return params, cfg, None
-    _check_tensor_set("adam.", adam_scalar, dict.fromkeys(("t", "lr", "beta1", "beta2", "eps"), ()))
-    trainable = {k: shapes[k] for k in network.trainable_names(cfg)}
-    _check_tensor_set("adam.m.", adam_m, trainable)
-    _check_tensor_set("adam.v.", adam_v, trainable)
-    scalars = {k: float(v) for k, v in adam_scalar.items()}
-    return params, cfg, AdamState(m=adam_m, v=adam_v, t=int(scalars.pop("t")), **scalars)
+    scalars = {k: float(tensors[f"adam.{k}"]) for k in ADAM_SCALARS}
+    state = AdamState(m={k: tensors[f"adam.m.{k}"] for k in trainable},
+                      v={k: tensors[f"adam.v.{k}"] for k in trainable},
+                      t=int(scalars.pop("t")), **scalars)
+    return params, cfg, state
 
 
 def load_checkpoint(path):

@@ -385,7 +385,9 @@ def test_eval_non_positive_sigma_checkpoint_exit_1(tmp_path, capsys, sigma):
     params = network.init_params(cfg, np.random.default_rng(0))
     params["sigma"] = np.array(sigma)
     model = tmp_path / "sigma.tlnb"
-    training.save_checkpoint(model, params, cfg)
+    # serialize_checkpoint refuses such a sigma, so the file is encoded directly
+    meta = {k: np.array(v) for k, v in training._meta_entries(cfg).items()}
+    model.write_bytes(training._encode_tensors(sorted({**params, **meta}.items())))
     assert main(["eval", "--model", str(model), "--data", datadir, "--folds", "single",
                  "--report", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err

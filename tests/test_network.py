@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,25 @@ def test_trainable_names_follow_ablation_flags():
     assert "log_cu" not in frozen and "log_cs" not in frozen
     shallow = network.trainable_names(tiny_config(deep_features=False))
     assert "conv_w" not in shallow and "conv_b" not in shallow
+
+
+# every (arch, kernel, scaling, kernel-parameter learning, deep features)
+# combination but GAP without deep features, which the config refuses
+EVERY_FLAG_SET = [flags for flags in itertools.product(
+    config.ARCH_CHOICES, config.KERNEL_CHOICES, config.SCALING_CHOICES, (False, True), (False, True))
+    if flags[0] == config.ARCH_TLONBOF or flags[4]]
+
+
+@pytest.mark.parametrize("arch,kernel,scaling,kpl,deep", EVERY_FLAG_SET)
+def test_trainable_names_table(arch, kernel, scaling, kpl, deep):
+    cfg = tiny_config(arch=arch, kernel=kernel, adaptive_scaling=scaling,
+                      kernel_param_learning=kpl, deep_features=deep)
+    bof = arch == config.ARCH_TLONBOF
+    expected = ((["conv_w", "conv_b"] if deep else []) + (["codebook"] if bof else [])
+                + ["fc1_w", "fc1_b", "fc2_w", "fc2_b"]
+                + (["log_cu", "log_cs"] if bof and scaling == config.SCALING_LEARNED else [])
+                + (["alpha", "beta"] if bof and kpl and kernel == config.KERNEL_LOGISTIC else []))
+    assert network.trainable_names(cfg) == expected
 
 
 def test_cnn_gap_requires_deep_features():
@@ -425,13 +445,13 @@ def test_in_place_activations_are_invisible(overrides):
 
 # Traced peak of one forward + backward, counted in (B, N, K) float64 arrays
 # (K = the conv width here). The context keeps three: the conv activation, K
-# and the memberships U. At its peak the logistic backward adds three more
-# (dL/dU, dL/dfeats and one product), the Gaussian one four (dL/dU and the
-# three terms of dL/dfeats); the histograms and the head stay under one. A
-# second copy of the conv output, or a scratch held into those products,
-# takes the step past the bound.
+# and the memberships U. At its peak either backward adds three more: dL/dU,
+# dL/dfeats and one product (f * (d_z @ codebook) for the logistic kernel,
+# rowsum(d_sq) * feats for the Gaussian one); the histograms and the head stay
+# under one. A second copy of the conv output, or a scratch held into those
+# products, takes the step past the bound.
 @pytest.mark.parametrize("kernel,bound", [(config.KERNEL_LOGISTIC, 7.5),
-                                          (config.KERNEL_GAUSSIAN, 8.3)])
+                                          (config.KERNEL_GAUSSIAN, 7.5)])
 def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16, kernel=kernel)
     rng = np.random.default_rng(0)

@@ -3,7 +3,8 @@
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
 line, and the feature CSV loader must give what its csv row loop alone
-gives. Example counts and determinism come from the profile in conftest.
+gives. The checkpoint writer must refuse exactly what the reader refuses.
+Example counts and determinism come from the profile in conftest.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from reference import conv_flat_per_tap  # noqa: E402
 
 from tlonbof import cli, config, data, kernels, network, training  # noqa: E402
-from tlonbof.errors import FormatError  # noqa: E402
+from tlonbof.errors import FormatError, NumericError  # noqa: E402
 
 LINE = re.compile(r"line \d+")
 
@@ -213,15 +214,28 @@ def test_grid_valid_file_loads(scratch):
 # checkpoint
 
 
-def _valid_checkpoint(kernel: str) -> bytes:
+def _model_with(kernel: str, edits) -> tuple:
+    """A small model and its Adam state with each (name, index, value) of ``edits`` applied.
+
+    A name is a parameter, an ``adam.m.``/``adam.v.`` moment or an Adam scalar
+    field; the index counts through the tensor's values, modulo its size.
+    """
     cfg = network.ModelConfig(d_in=3, conv_filters=2, conv_kernel=3, n_codewords=2,
                               n_regions=2, hidden=2, kernel=kernel, avg_seq_len=4.0)
     params = network.init_params(cfg, np.random.default_rng(0))
     state = training.init_adam(params, network.trainable_names(cfg))
-    return training.serialize_checkpoint(params, cfg, state)
+    tensors = {**params, **{f"adam.m.{k}": v for k, v in state.m.items()},
+               **{f"adam.v.{k}": v for k, v in state.v.items()}}
+    for name, index, value in edits:
+        if name in tensors:
+            tensors[name].flat[index % tensors[name].size] = value
+        else:
+            setattr(state, name, value)
+    return params, cfg, state
 
 
-VALID_CHECKPOINTS = [_valid_checkpoint("logistic"), _valid_checkpoint("gaussian")]
+VALID_CHECKPOINTS = [training.serialize_checkpoint(*_model_with(kernel, []))
+                     for kernel in ("logistic", "gaussian")]
 
 
 def _with_sigma(blob: bytes, value: float) -> bytes:
@@ -265,6 +279,45 @@ def test_checkpoint_mutations(blob):
 def test_checkpoint_valid_blobs_load():
     for blob in VALID_CHECKPOINTS:
         assert training.deserialize_checkpoint(blob)[2] is not None
+
+
+# values at the edges of what a checkpoint holds: about the float32 maximum,
+# log scales whose factor exp(log c) leaves float64 (above 709.78 it is inf,
+# below -745.13 it is 0), a sigma about 0, and NaN
+EDGE_VALUES = st.one_of(st.floats(3.40e38, 3.41e38), st.floats(-3.41e38, -3.40e38),
+                        st.floats(709.77, 709.79), st.floats(-745.2, -745.1),
+                        st.floats(-1e-44, 1e-44), st.just(math.nan))
+
+
+@st.composite
+def edited_models(draw):
+    kernel = draw(st.sampled_from(config.KERNEL_CHOICES))
+    params, _, state = _model_with(kernel, [])
+    names = sorted(params) + [f"adam.{kind}.{k}" for kind in "mv" for k in sorted(state.m)]
+    names += ["lr", "beta1", "beta2", "eps"]
+    edits = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(0, 99), EDGE_VALUES),
+                          min_size=1, max_size=3))
+    return _model_with(kernel, edits)
+
+
+@given(edited_models())
+@example(_model_with("gaussian", [("sigma", 0, 1e-46)]))
+@example(_model_with("logistic", [("log_cs", 0, 709.7827)]))
+@example(_model_with("logistic", [("fc1_w", 0, config.F32_MAX + 2.0**102)]))  # stores as the max
+def test_checkpoint_writer_refuses_exactly_what_the_reader_refuses(model):
+    params, cfg, state = model
+    try:
+        blob = training.serialize_checkpoint(params, cfg, state)
+    except NumericError:
+        # the writer's tensors, encoded without its check, do not load
+        entries = (sorted(params.items()) + training._adam_entries(state)
+                   + [(k, np.array(v)) for k, v in training._meta_entries(cfg).items()])
+        with np.errstate(over="ignore"):
+            blob = training._encode_tensors(entries)
+        with pytest.raises(FormatError):
+            training.deserialize_checkpoint(blob)
+        return
+    training.deserialize_checkpoint(blob)
 
 
 # ---------------------------------------------------------------------------

@@ -324,10 +324,10 @@ def test_checkpoint_bad_meta_is_format_error(key, value):
 LAYOUT_CFG = network.ModelConfig(d_in=5, conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
 
 
-def _layout_blob(edit):
+def _layout_blob(edit, cfg=LAYOUT_CFG):
     """A checkpoint of a small model with ``edit`` applied to its named tensors."""
-    tensors = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
-    tensors.update((k, np.array(v)) for k, v in training._meta_entries(LAYOUT_CFG).items())
+    tensors = network.init_params(cfg, np.random.default_rng(0))
+    tensors.update((k, np.array(v)) for k, v in training._meta_entries(cfg).items())
     edit(tensors)
     return training._encode_tensors(sorted(tensors.items()))
 
@@ -434,19 +434,28 @@ def test_train_keeps_only_snapshots_that_save_and_load(monkeypatch, value):
 
 def test_serialize_keeps_the_float32_maximum():
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
-    params["fc2_b"][:] = training.F32_MAX
+    params["fc2_b"][:] = config.F32_MAX
     loaded, _, _ = training.deserialize_checkpoint(
         training.serialize_checkpoint(params, LAYOUT_CFG))
-    assert (loaded["fc2_b"] == training.F32_MAX).all()
+    assert (loaded["fc2_b"] == config.F32_MAX).all()
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0])
 def test_checkpoint_non_positive_sigma_is_format_error(sigma):
+    # serialize_checkpoint refuses such a sigma, so the file is encoded directly
+    blob = _layout_blob(_set("sigma", sigma), replace(LAYOUT_CFG, kernel="gaussian"))
+    with pytest.raises(FormatError, match="sigma"):
+        training.deserialize_checkpoint(blob)
+
+
+# 1e-46 is positive in float64 but rounds to 0 in the float32 payload
+@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-46])
+def test_serialize_refuses_a_sigma_the_reader_would_refuse(sigma):
     cfg = replace(LAYOUT_CFG, kernel="gaussian")
     params = network.init_params(cfg, np.random.default_rng(0))
     params["sigma"] = np.array(sigma)
-    with pytest.raises(FormatError, match="sigma"):
-        training.deserialize_checkpoint(training.serialize_checkpoint(params, cfg))
+    with pytest.raises(NumericError, match="checkpoint tensor sigma"):
+        training.serialize_checkpoint(params, cfg)
 
 
 def test_checkpoint_floored_scale_factor_loads():
