@@ -92,11 +92,40 @@ def anchored_folds(day_ids: list[int]) -> list[FoldSpec]:
     return [FoldSpec(tuple(days[: k + 1]), days[k + 1]) for k in range(len(days) - 1)]
 
 
+@dataclass
+class WindowBatch:
+    """Equal-length windows as slices of one table of rows.
+
+    Window i is ``rows[starts[i] : starts[i] + window]``, so windows that
+    overlap share table rows and the conv reads each row once however many
+    windows hold it.
+    """
+
+    rows: np.ndarray  # (n_rows, dim)
+    starts: np.ndarray  # (n_windows,) int
+    window: int
+
+    @classmethod
+    def of_windows(cls, x: np.ndarray) -> WindowBatch:
+        """A (n_windows, window, dim) array read as a table: window i starts at row i * window."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3:
+            raise ValueError(f"expected (batch, steps, dim) input, got shape {x.shape}")
+        n_windows, window, dim = x.shape
+        return cls(x.reshape(-1, dim), np.arange(n_windows) * window, window)
+
+    def windows(self) -> np.ndarray:
+        """The windows gathered out of the table, (n_windows, window, dim)."""
+        return self.rows[self.starts[:, None] + np.arange(self.window)]
+
+
 class WindowDataset:
     """Window samples over a corpus, gathered lazily from per-day arrays.
 
-    Windows are never materialized up front; ``gather`` slices them out of
-    the day arrays on demand, so memory stays proportional to the raw rows.
+    Windows are never materialized up front. ``gather`` copies the rows a
+    batch of windows reads out of the day arrays on demand, each distinct
+    row once, and ``runs`` hands out views of a day's consecutive windows, so
+    memory stays proportional to the raw rows.
     """
 
     def __init__(
@@ -111,6 +140,9 @@ class WindowDataset:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._days = [np.ascontiguousarray(s.features) for s in corpus]
+        # (day, t) -> day * stride + t sorts by day, then t, and keeps the
+        # windows of different days at least a window apart
+        self._stride = max((len(s) for s in corpus), default=1)
         day_idx, ts, labels, day_ids = [], [], [], []
         for i, s in enumerate(corpus):
             count = len(s) - window - horizon + 1
@@ -137,14 +169,29 @@ class WindowDataset:
     def __len__(self) -> int:
         return self.n_samples
 
-    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gather(self, indices: np.ndarray) -> tuple[WindowBatch, np.ndarray]:
+        """The windows of samples ``indices`` and their labels.
+
+        The batch's table holds each row that any of the windows reads once,
+        sorted by (day, t), so every window is a contiguous slice of it and
+        it has at most ``len(indices) * window`` rows. A sample drawn twice
+        gets the same start both times.
+        """
         indices = np.asarray(indices)
-        x = np.empty((indices.size, self.window, N_FEATURES))
-        for row, i in enumerate(indices):
-            day = self._days[self._day_idx[i]]
-            t = self._t[i]
-            x[row] = day[t - self.window + 1 : t + 1]
-        return x, self.labels[indices]
+        w = self.window
+        ends, inverse = np.unique(self._day_idx[indices] * self._stride + self._t[indices],
+                                  return_inverse=True)
+        # in key order each window adds the rows its predecessor does not hold
+        new = np.minimum(np.diff(ends, prepend=ends[:1] - w), w)
+        stop = np.cumsum(new)
+        # table row r in [stop_j - new_j, stop_j) holds the row of key r + ends_j + 1 - stop_j
+        keys = np.arange(new.sum()) + np.repeat(ends + 1 - stop, new)
+        rows = np.empty((keys.size, N_FEATURES))
+        days = np.unique(ends // self._stride)
+        cuts = np.searchsorted(keys, np.append(days, days[-1:] + 1) * self._stride)
+        for d, lo, hi in zip(days.tolist(), cuts[:-1].tolist(), cuts[1:].tolist()):
+            np.take(self._days[d], keys[lo:hi] - d * self._stride, axis=0, out=rows[lo:hi])
+        return WindowBatch(rows, (stop - w)[inverse], w), self.labels[indices]
 
     def runs(self, chunk: int):
         """Consecutive windows of one day, at most ``chunk`` at a time, in sample order.

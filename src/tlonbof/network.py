@@ -28,7 +28,7 @@ from . import bof, kernels
 from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_LEARNED, SCALING_OFF,
                      RunConfig, check_model, pooled_regions, value_error)
 from .core import glorot_uniform
-from .data import N_FEATURES
+from .data import N_FEATURES, WindowBatch
 
 LOG_SCALES = ("log_cu", "log_cs")  # c_u and c_s, stored as log c
 
@@ -137,61 +137,72 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def conv1d_same_batch(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Zero-padded same-length 1-D convolution over the time axis.
+def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Zero-padded same-length 1-D convolution of every window of a row table.
 
-    ``x`` is (batch, steps, d_in), ``weights`` is (kernel, d_in, d_out).
-    Each tap is one 2-D product over every (batch * steps) row, written into
-    one reused buffer and added onto the bias, tap by tap, as one flat slice
-    shifted by the tap's offset. The product rows that the shift would carry
-    into a neighbouring window are zeroed first, which is the zero padding.
+    ``batch.rows`` is (rows, d_in), ``weights`` is (kernel, d_in, d_out) and
+    the output is (windows, steps, d_out). Each tap is one 2-D product over
+    the table's rows, written into one reused buffer, so a row that several
+    windows share is multiplied once. The products are added onto the bias in
+    tap order, shifted by the tap's offset, along the whole table as if it
+    were one sequence: that is each window's output wherever every tap stays
+    inside the window. The ``kernel // 2`` positions at each end of a window
+    add, in the same order, only the product rows ``start + p + offset`` that
+    stay inside it, which is the zero padding.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {taps}")
-    if x.shape[-1] != d_in:
-        raise ValueError(f"input dim {x.shape[-1]} does not match kernel dim {d_in}")
-    batch, n = x.shape[:2]
+    rows, starts, n = batch.rows, batch.starts, batch.window
+    if rows.shape[-1] != d_in:
+        raise ValueError(f"input dim {rows.shape[-1]} does not match kernel dim {d_in}")
     center = taps // 2
-    rows = x.reshape(-1, d_in)
-    out = np.broadcast_to(bias, (rows.shape[0], d_out)).copy()
-    prod = np.empty_like(out)
-    steps = prod.reshape(batch, n, d_out)
+    edges = [p for p in range(n) if not center <= p < n - center]
+    inner = np.broadcast_to(bias, (rows.shape[0], d_out)).copy()
+    at_edges = np.broadcast_to(bias, (starts.size, len(edges), d_out)).copy()
+    prod = np.empty_like(inner)
     for k in range(taps):
         off = k - center
         if abs(off) >= n:
             continue
         np.matmul(rows, weights[k], out=prod)
         if off > 0:
-            steps[:, :off] = 0.0
-            out[:-off] += prod[off:]
+            inner[:-off] += prod[off:]
         elif off < 0:
-            steps[:, n + off :] = 0.0
-            out[-off:] += prod[:off]
+            inner[-off:] += prod[:off]
         else:
-            out += prod
-    return out.reshape(batch, n, d_out)
+            inner += prod
+        for j, p in enumerate(edges):
+            if 0 <= p + off < n:
+                at_edges[:, j] += prod[starts + (p + off)]
+    out = inner[starts[:, None] + np.arange(n)]
+    out[:, edges] = at_edges
+    return out
 
 
 def conv1d_same_backward(
-    x: np.ndarray, weights: np.ndarray, d_out: np.ndarray
+    batch: WindowBatch, weights: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias.
 
-    No input gradient: the conv is always the first layer. Each tap's weight
-    gradient is one 2-D product over the (batch * steps) rows that the tap
-    touches; no batch-wide unfolded copy of the input is built.
+    No input gradient: the conv is always the first layer. For each tap the
+    windows' output gradients are added, window by window, onto the table
+    rows the tap read for them, and the tap's weight gradient is one 2-D
+    product of the table with those sums.
     """
     taps, d_in, d_o = weights.shape
-    n = x.shape[1]
+    rows, starts, n = batch.rows, batch.starts.tolist(), batch.window
     center = taps // 2
     d_w = np.zeros_like(weights)
+    g_rows = np.empty((rows.shape[0], d_o))
     for k in range(taps):
         off = k - center
         lo, hi = max(0, -off), n - max(0, off)
         if lo < hi:
-            g_rows = d_out[:, lo:hi].reshape(-1, d_o)
-            d_w[k] = x[:, lo + off : hi + off].reshape(-1, d_in).T @ g_rows
+            g_rows.fill(0.0)
+            for i, s in enumerate(starts):
+                g_rows[s + lo + off : s + hi + off] += d_out[i, lo:hi]
+            np.matmul(rows.T, g_rows, out=d_w[k])
     return d_w, d_out.sum(axis=(0, 1))
 
 
@@ -218,8 +229,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class NetworkContext:
     cfg: ModelConfig
     params: dict[str, np.ndarray]
-    x: np.ndarray  # (B, N, d_in)
-    feats: np.ndarray  # what the pooling stage consumed: the post-ReLU conv output, or x
+    batch: WindowBatch  # the input: a table of rows and each window's start in it
+    feats: np.ndarray  # what the pooling stage consumed: the post-ReLU conv output, or the windows
     bof_ctx: bof.BofContext | None
     pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
     fc1_pre: np.ndarray
@@ -229,20 +240,24 @@ class NetworkContext:
 
 
 def forward_batch(
-    x: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
+    x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
 ) -> tuple[np.ndarray, NetworkContext]:
-    """Class probabilities for a batch of equal-length windows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected (batch, steps, dim) input, got shape {x.shape}")
-    if x.shape[-1] != cfg.d_in:
-        raise ValueError(f"feature dim {x.shape[-1]} does not match configured d_in={cfg.d_in}")
+    """Class probabilities for a batch of equal-length windows.
 
-    feats = x
+    ``x`` is a ``WindowBatch`` or a (batch, steps, d_in) array, which is read
+    as a table whose window i starts at row i * steps.
+    """
+    batch = x if isinstance(x, WindowBatch) else WindowBatch.of_windows(x)
+    if batch.rows.shape[-1] != cfg.d_in:
+        raise ValueError(f"feature dim {batch.rows.shape[-1]} does not match configured "
+                         f"d_in={cfg.d_in}")
+
     if cfg.deep_features:
         # the ReLU overwrites the conv output: only the activation is kept
-        feats = conv1d_same_batch(x, params["conv_w"], params["conv_b"])
+        feats = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
         np.maximum(feats, 0.0, out=feats)
+    else:
+        feats = batch.windows()
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
@@ -254,7 +269,7 @@ def forward_batch(
     ctx = NetworkContext(
         cfg=cfg,
         params=params,
-        x=x,
+        batch=batch,
         feats=feats,
         bof_ctx=bof_ctx,
         pooled=pooled,
@@ -370,6 +385,7 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
     if cfg.deep_features:
         # relu(c) > 0 exactly where c > 0, so the activation gives the mask
         d_feats *= ctx.feats > 0.0
-        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.x, params["conv_w"], d_feats)
+        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.batch, params["conv_w"],
+                                                                d_feats)
     return grads
 

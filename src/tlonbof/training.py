@@ -124,7 +124,8 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     The model is ``ModelConfig.from_run(rc, ...)``; ``batch_size``,
     ``epochs``, ``lr`` and ``seed`` set the protocol. ``dataset`` needs
     ``labels``, ``feature_dim``, ``window`` and a ``gather(indices) ->
-    (X, y)`` method (see ``data.WindowDataset``).
+    (batch, y)`` method whose batch ``network.forward_batch`` takes (see
+    ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
     non-finite or a forward pass fails numerically, or if at the end of an
     epoch the parameters or the Adam state hold a value a checkpoint
@@ -148,9 +149,9 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             # weight by the classes actually present; a degenerate day with a
             # single label is trainable, it just cannot teach other classes
             idx = balanced_batch(labels, rc.batch_size, rng_batch)
-            x, y = dataset.gather(idx)
+            batch, y = dataset.gather(idx)
             try:
-                _, ctx = network.forward_batch(x, params, cfg)
+                _, ctx = network.forward_batch(batch, params, cfg)
                 loss = network.batch_loss(ctx, y)
             except NumericError as exc:
                 raise TrainingDiverged(step, last_good, str(exc)) from exc
@@ -161,7 +162,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             adam_step(params, updates, state)
             for k in network.LOG_SCALES:
                 if k in params and params[k] < LOG_SCALE_FLOOR:
-                    params[k] = np.array(LOG_SCALE_FLOOR)
+                    params[k][...] = LOG_SCALE_FLOOR
             history.loss.append(float(loss))
             g = grads.get("conv_w")
             history.grad_norm_conv.append(float(np.linalg.norm(g)) if g is not None else float("nan"))
@@ -183,7 +184,9 @@ def predict(
     shared by many windows goes through the conv once per run and through
     the kernel once per tap set. At the paper geometry a run of 128 windows
     reads 142 rows and computes kernel values for 650 table rows (1.3 MB at
-    256 codewords), where the gathered windows had 1920 rows (3.9 MB).
+    256 codewords). A training batch of 128 windows drawn at random shares
+    fewer rows, and its backward pass needs the kernel values of all 1920
+    window positions (3.9 MB).
     """
     preds = np.empty(dataset.n_samples, dtype=np.int64)
     for first, rows in dataset.runs(chunk):

@@ -2,10 +2,11 @@
 
 Each one is a slow, direct transcription that the package's fast paths are
 checked against: the scalar labeler, materialised windows, a per-tap
-convolution, the scalar kernels and the finite-difference gradient oracle.
-They import nothing from the modules they check (``tlonbof.core``, ``bof``,
-``kernels``, ``network``, ``training``); only the data types and constants
-of ``tlonbof.data`` and the exception types of ``tlonbof.errors``.
+convolution and its weight gradient, the scalar kernels and the
+finite-difference gradient oracle. They import nothing from the modules
+they check (``tlonbof.core``, ``bof``, ``kernels``, ``network``,
+``training``); only the data types and constants of ``tlonbof.data`` and
+the exception types of ``tlonbof.errors``.
 ``test_core`` asserts that.
 """
 
@@ -115,6 +116,21 @@ def conv_flat_per_tap(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> n
         if lo < hi:
             out[:, lo:hi] += prod[:, lo + off : hi + off]
     return out
+
+
+def conv_backward_per_tap(x: np.ndarray, weights: np.ndarray, d_out: np.ndarray):
+    """Weight and bias gradients of the same conv: per tap, one 2-D product of
+    the windows' shifted rows with the output gradient rows they feed."""
+    taps, d_in, d_o = weights.shape
+    n, center = x.shape[1], taps // 2
+    d_w = np.zeros_like(weights)
+    for k in range(taps):
+        off = k - center
+        lo, hi = max(0, -off), n - max(0, off)
+        if lo < hi:
+            rows = x[:, lo + off : hi + off].reshape(-1, d_in)
+            d_w[k] = rows.T @ d_out[:, lo:hi].reshape(-1, d_o)
+    return d_w, d_out.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

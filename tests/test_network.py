@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import draw_instance, tiny_config
-from reference import conv_flat_per_tap, finite_diff_grad, relative_error
+from reference import conv_backward_per_tap, conv_flat_per_tap, finite_diff_grad, relative_error
 
-from tlonbof import config, network
+from tlonbof import config, data, network
+from tlonbof.data import WindowBatch
 
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
@@ -15,23 +16,24 @@ def test_conv_identity_kernel():
     # width-1 identity weights pass features straight through
     x = np.random.default_rng(0).normal(size=(1, 7, 3))
     w = np.eye(3)[None]  # (kernel=1, in=3, out=3)
-    out = network.conv1d_same_batch(x, w, np.zeros(3))
+    out = network.conv1d_same_batch(WindowBatch.of_windows(x), w, np.zeros(3))
     assert np.allclose(out, x, atol=1e-15)
 
 
 def test_conv_known_values_with_zero_padding():
     x = np.array([[[1.0], [2.0], [3.0]]])
     w = np.ones((3, 1, 1))
-    out = network.conv1d_same_batch(x, w, np.zeros(1))
+    out = network.conv1d_same_batch(WindowBatch.of_windows(x), w, np.zeros(1))
     assert out.ravel().tolist() == [3.0, 6.0, 5.0]
 
 
 def test_conv_bias_and_length():
     x = np.random.default_rng(1).normal(size=(1, 10, 4))
     w = np.random.default_rng(2).normal(size=(5, 4, 6))
-    out = network.conv1d_same_batch(x, w, np.full(6, 2.5))
+    batch = WindowBatch.of_windows(x)
+    out = network.conv1d_same_batch(batch, w, np.full(6, 2.5))
     assert out.shape == (1, 10, 6)
-    base = network.conv1d_same_batch(x, w, np.zeros(6))
+    base = network.conv1d_same_batch(batch, w, np.zeros(6))
     assert np.allclose(out - base, 2.5)
 
 
@@ -43,13 +45,14 @@ def test_conv_backward_matches_finite_differences(taps, n_steps):
     w = rng.normal(size=(taps, 3, 4))
     b = rng.normal(size=4)
     d_out = rng.normal(size=(2, n_steps, 4))
+    batch = WindowBatch.of_windows(x)
 
-    def val(xx, ww, bb):
-        return float(np.sum(network.conv1d_same_batch(xx, ww, bb) * d_out))
+    def val(ww, bb):
+        return float(np.sum(network.conv1d_same_batch(batch, ww, bb) * d_out))
 
-    d_w, d_b = network.conv1d_same_backward(x, w, d_out)
-    fd_w = finite_diff_grad(lambda v: val(x, v.reshape(w.shape), b), w.copy())
-    fd_b = finite_diff_grad(lambda v: val(x, w, v), b.copy())
+    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    fd_w = finite_diff_grad(lambda v: val(v.reshape(w.shape), b), w.copy())
+    fd_b = finite_diff_grad(lambda v: val(w, v), b.copy())
     assert relative_error(d_w.ravel(), fd_w.ravel()) < 1e-8
     assert relative_error(d_b, fd_b) < 1e-8
 
@@ -76,13 +79,89 @@ def test_conv_forward_matches_the_per_tap_stacked_form(n_steps, d_out):
     x = rng.normal(size=(4, n_steps, 144))
     w = rng.normal(size=(5, 144, d_out))
     b = rng.normal(size=d_out)
-    got = network.conv1d_same_batch(x, w, b)
+    got = network.conv1d_same_batch(WindowBatch.of_windows(x), w, b)
     # the same products, added in the same order
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # one product over every row: BLAS may sum it in another order than the
     # per-window products
     assert relative_error(got.ravel(), _conv_per_tap_stacked(x, w, b).ravel()) < 1e-15
+
+
+# Batches gathered from a 3-day corpus (36 windows a day): overlapping
+# windows, a window drawn three times, windows from every day, and 2-step
+# windows, shorter than the 5-tap kernel, whose outer taps read nothing
+TABLE_CASES = {
+    "overlapping": (15, [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]),
+    "repeated": (15, [3, 3, 7, 3, 20, 8]),
+    "three_days": (15, [0, 40, 80, 41, 100, 2, 79]),
+    "shorter_than_kernel": (2, [0, 1, 1, 40, 95, 94, 107, 0]),
+}
+
+
+def _gathered_case(name):
+    window, indices = TABLE_CASES[name]
+    ds = data.WindowDataset(data.synth_generate(3, 60 + window - 15, seed=3), window=window)
+    assert ds.n_samples == 108
+    batch, _ = ds.gather(np.array(indices))
+    assert batch.rows.shape[0] < len(indices) * window  # the windows share rows
+    return batch, batch.windows()
+
+
+# At some widths (1, 2, 3 and 9 filters here: GEMV and OpenBLAS's narrow GEMM
+# kernels) a row's product rounds by its place in the matrix, so the table
+# and the gathered windows can differ in the last bit. At the protocol's 32
+# and 256 filters every row's product is the same in both.
+@pytest.mark.parametrize("filters,bitwise", [(1, False), (32, True), (256, True)])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_conv_forward_is_the_per_tap_reference_on_the_gathered_windows(case, filters,
+                                                                             bitwise):
+    batch, x = _gathered_case(case)
+    rng = np.random.default_rng(filters)
+    w = rng.normal(size=(5, data.N_FEATURES, filters))
+    b = rng.normal(size=filters)
+    got = network.conv1d_same_batch(batch, w, b)
+    want = conv_flat_per_tap(x, w, b)
+    if bitwise:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:
+        assert relative_error(got, want) < 1e-15
+
+
+@pytest.mark.parametrize("filters", [1, 32, 256])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_conv_backward_is_the_per_tap_reference_on_the_gathered_windows(case, filters):
+    batch, x = _gathered_case(case)
+    rng = np.random.default_rng(filters)
+    w = rng.normal(size=(5, data.N_FEATURES, filters))
+    d_out = rng.normal(size=x.shape[:2] + (filters,))
+    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    want_w, want_b = conv_backward_per_tap(x, w, d_out)
+    # each row's gradient terms are summed before the product, not inside it
+    assert relative_error(d_w, want_w) < 2e-15
+    assert np.array_equal(d_b, want_b)
+
+
+# hand-made tables: overlapping windows, a repeated window, three disjoint
+# spans, and windows shorter than the kernel
+@pytest.mark.parametrize("n_rows,starts,n_steps", [
+    (9, [0, 1, 2, 4], 5), (8, [3, 0, 3, 3], 5), (13, [0, 5, 9, 9, 1], 4), (6, [0, 4, 3, 3], 2),
+])
+def test_table_conv_backward_matches_finite_differences(n_rows, starts, n_steps):
+    rng = np.random.default_rng(n_rows)
+    batch = WindowBatch(rng.normal(size=(n_rows, 3)), np.array(starts), n_steps)
+    w = rng.normal(size=(5, 3, 4))
+    b = rng.normal(size=4)
+    d_out = rng.normal(size=(len(starts), n_steps, 4))
+
+    def val(ww, bb):
+        return float(np.sum(network.conv1d_same_batch(batch, ww, bb) * d_out))
+
+    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    fd_w = finite_diff_grad(lambda v: val(v.reshape(w.shape), b), w.copy())
+    fd_b = finite_diff_grad(lambda v: val(w, v), b.copy())
+    assert relative_error(d_w, fd_w) < 1e-8
+    assert relative_error(d_b, fd_b) < 1e-8
 
 
 @pytest.mark.parametrize("seed", [14, 15, 18, 27, 31, 36, 37])
@@ -443,6 +522,26 @@ def test_in_place_activations_are_invisible(overrides):
     assert _bits(network.backward_batch(ctx, labels)) == first
 
 
+@pytest.mark.parametrize("overrides", EVERY_MODEL)
+def test_a_step_on_a_row_table_is_the_step_on_its_windows(overrides):
+    # overlapping windows and a repeated one, as a training batch gathers them
+    cfg = tiny_config(**overrides)
+    rng = np.random.default_rng(6)
+    params = network.init_params(cfg, rng)
+    if "sigma" in params:
+        params["sigma"] = np.array(4.0)
+    batch = WindowBatch(rng.normal(size=(12, cfg.d_in)), np.array([0, 1, 5, 1, 6]), 6)
+    labels = np.array([0, 1, 2, 0, 1])
+    probs, ctx = network.forward_batch(batch, params, cfg)
+    want_probs, want_ctx = network.forward_batch(batch.windows(), params, cfg)
+    # BLAS may round a row's conv products by its place in the matrix
+    assert relative_error(probs, want_probs) < 1e-14
+    grads, want = network.backward_batch(ctx, labels), network.backward_batch(want_ctx, labels)
+    assert grads.keys() == want.keys()
+    for k in want:
+        assert relative_error(grads[k], want[k]) < 1e-13, k
+
+
 # Traced peak of one forward + backward, counted in (B, N, K) float64 arrays
 # (K = the conv width here). The context keeps three: the conv activation, K
 # and the memberships U. At its peak either backward adds three more: dL/dU,
@@ -456,13 +555,15 @@ def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16, kernel=kernel)
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
-    x = rng.normal(size=(32, 15, cfg.d_in))
-    unit = x.shape[0] * x.shape[1] * cfg.n_codewords * 8
-    tracemalloc.start()  # traces only what the step allocates
-    try:
-        _, ctx = network.forward_batch(x, params, cfg)
-        network.backward_batch(ctx, np.arange(32) % 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / unit < bound
+    unit = 32 * 15 * cfg.n_codewords * 8
+    # 32 windows as 32 x 15 rows of their own, and as overlapping slices of 46 rows
+    for x in (rng.normal(size=(32, 15, cfg.d_in)),
+              WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15)):
+        tracemalloc.start()  # traces only what the step allocates
+        try:
+            _, ctx = network.forward_batch(x, params, cfg)
+            network.backward_batch(ctx, np.arange(32) % 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < bound

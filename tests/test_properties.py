@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from reference import conv_flat_per_tap  # noqa: E402
+from reference import conv_flat_per_tap, windowize  # noqa: E402
 
 from tlonbof import cli, config, data, kernels, network, training  # noqa: E402
 from tlonbof.errors import FormatError, NumericError  # noqa: E402
@@ -340,11 +340,35 @@ def test_window_runs_cover_every_sample_once_in_order(day_lengths, window, horiz
         day = int(ds.day_ids[first])
         assert (ds.day_ids[first : first + count] == day).all()  # never crosses a day
         assert np.shares_memory(rows, corpus[day - 1].features)  # a view, not a copy
-        x, _ = ds.gather(np.arange(first, first + count))
+        x = ds.gather(np.arange(first, first + count))[0].windows()
         for j in range(count):
             assert np.array_equal(rows[j : j + window], x[j])
         expected_first += count
     assert expected_first == ds.n_samples
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=4), st.sampled_from([1, 15]),
+       st.lists(st.integers(0, 2**31), min_size=1, max_size=64))
+@example([60, 0, 41], 15, [0, 0, 5, 1, 60, 40, 3, 3])
+def test_gathered_table_rebuilds_the_windows_from_distinct_sorted_rows(day_lengths, window,
+                                                                        draws):
+    rng = np.random.default_rng(len(day_lengths) + window)
+    corpus = []
+    for d, n in enumerate(day_lengths, start=1):
+        feats = rng.normal(size=(n, data.N_FEATURES))
+        feats[:, 0] = 1000 * d + np.arange(n)  # the row's (day, t), as one sortable key
+        corpus.append(data.FeatureSeries(d, feats, 100.0 + rng.uniform(size=n)))
+    ds = data.WindowDataset(corpus, window=window)
+    assume(ds.n_samples > 0)
+    indices = np.array(draws) % ds.n_samples  # repeats included
+    batch, labels = ds.gather(indices)
+    want = np.concatenate([windowize(s, window=window)[0] for s in corpus])[indices]
+    assert batch.windows().tobytes() == want.tobytes()
+    assert np.array_equal(labels, ds.labels[indices])
+    keys = batch.rows[:, 0]
+    assert (np.diff(keys) > 0).all()  # sorted by (day, t), each row once
+    assert keys.size <= indices.size * window
+    assert set(keys.tolist()) == set(want[:, :, 0].ravel().tolist())  # only rows a window reads
 
 
 @given(st.integers(1, 5), st.integers(1, 16), st.sampled_from([1, 3, 5, 7]),
@@ -359,7 +383,7 @@ def test_conv_forward_is_bitwise_the_flat_per_tap_reference(batch, n_steps, taps
     x = rng.normal(size=(batch, n_steps, d_in))
     w = rng.normal(size=(taps, d_in, d_out))
     b = rng.normal(size=d_out)
-    got = network.conv1d_same_batch(x, w, b)
+    got = network.conv1d_same_batch(data.WindowBatch.of_windows(x), w, b)
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -149,6 +149,48 @@ def test_train_nan_guard_reports_step_and_snapshot():
     assert all(np.all(np.isfinite(v)) for v in snap.values())
 
 
+class _WindowsOfTheirOwn(data.WindowDataset):
+    """The same batches, each window gathered as rows of its own."""
+
+    def gather(self, indices):
+        batch, labels = super().gather(indices)
+        return batch.windows(), labels
+
+
+def test_training_on_the_row_table_is_training_on_the_gathered_windows():
+    # the acceptance geometry, 27 steps of 96 windows: the conv forward is
+    # the same sum either way, and the conv weight gradient sums each row's
+    # terms in another order, so later steps may move in the last bits
+    corpus = data.synth_generate(3, 300, seed=5)
+    rc = RunConfig(batch_size=96, epochs=3, lr=3e-3, seed=2, conv_filters=32, n_codewords=32,
+                   hidden=64)
+    table = training.train(rc, data.WindowDataset(corpus))
+    gathered = training.train(rc, _WindowsOfTheirOwn(corpus))
+    assert table.history.steps == gathered.history.steps == 27
+    assert table.history.loss[0] == gathered.history.loss[0]
+    for history in ("loss", "grad_norm_conv"):
+        got = np.array(getattr(table.history, history))
+        want = np.array(getattr(gathered.history, history))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min(), history
+
+
+def test_log_scale_floor_keeps_the_parameter_arrays(monkeypatch):
+    # a clamped step writes the floor into the array Adam updates in place
+    real_step = training.adam_step
+    first = {}
+
+    def step_then_sink_log_cu(params, grads, state):
+        real_step(params, grads, state)
+        first.setdefault("params", dict(params))
+        params["log_cu"][...] = -50.0
+
+    monkeypatch.setattr(training, "adam_step", step_then_sink_log_cu)
+    ds = small_dataset(n_days=2, rows=40, seed=2)
+    result = training.train(RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN), ds)
+    assert all(result.params[k] is v for k, v in first["params"].items())
+    assert result.params["log_cu"].tobytes() == np.array(training.LOG_SCALE_FLOOR).tobytes()
+
+
 def test_predict_chunking_is_invisible():
     # days of different lengths; the 20-row day is too short to give a window
     corpus = [data.synth_generate(1, n, seed=n)[0] for n in (80, 20, 143, 61)]
