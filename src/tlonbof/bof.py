@@ -5,6 +5,10 @@ histogram: every timestep is softly assigned to a shared codebook, the
 assignments are averaged inside each temporal region, and the per-region
 histograms are concatenated newest-region first.
 
+A batch arrives as a feature table, each distinct feature row once, and a
+(windows, steps) index of the row each window position reads, so the rows
+that sliding windows share are assigned, and back-propagated, once.
+
 Two learnable scale factors keep the signal alive through the involved
 normalizations: ``c_u`` is the total assignment mass of each timestep
 (each row of the assignment matrix sums to ``c_u``) and ``c_s`` scales
@@ -18,8 +22,8 @@ The layer reads its parameters from the model's ``name -> array`` dict:
 one. The backward pass is derived by hand (quotient rule through the row
 normalization, then the chosen kernel), reads only the cached kernel
 values and memberships, and returns its gradients under the same names,
-the scales' in log space; it is validated against central finite
-differences in the test suite.
+the scales' in log space, and one input gradient per table row; it is
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 
 from . import kernels
 from .config import KERNEL_GAUSSIAN, KERNEL_LOGISTIC
-from .core import rows_matmul
 from .errors import NumericError
 
 
@@ -60,14 +63,14 @@ def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[in
 
 
 def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str):
-    """Kernel values K, shape (..., N, K), between every feature row and codeword."""
+    """Kernel values K, shape (T, K), between every feature row and codeword."""
     codebook = params["codebook"]
     if feats.shape[-1] != codebook.shape[1]:
         raise ValueError(
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
     if kind == KERNEL_LOGISTIC:
-        z = rows_matmul(feats, codebook.T)
+        z = feats @ codebook.T
         z *= 2.0 * float(params["alpha"])
         z += 2.0 * float(params["beta"])
         return kernels.sigmoid(z, out=z)
@@ -85,12 +88,11 @@ def scale(params: dict[str, np.ndarray], key: str) -> float:
     return c
 
 
-def _check_row_sums(sums: np.ndarray) -> None:
+def _check_row_sums(sums: np.ndarray, index: np.ndarray) -> None:
     if np.all(sums > 0.0):
         return
-    idx = np.argwhere(~(sums > 0.0))[0]
-    row = int(idx[-1])
-    raise NumericError(f"all kernel values underflowed to zero for timestep row {row}")
+    window, step = np.argwhere(~(sums > 0.0)[index])[0].tolist()  # the first position reading one
+    raise NumericError(f"all kernel values underflowed to zero for window {window}, step {step}")
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +115,10 @@ def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _region_mean(steps) -> np.ndarray:
+def _region_mean(rows: list[np.ndarray]) -> np.ndarray:
     """Mean of a region's ``width`` timesteps, each a (B, K) array, summed in sorted order.
 
-    ``steps`` is a (width, B, K) array or a sequence of (B, K) arrays.
+    ``rows`` holds arrays of the caller's that the sort overwrites.
     """
     # Sorting first makes the reduction a function of each column's
     # multiset of values, so reordering timesteps inside a region cannot
@@ -126,7 +128,6 @@ def _region_mean(steps) -> np.ndarray:
     # onto +0 and divided by the width, as np.mean does; starting from +0
     # also makes the sign of a zero row moot, so the result has the bits of
     # np.sort(block, axis=1).mean(axis=1) for the (B, width, K) block.
-    rows = [step.copy() for step in steps]
     width = len(rows)
     spare = np.empty_like(rows[0])
     for i, j in _sorting_network(width):
@@ -144,60 +145,91 @@ def _region_mean(steps) -> np.ndarray:
 class BofContext:
     """Everything the backward pass needs from a forward invocation."""
 
-    feats: np.ndarray  # (B, N, D)
+    feats: np.ndarray  # (T, D) the feature table: each distinct feature row once
+    index: np.ndarray  # (B, N) the table row each window position reads
     codebook: np.ndarray
     params: dict[str, np.ndarray]
     kind: str
     regions: list[tuple[int, int]]
-    k_mat: np.ndarray  # (B, N, K) kernel values
-    memberships: np.ndarray  # (B, N, K) scaled soft assignments
+    k_mat: np.ndarray  # (T, K) kernel values of the table rows
+    memberships: np.ndarray  # (T, K) scaled soft assignments of the table rows
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
 
 
 def assign(
-    feats: np.ndarray, params: dict[str, np.ndarray], kind: str
+    feats: np.ndarray, params: dict[str, np.ndarray], kind: str, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel values K and memberships c_u * K / rowsum(K) of feature rows (..., D)."""
+    """K and memberships c_u * K / rowsum(K) of table rows (T, D); ``index`` names an underflow."""
     k_mat = _kernel_matrix(feats, params, kind)
     row_sums = k_mat.sum(axis=-1)
-    _check_row_sums(row_sums)
+    _check_row_sums(row_sums, index)
     memberships = np.multiply(k_mat, scale(params, "log_cu"))
-    memberships /= row_sums[..., None]
+    memberships /= row_sums[:, None]
     return k_mat, memberships
 
 
 def histogram(
-    steps, regions: list[tuple[int, int]], params: dict[str, np.ndarray]
+    memberships: np.ndarray, index: np.ndarray, regions: list[tuple[int, int]],
+    params: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram c_s * region means, and the means, newest region first.
 
-    ``steps`` holds the memberships of each window position: an (N, B, K)
-    array or a sequence of N (B, K) arrays.
+    Each region gathers its positions' rows of ``memberships`` (T, K) through ``index`` (B, N).
     """
     region_means = np.concatenate(
-        [_region_mean(steps[a:b]) for (a, b) in reversed(regions)], axis=1
+        [_region_mean([memberships[index[:, p]] for p in range(a, b)])
+         for (a, b) in reversed(regions)], axis=1
     )
     return scale(params, "log_cs") * region_means, region_means
 
 
-def forward_batch(
-    feats: np.ndarray, params: dict[str, np.ndarray], cfg
-) -> tuple[np.ndarray, BofContext]:
-    """Pool a batch of equal-length sequences into temporal histograms.
+def spread(index: np.ndarray, upstream: np.ndarray, regions: list[tuple[int, int]],
+           factor: float, n_rows: int) -> np.ndarray:
+    """Gradient w.r.t. the (n_rows, K) table of ``factor`` times the region means.
 
-    ``feats`` is (batch, n_steps, dim); the result is
-    (batch, n_regions * n_codewords), newest region first. ``cfg`` (a
-    ``network.ModelConfig``) gives ``kernel``, ``n_regions`` and
-    ``nested_regions``.
+    ``upstream`` (B, R*K) is laid out as ``histogram``'s output. Each position
+    of region (a, b) adds ``factor / (b - a)`` times its block onto its row, one
+    fancy add per position; copies of a window (the same row at position 0)
+    are added once, with their summed upstream, so no add writes a row twice.
+    """
+    _, first, copy_of = np.unique(index[:, 0], return_index=True, return_inverse=True)
+    summed = upstream[first]
+    for i in np.flatnonzero(first[copy_of] != np.arange(copy_of.size)).tolist():
+        summed[copy_of[i]] += upstream[i]
+    index = index[first]
+    width = upstream.shape[1] // len(regions)
+    out = np.zeros((n_rows, width))
+    for i, (a, b) in enumerate(reversed(regions)):
+        g_seg = summed[:, i * width : (i + 1) * width] * (factor / (b - a))
+        for p in range(a, b):
+            out[index[:, p]] += g_seg
+    return out
+
+
+def forward_batch(
+    feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: np.ndarray | None = None
+) -> tuple[np.ndarray, BofContext]:
+    """Pool windows of feature rows into temporal histograms.
+
+    ``feats`` is a feature table (T, dim) and ``index`` (batch, n_steps) the
+    row each window position reads, or ``feats`` is (batch, n_steps, dim)
+    and ``index`` None. The result is (batch, n_regions * n_codewords),
+    newest region first. ``cfg`` (a ``network.ModelConfig``) gives
+    ``kernel``, ``n_regions`` and ``nested_regions``.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 3:
-        raise ValueError(f"expected (batch, steps, dim) input, got shape {feats.shape}")
-    regions = segment(feats.shape[1], cfg.n_regions, cfg.nested_regions)
-    k_mat, memberships = assign(feats, params, cfg.kernel)
-    hist, region_means = histogram(memberships.swapaxes(0, 1), regions, params)
+    if feats.ndim != (3 if index is None else 2):
+        raise ValueError(f"expected a (rows, dim) table and its index, or (batch, steps, dim) "
+                         f"input, got shape {feats.shape}")
+    if index is None:
+        index = np.arange(feats.shape[0] * feats.shape[1]).reshape(feats.shape[:2])
+        feats = feats.reshape(-1, feats.shape[-1])
+    regions = segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
+    k_mat, memberships = assign(feats, params, cfg.kernel, index)
+    hist, region_means = histogram(memberships, index, regions, params)
     ctx = BofContext(
         feats=feats,
+        index=index,
         codebook=params["codebook"],
         params=params,
         kind=cfg.kernel,
@@ -215,53 +247,47 @@ def backward(
     """Gradients of a scalar loss given its gradient w.r.t. the histogram.
 
     ``upstream`` matches the forward output shape. Returns the gradient
-    for the input features and a name -> gradient dict: ``codebook``,
-    ``log_cu`` and ``log_cs`` (in log space), and for the logistic kernel
-    ``alpha`` and ``beta``.
+    for the feature table, one row per table row, and a name -> gradient
+    dict: ``codebook``, ``log_cu`` and ``log_cs`` (in log space), and for
+    the logistic kernel ``alpha`` and ``beta``.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    batch, n_steps, n_codewords = ctx.k_mat.shape
+    batch, n_codewords = ctx.index.shape[0], ctx.k_mat.shape[1]
     if upstream.shape != (batch, len(ctx.regions) * n_codewords):
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected "
                          f"({batch}, {len(ctx.regions) * n_codewords})")
     c_u, c_s = scale(ctx.params, "log_cu"), scale(ctx.params, "log_cs")
 
-    # Undo the concatenation + per-region averaging; overlapping (nested)
-    # regions accumulate additively.
-    d_memb = np.zeros_like(ctx.memberships)
     dc_s = 0.0
-    for i, (a, b) in enumerate(reversed(ctx.regions)):
+    for i in range(len(ctx.regions)):
         seg = slice(i * n_codewords, (i + 1) * n_codewords)
-        g_seg = upstream[:, seg]
-        d_memb[:, a:b, :] += g_seg[:, None, :] * (c_s / (b - a))
-        dc_s += float(np.sum(g_seg * ctx.region_means[:, seg]))
+        dc_s += float(np.sum(upstream[:, seg] * ctx.region_means[:, seg]))
+    # undo the per-region averaging onto the table rows (nested regions add up)
+    d_memb = spread(ctx.index, upstream, ctx.regions, c_s, len(ctx.feats))
 
     # Row normalization U = c_u * K / S (S the row sum), written in terms of
     # the cached U so nothing divides by S: with w = sum_k dU * U,
     # dL/dc_u = sum(w) / c_u and dL/dK * K = U * (dU - w / c_u).
     scratch = np.multiply(d_memb, ctx.memberships)  # U * dU, then 1 - K
-    weighted = np.sum(scratch, axis=-1)  # (B, N)
+    weighted = np.sum(scratch, axis=-1)  # (T,)
     dc_u = float(np.sum(weighted)) / c_u
     d_kk = d_memb  # dL/dK * K, in d_memb's buffer
-    d_kk -= (weighted / c_u)[..., None]
+    d_kk -= (weighted / c_u)[:, None]
     d_kk *= ctx.memberships
     if ctx.kind == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
         d_kk *= np.subtract(1.0, ctx.k_mat, out=scratch)
-    del scratch  # freed before the (B, N, D) products below
-
-    # codebook gradients are one (K, B*N) x (B*N, D) product
-    feats_rows = ctx.feats.reshape(-1, ctx.feats.shape[-1])
+    del scratch  # freed before the (T, D) products below
 
     # the stored parameters are log c; chain through c = exp(log c)
     grads = {"log_cu": np.array(dc_u * c_u), "log_cs": np.array(dc_s * c_s)}
     if ctx.kind == KERNEL_LOGISTIC:
         alpha = float(ctx.params["alpha"])
         d_z = d_kk
-        d_feats = rows_matmul(d_z, ctx.codebook)
-        # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(f * (d_z @ codebook))
-        grads["alpha"] = np.array(float(2.0 * np.sum(ctx.feats * d_feats)))
+        d_feats = d_z @ ctx.codebook
         d_feats *= 2.0 * alpha
-        grads["codebook"] = d_z.reshape(-1, n_codewords).T @ feats_rows
+        grads["codebook"] = d_z.T @ ctx.feats
+        # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(c * (d_z^T f))
+        grads["alpha"] = np.array(float(2.0 * np.sum(ctx.codebook * grads["codebook"])))
         grads["codebook"] *= 2.0 * alpha
         grads["beta"] = np.array(float(2.0 * np.sum(d_z)))
     else:
@@ -270,11 +296,10 @@ def backward(
         d_sq = d_kk
         d_sq *= -1.0 / (2.0 * float(ctx.params["sigma"]) ** 2)
         # dL/dfeats = 2 (rowsum(d_sq) * feats - d_sq @ codebook), in the product's buffer
-        d_feats = rows_matmul(d_sq, ctx.codebook)
-        d_feats -= d_sq.sum(axis=-1)[..., None] * ctx.feats
+        d_feats = d_sq @ ctx.codebook
+        d_feats -= d_sq.sum(axis=-1)[:, None] * ctx.feats
         d_feats *= -2.0
         grads["codebook"] = 2.0 * (
-            d_sq.sum(axis=(0, 1))[:, None] * ctx.codebook
-            - d_sq.reshape(-1, n_codewords).T @ feats_rows
+            d_sq.sum(axis=0)[:, None] * ctx.codebook - d_sq.T @ ctx.feats
         )
     return d_feats, grads

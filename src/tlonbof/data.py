@@ -114,10 +114,6 @@ class WindowBatch:
         n_windows, window, dim = x.shape
         return cls(x.reshape(-1, dim), np.arange(n_windows) * window, window)
 
-    def windows(self) -> np.ndarray:
-        """The windows gathered out of the table, (n_windows, window, dim)."""
-        return self.rows[self.starts[:, None] + np.arange(self.window)]
-
 
 class WindowDataset:
     """Window samples over a corpus, gathered lazily from per-day arrays.
@@ -187,7 +183,8 @@ class WindowDataset:
         # table row r in [stop_j - new_j, stop_j) holds the row of key r + ends_j + 1 - stop_j
         keys = np.arange(new.sum()) + np.repeat(ends + 1 - stop, new)
         rows = np.empty((keys.size, N_FEATURES))
-        days = np.unique(ends // self._stride)
+        day = ends // self._stride  # ascending, as ``ends`` is
+        days = day[np.diff(day, prepend=-1) > 0]
         cuts = np.searchsorted(keys, np.append(days, days[-1:] + 1) * self._stride)
         for d, lo, hi in zip(days.tolist(), cuts[:-1].tolist(), cuts[1:].tolist()):
             np.take(self._days[d], keys[lo:hi] - d * self._stride, axis=0, out=rows[lo:hi])

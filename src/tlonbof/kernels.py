@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import rows_matmul
-
 
 def sigmoid(z, out=None):
     """Numerically stable logistic function, elementwise, into ``out`` if given.
@@ -46,13 +44,13 @@ def sigmoid(z, out=None):
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||a_i - b_k||^2 for rows a (..., D) and b (K, D), as sum a^2 - 2 a.b + sum b^2."""
-    sq = np.sum(a**2, axis=-1)[..., None] - 2.0 * rows_matmul(a, b.T) + np.sum(b**2, axis=-1)
+    """||a_i - b_k||^2 for rows a (T, D) and b (K, D), as sum a^2 - 2 a.b + sum b^2."""
+    sq = np.sum(a**2, axis=-1)[:, None] - 2.0 * (a @ b.T) + np.sum(b**2, axis=-1)
     return np.maximum(sq, 0.0, out=sq)  # guard tiny negative round-off
 
 
 def gaussian_matrix(feats: np.ndarray, codebook: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel values of feature rows (..., D), each row divided by its largest.
+    """Gaussian kernel values of feature rows (T, D), each row divided by its largest.
 
     The log kernel -d^2 / (2 sigma^2) is shifted by its row maximum before it
     is exponentiated, so every row holds a 1 even where each unshifted value

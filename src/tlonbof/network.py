@@ -137,29 +137,57 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _feature_layout(batch: WindowBatch, taps: int):
+    """The inner rows, distinct starts, edge positions and index of the conv's feature table.
+
+    The table holds the batch rows some window reads at an inner position (every tap inside
+    the window), then one row per distinct window and edge position (``taps // 2`` at each end).
+    """
+    n, center = batch.window, taps // 2
+    ustarts, copy_of = np.unique(batch.starts, return_inverse=True)
+    inner = np.arange(center, n - center)
+    edges = [p for p in range(n) if not center <= p < n - center]
+    # row r is read at an inner position iff s + center <= r < s + n - center for some start s
+    read = np.zeros(batch.rows.shape[0] + 1, dtype=np.int64)
+    if inner.size:
+        read[ustarts + center] += 1
+        read[ustarts + n - center] -= 1
+    held = np.cumsum(read[:-1]) > 0
+    inner_rows = np.flatnonzero(held)
+    index = np.empty((ustarts.size, n), dtype=np.int64)
+    index[:, inner] = (np.cumsum(held) - 1)[ustarts[:, None] + inner]
+    index[:, edges] = inner_rows.size + np.arange(index[:, edges].size).reshape(ustarts.size, -1)
+    return inner_rows, ustarts, edges, index[copy_of]
+
+
+def conv1d_same_batch(
+    batch: WindowBatch, weights: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded same-length 1-D convolution of every window of a row table.
 
-    ``batch.rows`` is (rows, d_in), ``weights`` is (kernel, d_in, d_out) and
-    the output is (windows, steps, d_out). Each tap is one 2-D product over
-    the table's rows, written into one reused buffer, so a row that several
+    ``batch.rows`` is (rows, d_in) and ``weights`` is (kernel, d_in, d_out).
+    Returns the feature table (T, d_out) of ``_feature_layout`` and the index
+    of the row each window position reads. Each tap is one 2-D product over
+    the batch's rows, written into one reused buffer, so a row that several
     windows share is multiplied once. The products are added onto the bias in
-    tap order, shifted by the tap's offset, along the whole table as if it
+    tap order, shifted by the tap's offset, along the whole batch as if it
     were one sequence: that is each window's output wherever every tap stays
-    inside the window. The ``kernel // 2`` positions at each end of a window
-    add, in the same order, only the product rows ``start + p + offset`` that
-    stay inside it, which is the zero padding.
+    inside the window. The ``kernel // 2`` positions at each end of a
+    distinct window add, in the same order, only the product rows ``start + p
+    + offset`` that stay inside it, which is the zero padding.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {taps}")
-    rows, starts, n = batch.rows, batch.starts, batch.window
+    rows, n = batch.rows, batch.window
     if rows.shape[-1] != d_in:
         raise ValueError(f"input dim {rows.shape[-1]} does not match kernel dim {d_in}")
     center = taps // 2
-    edges = [p for p in range(n) if not center <= p < n - center]
+    inner_rows, ustarts, edges, index = _feature_layout(batch, taps)
     inner = np.broadcast_to(bias, (rows.shape[0], d_out)).copy()
-    at_edges = np.broadcast_to(bias, (starts.size, len(edges), d_out)).copy()
+    feats = np.empty((inner_rows.size + ustarts.size * len(edges), d_out))
+    at_edges = feats[inner_rows.size :].reshape(ustarts.size, len(edges), d_out)
+    at_edges[...] = bias
     prod = np.empty_like(inner)
     for k in range(taps):
         off = k - center
@@ -174,36 +202,42 @@ def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray, bias: np.ndarray)
             inner += prod
         for j, p in enumerate(edges):
             if 0 <= p + off < n:
-                at_edges[:, j] += prod[starts + (p + off)]
-    out = inner[starts[:, None] + np.arange(n)]
-    out[:, edges] = at_edges
-    return out
+                at_edges[:, j] += prod[ustarts + (p + off)]
+    # mode="clip" writes straight into ``out``; "raise" would buffer a copy
+    np.take(inner, inner_rows, axis=0, out=feats[: inner_rows.size], mode="clip")
+    return feats, index
 
 
 def conv1d_same_backward(
     batch: WindowBatch, weights: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias.
+    """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias, from one per table row.
 
     No input gradient: the conv is always the first layer. For each tap the
-    windows' output gradients are added, window by window, onto the table
-    rows the tap read for them, and the tap's weight gradient is one 2-D
-    product of the table with those sums.
+    inner rows' gradients land on the batch rows the tap read for them, each
+    edge position's are added at ``start + p + offset`` over the distinct
+    starts, so no add writes a row twice, and one 2-D product of the batch's
+    rows with that sum is the tap's weight gradient.
     """
-    taps, d_in, d_o = weights.shape
-    rows, starts, n = batch.rows, batch.starts.tolist(), batch.window
+    taps, _, d_o = weights.shape
+    rows, n = batch.rows, batch.window
     center = taps // 2
+    inner_rows, ustarts, edges, _ = _feature_layout(batch, taps)
+    d_inner = d_out[: inner_rows.size]
+    d_edges = d_out[inner_rows.size :].reshape(ustarts.size, len(edges), d_o)
     d_w = np.zeros_like(weights)
     g_rows = np.empty((rows.shape[0], d_o))
     for k in range(taps):
         off = k - center
-        lo, hi = max(0, -off), n - max(0, off)
-        if lo < hi:
-            g_rows.fill(0.0)
-            for i, s in enumerate(starts):
-                g_rows[s + lo + off : s + hi + off] += d_out[i, lo:hi]
-            np.matmul(rows.T, g_rows, out=d_w[k])
-    return d_w, d_out.sum(axis=(0, 1))
+        if abs(off) >= n:
+            continue
+        g_rows.fill(0.0)
+        g_rows[inner_rows + off] = d_inner
+        for j, p in enumerate(edges):
+            if 0 <= p + off < n:
+                g_rows[ustarts + (p + off)] += d_edges[:, j]
+        np.matmul(rows.T, g_rows, out=d_w[k])
+    return d_w, d_out.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -230,7 +264,8 @@ class NetworkContext:
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     batch: WindowBatch  # the input: a table of rows and each window's start in it
-    feats: np.ndarray  # what the pooling stage consumed: the post-ReLU conv output, or the windows
+    feats: np.ndarray  # (T, D) feature table the pooling read: post-ReLU conv rows, or batch.rows
+    index: np.ndarray  # (B, N) the table row each window position reads
     bof_ctx: bof.BofContext | None
     pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
     fc1_pre: np.ndarray
@@ -245,7 +280,8 @@ def forward_batch(
     """Class probabilities for a batch of equal-length windows.
 
     ``x`` is a ``WindowBatch`` or a (batch, steps, d_in) array, which is read
-    as a table whose window i starts at row i * steps.
+    as a table whose window i starts at row i * steps. The pooling stage reads
+    the conv's feature table, or without the conv ``batch.rows``, by index.
     """
     batch = x if isinstance(x, WindowBatch) else WindowBatch.of_windows(x)
     if batch.rows.shape[-1] != cfg.d_in:
@@ -254,16 +290,16 @@ def forward_batch(
 
     if cfg.deep_features:
         # the ReLU overwrites the conv output: only the activation is kept
-        feats = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
+        feats, index = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
         np.maximum(feats, 0.0, out=feats)
     else:
-        feats = batch.windows()
+        feats, index = batch.rows, batch.starts[:, None] + np.arange(batch.window)
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
-        pooled, bof_ctx = bof.forward_batch(feats, params, cfg)
+        pooled, bof_ctx = bof.forward_batch(feats, params, cfg, index)
     else:
-        pooled = feats.mean(axis=1)
+        pooled = feats[index].mean(axis=1)
 
     fc1_pre, fc1_act, logp, probs = _head(pooled, params)
     ctx = NetworkContext(
@@ -271,6 +307,7 @@ def forward_batch(
         params=params,
         batch=batch,
         feats=feats,
+        index=index,
         bof_ctx=bof_ctx,
         pooled=pooled,
         fc1_pre=fc1_pre,
@@ -333,12 +370,13 @@ def forward_windows(
             base += range(at, at + b - a)
             at += len(table)
 
+    index = np.arange(batch)[:, None] + np.array(base)
     if cfg.arch == ARCH_TLONBOF:
-        _, memberships = bof.assign(feats, params, cfg.kernel)
+        _, memberships = bof.assign(feats, params, cfg.kernel, index)
         regions = bof.segment(n_steps, cfg.n_regions, cfg.nested_regions)
-        pooled, _ = bof.histogram([memberships[i : i + batch] for i in base], regions, params)
+        pooled, _ = bof.histogram(memberships, index, regions, params)
     else:
-        pooled = np.stack([feats[i : i + batch] for i in base], axis=1).mean(axis=1)
+        pooled = feats[index].mean(axis=1)
     return _head(pooled, params)[3]
 
 
@@ -378,9 +416,8 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
     if cfg.arch == ARCH_TLONBOF:
         d_feats, bof_grads = bof.backward(ctx.bof_ctx, d_pooled)
         grads.update(bof_grads)
-    else:
-        n = ctx.feats.shape[1]
-        d_feats = np.broadcast_to(d_pooled[:, None, :] / n, ctx.feats.shape).copy()
+    else:  # the timestep mean is one region's mean
+        d_feats = bof.spread(ctx.index, d_pooled, [(0, ctx.index.shape[1])], 1.0, len(ctx.feats))
 
     if cfg.deep_features:
         # relu(c) > 0 exactly where c > 0, so the activation gives the mask

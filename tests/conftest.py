@@ -60,7 +60,8 @@ def relu_margin(ctx) -> float:
     """
     m = np.min(np.abs(ctx.fc1_pre))
     if ctx.cfg.deep_features:  # the context keeps only the post-ReLU conv output
-        conv_pre = network.conv1d_same_batch(ctx.batch, ctx.params["conv_w"], ctx.params["conv_b"])
+        conv_pre, _ = network.conv1d_same_batch(ctx.batch, ctx.params["conv_w"],
+                                                ctx.params["conv_b"])
         m = min(m, np.min(np.abs(conv_pre)))
     return float(m)
 

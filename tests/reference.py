@@ -94,6 +94,11 @@ def windowize(
     return series.features[idx], labels
 
 
+def gathered_windows(batch) -> np.ndarray:
+    """The windows of a ``data.WindowBatch`` copied out of its table, (n_windows, window, dim)."""
+    return batch.rows[batch.starts[:, None] + np.arange(batch.window)]
+
+
 # ---------------------------------------------------------------------------
 # convolution
 

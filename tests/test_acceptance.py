@@ -94,7 +94,7 @@ def test_criterion_02_normalization_invariants():
         feats, params, cfg = _random_bof_case(seed)
         c_u, c_s = float(np.exp(params["log_cu"])), float(np.exp(params["log_cs"]))
         hist, ctx = bof.forward_batch(feats[None], params, cfg)
-        row_sums = ctx.memberships[0].sum(axis=-1)
+        row_sums = ctx.memberships.sum(axis=-1)  # one table row per timestep
         worst_row = max(worst_row, float(np.max(np.abs(row_sums - c_u)) / c_u))
         seg_sums = hist[0].reshape(cfg.n_regions, -1).sum(axis=1)
         target = c_s * c_u

@@ -55,7 +55,7 @@ def test_soft_assign_rows_sum_to_cu():
     feats = rng.normal(size=(9, 4))
     codebook = rng.normal(size=(5, 4))
     _, ctx = forward_batch(feats[None], _params(codebook, c_u=7.5, c_s=2.0), _cfg(n_regions=3))
-    u = ctx.memberships[0]
+    u = ctx.memberships  # one table row per timestep of the one window
     assert u.shape == (9, 5)
     assert np.allclose(u.sum(axis=1), 7.5, rtol=1e-12)
     assert np.all(u >= 0)
@@ -76,7 +76,7 @@ def test_accumulate_is_scaled_column_mean():
     feats = np.array([[[-ln3, ln3], [ln3, -ln3], [0.0, 0.0]]])
     s, ctx = forward_batch(feats, _params(np.eye(2), c_u=4.0, c_s=5.0, alpha=0.5),
                            _cfg(n_regions=1))
-    assert np.allclose(ctx.memberships[0], [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
+    assert np.allclose(ctx.memberships, [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
     assert np.allclose(s[0], [10.0, 10.0])
     assert s.sum() == pytest.approx(5.0 * 4.0)  # c_s * c_u
 
@@ -225,7 +225,7 @@ def test_backward_matches_finite_differences(kind, nt, nested):
         d_feats, g = bof.backward(ctx, upstream[None])
 
         fd_f = finite_diff_grad(lambda v: value(v.reshape(feats.shape)), feats.copy())
-        assert relative_error(d_feats[0].ravel(), fd_f.ravel()) < 1e-7
+        assert relative_error(d_feats.ravel(), fd_f.ravel()) < 1e-7
         # the scales' gradients are taken in log space, as the model stores them
         names = ["codebook", "log_cu", "log_cs"]
         if kind == config.KERNEL_LOGISTIC:
@@ -248,7 +248,7 @@ def test_zero_row_sum_raises():
     # the unshifted value exp(-80000 / (2 * 0.01**2)) is 0
     hist, ctx = forward_batch(feats[None], _params(cb, sigma=0.01),
                               _cfg(config.KERNEL_GAUSSIAN, n_regions=1))
-    assert np.array_equal(ctx.k_mat, np.ones((1, 3, 1)))
+    assert np.array_equal(ctx.k_mat, np.ones((3, 1)))
     assert np.isfinite(hist).all()
 
 
@@ -276,12 +276,12 @@ def test_region_mean_is_bitwise_sort_then_mean(width):
         window = rng.choice(pool, size=(4, width + 3, 64))
         block = window[:, 2 : 2 + width, :]
         want = np.sort(block, axis=1).mean(axis=1)
-        got = bof._region_mean(block.swapaxes(0, 1))  # the region's (4, 64) timesteps
+        got = bof._region_mean(list(block.swapaxes(0, 1).copy()))  # the region's (4, 64) timesteps
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", [config.KERNEL_LOGISTIC, config.KERNEL_GAUSSIAN])
-def test_backward_matches_the_stacked_form(kind, monkeypatch):
+def test_backward_is_the_sum_of_the_per_window_backwards(kind):
     # paper geometry: 15-step windows, 256 features, 256 codewords
     rng = np.random.default_rng(8)
     feats = np.maximum(rng.normal(size=(6, 15, 256)), 0.0)
@@ -290,13 +290,27 @@ def test_backward_matches_the_stacked_form(kind, monkeypatch):
     upstream = rng.normal(size=(6, 3 * 256))
     _, ctx = forward_batch(feats, params, _cfg(kind, n_regions=3))
     got_feats, got = bof.backward(ctx, upstream)
-    # the form before flattening: numpy's stacked product, one GEMM per window
-    monkeypatch.setattr(bof, "rows_matmul", np.matmul)
-    _, ctx = forward_batch(feats, params, _cfg(kind, n_regions=3))
-    want_feats, want = bof.backward(ctx, upstream)
+    # one window at a time: products over 15 rows, not over the 90-row table
+    want_feats, want = [], {}
+    for b in range(6):
+        _, ctx = forward_batch(feats[b : b + 1], params, _cfg(kind, n_regions=3))
+        d_feats, g = bof.backward(ctx, upstream[b : b + 1])
+        want_feats.append(d_feats)
+        want = {k: want.get(k, 0.0) + v for k, v in g.items()}
     # no kernel slope or offset for the Gaussian kernel
     assert got.keys() == want.keys()
-    for name, a, b in [("feats", got_feats, want_feats)] + [(k, got[k], want[k]) for k in got]:
-        # BLAS may round the flattened products differently in the last bit,
-        # and the scalar gradients sum thousands of such terms of both signs
+    for name, a, b in ([("feats", got_feats, np.concatenate(want_feats))]
+                       + [(k, got[k], want[k]) for k in got]):
+        # BLAS may round the products differently in the last bit, and the
+        # scalar gradients sum thousands of such terms of both signs
         assert relative_error(a, b) < 1e-13, name
+
+
+def test_underflow_names_the_window_that_reads_the_row():
+    # table row 4 is read only by window 3, at step 1; its logistic kernel
+    # value against the one codeword is sigm(2 * -20000) = 0
+    feats = np.full((6, 2), 1.0)
+    feats[4] = 100.0
+    index = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 2], [5, 4, 3]])
+    with pytest.raises(bof.NumericError, match="window 3, step 1"):
+        forward_batch(feats, _params(np.full((1, 2), -100.0)), _cfg(n_regions=1), index)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import label_sample, windowize
+from reference import gathered_windows, label_sample, windowize
 
 from tlonbof import data
 from tlonbof.data import (
@@ -126,7 +126,7 @@ def test_window_dataset_matches_windowize():
     assert ds.n_samples == want_y.size
     assert np.array_equal(ds.labels, want_y)
     got_x, got_y = ds.gather(np.arange(ds.n_samples))
-    assert np.array_equal(got_x.windows(), want_x)
+    assert np.array_equal(gathered_windows(got_x), want_x)
     assert np.array_equal(got_y, want_y)
 
 
@@ -418,7 +418,7 @@ def test_synth_signal_columns_carry_the_label():
     def xy(series_list):
         ds = WindowDataset(series_list)
         x, y = ds.gather(np.arange(ds.n_samples))
-        return x.windows()[:, -1, :][:, cols].mean(axis=1, keepdims=True), y
+        return gathered_windows(x)[:, -1, :][:, cols].mean(axis=1, keepdims=True), y
 
     x_tr, y_tr = xy(corpus[:3])
     x_te, y_te = xy(corpus[3:])
@@ -438,7 +438,7 @@ def test_synth_separation_zero_removes_signal():
     def xy(series_list):
         ds = WindowDataset(series_list)
         x, y = ds.gather(np.arange(ds.n_samples))
-        return x.windows()[:, -1, :][:, cols].mean(axis=1, keepdims=True), y
+        return gathered_windows(x)[:, -1, :][:, cols].mean(axis=1, keepdims=True), y
 
     x_tr, y_tr = xy(corpus[:3])
     x_te, y_te = xy(corpus[3:])

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import draw_instance, tiny_config
-from reference import conv_backward_per_tap, conv_flat_per_tap, finite_diff_grad, relative_error
+from conftest import draw_instance, relu_margin, tiny_config
+from reference import (conv_backward_per_tap, conv_flat_per_tap, finite_diff_grad,
+                       gathered_windows, relative_error)
 
 from tlonbof import config, data, network
 from tlonbof.data import WindowBatch
@@ -12,18 +13,35 @@ from tlonbof.data import WindowBatch
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
 
+def _conv(batch, w, b):
+    """The conv output of every window position, (windows, steps, d_out)."""
+    feats, index = network.conv1d_same_batch(batch, w, b)
+    return feats[index]
+
+
+def _conv_backward(batch, w, d_out):
+    """The conv gradients for a gradient ``d_out`` of every window position.
+
+    Each position's gradient is summed onto the feature table row it reads.
+    """
+    feats, index = network.conv1d_same_batch(batch, w, np.zeros(w.shape[2]))
+    d_rows = np.zeros_like(feats)
+    np.add.at(d_rows, index, d_out)
+    return network.conv1d_same_backward(batch, w, d_rows)
+
+
 def test_conv_identity_kernel():
     # width-1 identity weights pass features straight through
     x = np.random.default_rng(0).normal(size=(1, 7, 3))
     w = np.eye(3)[None]  # (kernel=1, in=3, out=3)
-    out = network.conv1d_same_batch(WindowBatch.of_windows(x), w, np.zeros(3))
+    out = _conv(WindowBatch.of_windows(x), w, np.zeros(3))
     assert np.allclose(out, x, atol=1e-15)
 
 
 def test_conv_known_values_with_zero_padding():
     x = np.array([[[1.0], [2.0], [3.0]]])
     w = np.ones((3, 1, 1))
-    out = network.conv1d_same_batch(WindowBatch.of_windows(x), w, np.zeros(1))
+    out = _conv(WindowBatch.of_windows(x), w, np.zeros(1))
     assert out.ravel().tolist() == [3.0, 6.0, 5.0]
 
 
@@ -31,9 +49,11 @@ def test_conv_bias_and_length():
     x = np.random.default_rng(1).normal(size=(1, 10, 4))
     w = np.random.default_rng(2).normal(size=(5, 4, 6))
     batch = WindowBatch.of_windows(x)
-    out = network.conv1d_same_batch(batch, w, np.full(6, 2.5))
-    assert out.shape == (1, 10, 6)
-    base = network.conv1d_same_batch(batch, w, np.zeros(6))
+    feats, index = network.conv1d_same_batch(batch, w, np.full(6, 2.5))
+    # 6 inner rows and the 2 + 2 positions next to the ends
+    assert feats.shape == (10, 6) and index.shape == (1, 10)
+    out = feats[index]
+    base = _conv(batch, w, np.zeros(6))
     assert np.allclose(out - base, 2.5)
 
 
@@ -48,9 +68,9 @@ def test_conv_backward_matches_finite_differences(taps, n_steps):
     batch = WindowBatch.of_windows(x)
 
     def val(ww, bb):
-        return float(np.sum(network.conv1d_same_batch(batch, ww, bb) * d_out))
+        return float(np.sum(_conv(batch, ww, bb) * d_out))
 
-    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    d_w, d_b = _conv_backward(batch, w, d_out)
     fd_w = finite_diff_grad(lambda v: val(v.reshape(w.shape), b), w.copy())
     fd_b = finite_diff_grad(lambda v: val(w, v), b.copy())
     assert relative_error(d_w.ravel(), fd_w.ravel()) < 1e-8
@@ -79,7 +99,7 @@ def test_conv_forward_matches_the_per_tap_stacked_form(n_steps, d_out):
     x = rng.normal(size=(4, n_steps, 144))
     w = rng.normal(size=(5, 144, d_out))
     b = rng.normal(size=d_out)
-    got = network.conv1d_same_batch(WindowBatch.of_windows(x), w, b)
+    got = _conv(WindowBatch.of_windows(x), w, b)
     # the same products, added in the same order
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -105,7 +125,7 @@ def _gathered_case(name):
     assert ds.n_samples == 108
     batch, _ = ds.gather(np.array(indices))
     assert batch.rows.shape[0] < len(indices) * window  # the windows share rows
-    return batch, batch.windows()
+    return batch, gathered_windows(batch)
 
 
 # At some widths (1, 2, 3 and 9 filters here: GEMV and OpenBLAS's narrow GEMM
@@ -120,7 +140,7 @@ def test_table_conv_forward_is_the_per_tap_reference_on_the_gathered_windows(cas
     rng = np.random.default_rng(filters)
     w = rng.normal(size=(5, data.N_FEATURES, filters))
     b = rng.normal(size=filters)
-    got = network.conv1d_same_batch(batch, w, b)
+    got = _conv(batch, w, b)
     want = conv_flat_per_tap(x, w, b)
     if bitwise:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -135,18 +155,22 @@ def test_table_conv_backward_is_the_per_tap_reference_on_the_gathered_windows(ca
     rng = np.random.default_rng(filters)
     w = rng.normal(size=(5, data.N_FEATURES, filters))
     d_out = rng.normal(size=x.shape[:2] + (filters,))
-    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    d_w, d_b = _conv_backward(batch, w, d_out)
     want_w, want_b = conv_backward_per_tap(x, w, d_out)
-    # each row's gradient terms are summed before the product, not inside it
+    # each row's gradient terms are summed before the product, not inside
+    # it, and the bias gradient sums the table rows' sums
     assert relative_error(d_w, want_w) < 2e-15
-    assert np.array_equal(d_b, want_b)
+    assert relative_error(d_b, want_b) < 2e-15
 
 
 # hand-made tables: overlapping windows, a repeated window, three disjoint
 # spans, and windows shorter than the kernel
-@pytest.mark.parametrize("n_rows,starts,n_steps", [
+HAND_TABLES = [
     (9, [0, 1, 2, 4], 5), (8, [3, 0, 3, 3], 5), (13, [0, 5, 9, 9, 1], 4), (6, [0, 4, 3, 3], 2),
-])
+]
+
+
+@pytest.mark.parametrize("n_rows,starts,n_steps", HAND_TABLES)
 def test_table_conv_backward_matches_finite_differences(n_rows, starts, n_steps):
     rng = np.random.default_rng(n_rows)
     batch = WindowBatch(rng.normal(size=(n_rows, 3)), np.array(starts), n_steps)
@@ -155,9 +179,9 @@ def test_table_conv_backward_matches_finite_differences(n_rows, starts, n_steps)
     d_out = rng.normal(size=(len(starts), n_steps, 4))
 
     def val(ww, bb):
-        return float(np.sum(network.conv1d_same_batch(batch, ww, bb) * d_out))
+        return float(np.sum(_conv(batch, ww, bb) * d_out))
 
-    d_w, d_b = network.conv1d_same_backward(batch, w, d_out)
+    d_w, d_b = _conv_backward(batch, w, d_out)
     fd_w = finite_diff_grad(lambda v: val(v.reshape(w.shape), b), w.copy())
     fd_b = finite_diff_grad(lambda v: val(w, v), b.copy())
     assert relative_error(d_w, fd_w) < 1e-8
@@ -178,7 +202,7 @@ def test_gradients_finite_when_kernel_row_sums_are_subnormal(seed):
     d2 = np.sum((ctx.feats[..., None, :] - params["codebook"]) ** 2, axis=-1)
     unshifted = np.exp(-d2 / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma)
     assert unshifted.sum(axis=-1).min() < 1e-300
-    assert np.array_equal(ctx.bof_ctx.k_mat.max(axis=-1), np.ones((9, 15)))
+    assert np.array_equal(ctx.bof_ctx.k_mat.max(axis=-1), np.ones(len(ctx.feats)))
     assert np.isfinite(probs).all()
     grads = network.backward_batch(ctx, np.arange(9) % 3)
     for name, g in grads.items():
@@ -228,7 +252,7 @@ def test_table_shape_walk():
     assert params["fc2_w"].shape == (512, 3)
     x = np.random.default_rng(1).normal(size=(1, 15, 144))
     probs, ctx = network.forward_batch(x, params, cfg)
-    assert ctx.feats.shape == (1, 15, 256)
+    assert ctx.feats.shape == (15, 256) and ctx.index.shape == (1, 15)
     assert ctx.pooled.shape == (1, 768)
     assert ctx.fc1_act.shape == (1, 512)
     assert probs.shape == (1, 3)
@@ -314,7 +338,7 @@ def test_gap_pooling_is_timestep_mean():
     params = network.init_params(cfg, np.random.default_rng(2))
     x = np.random.default_rng(3).normal(size=(1, 6, cfg.d_in))
     _, ctx = network.forward_batch(x, params, cfg)
-    assert np.allclose(ctx.pooled[0], ctx.feats[0].mean(axis=0), atol=1e-15)
+    assert np.allclose(ctx.pooled[0], ctx.feats[ctx.index[0]].mean(axis=0), atol=1e-15)
 
 
 def test_fc2_bias_gradient_is_probs_minus_onehot():
@@ -533,32 +557,111 @@ def test_a_step_on_a_row_table_is_the_step_on_its_windows(overrides):
     batch = WindowBatch(rng.normal(size=(12, cfg.d_in)), np.array([0, 1, 5, 1, 6]), 6)
     labels = np.array([0, 1, 2, 0, 1])
     probs, ctx = network.forward_batch(batch, params, cfg)
-    want_probs, want_ctx = network.forward_batch(batch.windows(), params, cfg)
+    want_probs, want_ctx = network.forward_batch(gathered_windows(batch), params, cfg)
     # BLAS may round a row's conv products by its place in the matrix
     assert relative_error(probs, want_probs) < 1e-14
-    grads, want = network.backward_batch(ctx, labels), network.backward_batch(want_ctx, labels)
+    _assert_same_step(network.backward_batch(ctx, labels),
+                      network.backward_batch(want_ctx, labels), params)
+
+
+def _assert_same_step(grads, want, params):
+    """Every gradient of two computations of one step within 1e-13 relative.
+
+    A feature table sums each row's window positions before the pooling
+    backward and gathered windows after it, so gradients move at rounding
+    level. alpha's is <codebook, dL/dcodebook> / alpha, an inner product
+    whose terms can cancel far below their size (to 1e-4 of it in the tiny
+    model), so it is taken relative to |codebook| |dL/dcodebook| / |alpha|.
+    """
     assert grads.keys() == want.keys()
     for k in want:
-        assert relative_error(grads[k], want[k]) < 1e-13, k
+        floor = 1e-12
+        if k == "alpha":
+            floor = (np.linalg.norm(params["codebook"]) * np.linalg.norm(want["codebook"])
+                     / abs(float(params["alpha"])))
+        assert relative_error(grads[k], want[k], floor) < 1e-13, k
+
+
+STEP_MODELS = EVERY_MODEL + [{"nested_regions": True}]
+
+
+@pytest.mark.parametrize("overrides", STEP_MODELS)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_a_step_on_a_gathered_batch_is_the_step_on_its_windows(case, overrides):
+    batch, x = _gathered_case(case)
+    # the acceptance geometry's widths, at which a row's products round the
+    # same wherever it sits in the matrix
+    cfg = network.ModelConfig(d_in=data.N_FEATURES, conv_filters=32, n_codewords=32, hidden=64,
+                              n_regions=min(3, batch.window), **overrides)
+    params = network.init_params(cfg, np.random.default_rng(7))
+    if "sigma" in params:  # a sigma whose kernel rows keep their magnitude
+        params["sigma"] = np.array(4.0)
+    labels = np.arange(len(x)) % 3
+    probs, ctx = network.forward_batch(batch, params, cfg)
+    want_probs, want_ctx = network.forward_batch(WindowBatch.of_windows(x), params, cfg)
+    if cfg.deep_features or case not in ("overlapping", "repeated"):
+        assert np.array_equal(probs, want_probs)
+    else:
+        # Without deep features the kernel's product runs over the batch's
+        # input rows, 30 and 32 here against 240 and 90 window positions.
+        # OpenBLAS multiplies fewer than about 40 rows by 32 columns with its
+        # small-matrix kernel, which rounds a row differently.
+        assert relative_error(probs, want_probs) < 1e-14
+    _assert_same_step(network.backward_batch(ctx, labels),
+                      network.backward_batch(want_ctx, labels), params)
+
+
+# the hand-made tables of the conv backward check, through every model
+@pytest.mark.parametrize("overrides", STEP_MODELS)
+@pytest.mark.parametrize("n_rows,starts,n_steps", HAND_TABLES)
+def test_a_step_on_a_row_table_matches_finite_differences(n_rows, starts, n_steps, overrides):
+    cfg = tiny_config(conv_kernel=5, n_regions=min(3, n_steps), **overrides)
+    for attempt in range(50):  # reject draws with a ReLU input near its kink
+        rng = np.random.default_rng(n_rows * 1000 + attempt)
+        params = network.init_params(cfg, rng)
+        if "sigma" in params:
+            params["sigma"] = np.array(1.0)
+        batch = WindowBatch(rng.normal(size=(n_rows, cfg.d_in)), np.array(starts), n_steps)
+        _, ctx = network.forward_batch(batch, params, cfg)
+        if relu_margin(ctx) > 1e-3:
+            break
+    else:
+        pytest.fail("no kink-free draw")
+    labels = np.arange(len(starts)) % 3
+    grads = network.backward_batch(ctx, labels)
+
+    def loss_of(name, flat):
+        saved = params[name]
+        params[name] = flat.reshape(saved.shape) if saved.ndim else np.array(float(flat))
+        probs, _ = network.forward_batch(batch, params, cfg)
+        params[name] = saved
+        return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
+
+    for name in network.trainable_names(cfg):
+        fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
+        an = np.asarray(grads[name], dtype=float)
+        # near-zero gradients hit the oracle's roundoff floor
+        gap = float(np.linalg.norm(an.ravel() - fd.ravel()))
+        assert relative_error(an, fd) < 1e-6 or gap < 1e-9, name
 
 
 # Traced peak of one forward + backward, counted in (B, N, K) float64 arrays
-# (K = the conv width here). The context keeps three: the conv activation, K
-# and the memberships U. At its peak either backward adds three more: dL/dU,
-# dL/dfeats and one product (f * (d_z @ codebook) for the logistic kernel,
-# rowsum(d_sq) * feats for the Gaussian one); the histograms and the head stay
-# under one. A second copy of the conv output, or a scratch held into those
-# products, takes the step past the bound.
-@pytest.mark.parametrize("kernel,bound", [(config.KERNEL_LOGISTIC, 7.5),
-                                          (config.KERNEL_GAUSSIAN, 7.5)])
-def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
+# (K = the conv width here). For 32 windows of rows of their own the feature
+# table has B * N rows, and the context keeps three such arrays: the conv
+# activation, K and the memberships U. At its peak either backward adds three
+# more: dL/dU and a scratch in the pooling backward, or dL/dfeats and the
+# conv backward's per-tap row gradients after it; the histograms and the head
+# stay under one. A second copy of the conv output, or a scratch held into
+# those products, takes the step past the bound. 32 overlapping windows of 46
+# rows make a table of 170 rows, so the same step holds about a third as much.
+@pytest.mark.parametrize("kernel", [config.KERNEL_LOGISTIC, config.KERNEL_GAUSSIAN])
+def test_training_step_holds_one_copy_of_each_activation(kernel):
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16, kernel=kernel)
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
     unit = 32 * 15 * cfg.n_codewords * 8
-    # 32 windows as 32 x 15 rows of their own, and as overlapping slices of 46 rows
-    for x in (rng.normal(size=(32, 15, cfg.d_in)),
-              WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15)):
+    for x, bound in ((rng.normal(size=(32, 15, cfg.d_in)), 7.5),
+                     (WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15), 4.0)):
         tracemalloc.start()  # traces only what the step allocates
         try:
             _, ctx = network.forward_batch(x, params, cfg)

@@ -21,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from reference import conv_flat_per_tap, windowize  # noqa: E402
+from reference import conv_flat_per_tap, gathered_windows, windowize  # noqa: E402
 
 from tlonbof import cli, config, data, kernels, network, training  # noqa: E402
 from tlonbof.errors import FormatError, NumericError  # noqa: E402
@@ -340,7 +340,7 @@ def test_window_runs_cover_every_sample_once_in_order(day_lengths, window, horiz
         day = int(ds.day_ids[first])
         assert (ds.day_ids[first : first + count] == day).all()  # never crosses a day
         assert np.shares_memory(rows, corpus[day - 1].features)  # a view, not a copy
-        x = ds.gather(np.arange(first, first + count))[0].windows()
+        x = gathered_windows(ds.gather(np.arange(first, first + count))[0])
         for j in range(count):
             assert np.array_equal(rows[j : j + window], x[j])
         expected_first += count
@@ -363,7 +363,7 @@ def test_gathered_table_rebuilds_the_windows_from_distinct_sorted_rows(day_lengt
     indices = np.array(draws) % ds.n_samples  # repeats included
     batch, labels = ds.gather(indices)
     want = np.concatenate([windowize(s, window=window)[0] for s in corpus])[indices]
-    assert batch.windows().tobytes() == want.tobytes()
+    assert gathered_windows(batch).tobytes() == want.tobytes()
     assert np.array_equal(labels, ds.labels[indices])
     keys = batch.rows[:, 0]
     assert (np.diff(keys) > 0).all()  # sorted by (day, t), each row once
@@ -383,7 +383,8 @@ def test_conv_forward_is_bitwise_the_flat_per_tap_reference(batch, n_steps, taps
     x = rng.normal(size=(batch, n_steps, d_in))
     w = rng.normal(size=(taps, d_in, d_out))
     b = rng.normal(size=d_out)
-    got = network.conv1d_same_batch(data.WindowBatch.of_windows(x), w, b)
+    feats, index = network.conv1d_same_batch(data.WindowBatch.of_windows(x), w, b)
+    got = feats[index]
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -1,10 +1,14 @@
 import hashlib
 import itertools
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import gathered_windows
 
 from tlonbof import config, data, network, training
 from tlonbof.config import RunConfig
@@ -154,7 +158,7 @@ class _WindowsOfTheirOwn(data.WindowDataset):
 
     def gather(self, indices):
         batch, labels = super().gather(indices)
-        return batch.windows(), labels
+        return gathered_windows(batch), labels
 
 
 def test_training_on_the_row_table_is_training_on_the_gathered_windows():
@@ -189,6 +193,27 @@ def test_log_scale_floor_keeps_the_parameter_arrays(monkeypatch):
     result = training.train(RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN), ds)
     assert all(result.params[k] is v for k, v in first["params"].items())
     assert result.params["log_cu"].tobytes() == np.array(training.LOG_SCALE_FLOOR).tobytes()
+
+
+# two training steps in a fresh process, then whether numpy.ma was imported
+TRAIN_STEP_PROBE = """
+import sys
+from tlonbof import data, training
+from tlonbof.config import RunConfig
+ds = data.WindowDataset(data.synth_generate(2, 40, seed=2))
+rc = RunConfig(batch_size=16, epochs=1, n_codewords=8, conv_filters=8, conv_kernel=3, hidden=16)
+assert training.train(rc, ds).history.steps == 2
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_training_step_does_not_import_numpy_ma():
+    # numpy.ma costs about 1.5 MB and 10 ms to import; np.unique imports it
+    # unless it is asked for indices or the inverse
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(training.__file__))}
+    out = subprocess.run([sys.executable, "-c", TRAIN_STEP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_predict_chunking_is_invisible():
