@@ -20,10 +20,11 @@ The layer reads its parameters from the model's ``name -> array`` dict:
 ``codebook``, the scales as ``log_cu``/``log_cs`` (c = exp(log c)), and
 ``alpha``/``beta`` for the logistic kernel or ``sigma`` for the Gaussian
 one. The backward pass is derived by hand (quotient rule through the row
-normalization, then the chosen kernel), reads only the cached kernel
-values and memberships, and returns its gradients under the same names,
-the scales' in log space, and one input gradient per table row; it is
-validated against central finite differences in the test suite.
+normalization, then the chosen kernel) from the cached kernel values and
+memberships, and alpha's from d histogram / d alpha, which the forward
+pass takes window by window. It returns its gradients under the same
+names, the scales' in log space, and one input gradient per table row;
+it is validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -62,20 +63,20 @@ def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[in
     return list(reversed(recent_first))
 
 
-def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str):
-    """Kernel values K, shape (T, K), between every feature row and codeword."""
+def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, keep_dots=False):
+    """Kernel values K (T, K) of feature rows and codewords, and the logistic F C^T if kept."""
     codebook = params["codebook"]
     if feats.shape[-1] != codebook.shape[1]:
         raise ValueError(
             f"feature dim {feats.shape[-1]} does not match codeword dim {codebook.shape[1]}"
         )
     if kind == KERNEL_LOGISTIC:
-        z = feats @ codebook.T
-        z *= 2.0 * float(params["alpha"])
+        dots = feats @ codebook.T
+        z = np.multiply(dots, 2.0 * float(params["alpha"]), out=None if keep_dots else dots)
         z += 2.0 * float(params["beta"])
-        return kernels.sigmoid(z, out=z)
+        return kernels.sigmoid(z, out=z), dots if keep_dots else None
     if kind == KERNEL_GAUSSIAN:
-        return kernels.gaussian_matrix(feats, codebook, float(params["sigma"]))
+        return kernels.gaussian_matrix(feats, codebook, float(params["sigma"])), None
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -154,24 +155,22 @@ class BofContext:
     k_mat: np.ndarray  # (T, K) kernel values of the table rows
     memberships: np.ndarray  # (T, K) scaled soft assignments of the table rows
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
+    alpha_tangent: np.ndarray | None  # (B, R*K) d histogram / d alpha, logistic kernel only
 
 
-def assign(
-    feats: np.ndarray, params: dict[str, np.ndarray], kind: str, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """K and memberships c_u * K / rowsum(K) of table rows (T, D); ``index`` names an underflow."""
-    k_mat = _kernel_matrix(feats, params, kind)
+def assign(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, index: np.ndarray,
+           keep_dots: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """K, U = c_u K / rowsum(K) and kept dots of table rows (T, D); ``index`` locates underflow."""
+    k_mat, dots = _kernel_matrix(feats, params, kind, keep_dots)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums, index)
     memberships = np.multiply(k_mat, scale(params, "log_cu"))
     memberships /= row_sums[:, None]
-    return k_mat, memberships
+    return k_mat, memberships, dots
 
 
-def histogram(
-    memberships: np.ndarray, index: np.ndarray, regions: list[tuple[int, int]],
-    params: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def histogram(memberships: np.ndarray, index: np.ndarray, regions: list[tuple[int, int]],
+              params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Histogram c_s * region means, and the means, newest region first.
 
     Each region gathers its positions' rows of ``memberships`` (T, K) through ``index`` (B, N).
@@ -183,14 +182,27 @@ def histogram(
     return scale(params, "log_cs") * region_means, region_means
 
 
+def _d_alpha(dots, k_mat, memberships, index, regions, params) -> np.ndarray:
+    """d histogram / d alpha (B, R*K), newest region first; overwrites ``dots``. Each window
+    averages its own positions' rows, as ``histogram`` does, so alpha's gradient, which can
+    cancel to 1e-4 of its terms, has the same bits however the windows share table rows."""
+    # z = 2 alpha <f, c> + 2 beta: dU/dalpha = 2 U (q - rowsum(U q) / c_u), q = (1 - K) <f, c>
+    q = dots
+    q *= 1.0 - k_mat
+    q -= (np.sum(memberships * q, axis=-1) / scale(params, "log_cu"))[:, None]
+    q *= memberships
+    means = [sum(q[index[:, p]] for p in range(a, b)) / (b - a) for a, b in reversed(regions)]
+    return (2.0 * scale(params, "log_cs")) * np.concatenate(means, axis=1)
+
+
 def spread(index: np.ndarray, upstream: np.ndarray, regions: list[tuple[int, int]],
            factor: float, n_rows: int) -> np.ndarray:
     """Gradient w.r.t. the (n_rows, K) table of ``factor`` times the region means.
 
-    ``upstream`` (B, R*K) is laid out as ``histogram``'s output. Each position
-    of region (a, b) adds ``factor / (b - a)`` times its block onto its row, one
-    fancy add per position; copies of a window (the same row at position 0)
-    are added once, with their summed upstream, so no add writes a row twice.
+    ``upstream`` (B, R*K) is laid out as ``histogram``'s output. Each position of region
+    (a, b) adds ``factor / (b - a)`` times its block onto its row, one fancy add per position.
+    Windows that read one row at position 0 are copies of one window (as ``forward_batch``
+    requires); they are added once, with their summed upstream, so no add writes a row twice.
     """
     _, first, copy_of = np.unique(index[:, 0], return_index=True, return_inverse=True)
     summed = upstream[first]
@@ -206,26 +218,22 @@ def spread(index: np.ndarray, upstream: np.ndarray, regions: list[tuple[int, int
     return out
 
 
-def forward_batch(
-    feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: np.ndarray | None = None
-) -> tuple[np.ndarray, BofContext]:
+def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg,
+                  index: np.ndarray) -> tuple[np.ndarray, BofContext]:
     """Pool windows of feature rows into temporal histograms.
 
     ``feats`` is a feature table (T, dim) and ``index`` (batch, n_steps) the
-    row each window position reads, or ``feats`` is (batch, n_steps, dim)
-    and ``index`` None. The result is (batch, n_regions * n_codewords),
-    newest region first. ``cfg`` (a ``network.ModelConfig``) gives
-    ``kernel``, ``n_regions`` and ``nested_regions``.
+    row each window position reads; two windows read one row at position 0
+    only if they are copies of one window. The result is (batch, n_regions *
+    n_codewords), newest region first. ``cfg`` (a ``network.ModelConfig``)
+    gives ``kernel``, ``n_regions`` and ``nested_regions``.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != (3 if index is None else 2):
-        raise ValueError(f"expected a (rows, dim) table and its index, or (batch, steps, dim) "
-                         f"input, got shape {feats.shape}")
-    if index is None:
-        index = np.arange(feats.shape[0] * feats.shape[1]).reshape(feats.shape[:2])
-        feats = feats.reshape(-1, feats.shape[-1])
+    if feats.ndim != 2:
+        raise ValueError(f"expected a (rows, dim) feature table, got shape {feats.shape}")
     regions = segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
-    k_mat, memberships = assign(feats, params, cfg.kernel, index)
+    k_mat, memberships, dots = assign(feats, params, cfg.kernel, index, keep_dots=True)
+    tangent = None if dots is None else _d_alpha(dots, k_mat, memberships, index, regions, params)
     hist, region_means = histogram(memberships, index, regions, params)
     ctx = BofContext(
         feats=feats,
@@ -237,6 +245,7 @@ def forward_batch(
         k_mat=k_mat,
         memberships=memberships,
         region_means=region_means,
+        alpha_tangent=tangent,
     )
     return hist, ctx
 
@@ -285,10 +294,8 @@ def backward(
         d_z = d_kk
         d_feats = d_z @ ctx.codebook
         d_feats *= 2.0 * alpha
-        grads["codebook"] = d_z.T @ ctx.feats
-        # z = 2 alpha <f, c> + 2 beta, so dL/dalpha = 2 sum(c * (d_z^T f))
-        grads["alpha"] = np.array(float(2.0 * np.sum(ctx.codebook * grads["codebook"])))
-        grads["codebook"] *= 2.0 * alpha
+        grads["codebook"] = (d_z.T @ ctx.feats) * (2.0 * alpha)
+        grads["alpha"] = np.array(float(np.vdot(upstream, ctx.alpha_tangent)))
         grads["beta"] = np.array(float(2.0 * np.sum(d_z)))
     else:
         # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2)); the

@@ -160,21 +160,18 @@ def _feature_layout(batch: WindowBatch, taps: int):
     return inner_rows, ustarts, edges, index[copy_of]
 
 
-def conv1d_same_batch(
-    batch: WindowBatch, weights: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
+                      bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-padded same-length 1-D convolution of every window of a row table.
 
-    ``batch.rows`` is (rows, d_in) and ``weights`` is (kernel, d_in, d_out).
-    Returns the feature table (T, d_out) of ``_feature_layout`` and the index
-    of the row each window position reads. Each tap is one 2-D product over
-    the batch's rows, written into one reused buffer, so a row that several
-    windows share is multiplied once. The products are added onto the bias in
-    tap order, shifted by the tap's offset, along the whole batch as if it
-    were one sequence: that is each window's output wherever every tap stays
-    inside the window. The ``kernel // 2`` positions at each end of a
-    distinct window add, in the same order, only the product rows ``start + p
-    + offset`` that stay inside it, which is the zero padding.
+    ``batch.rows`` is (rows, d_in) and ``weights`` is (kernel, d_in, d_out). Returns the feature
+    table (T, d_out) of ``_feature_layout`` and the index of the row each window position reads.
+    Each tap is one 2-D product over the batch's rows, written into one reused buffer, so a row
+    that several windows share is multiplied once. The products are added onto the bias in tap
+    order, shifted by the tap's offset, along the whole batch as if it were one sequence: that is
+    each window's output wherever every tap stays inside the window. The ``kernel // 2``
+    positions at each end of a distinct window add, in the same order, only the product rows
+    ``start + p + offset`` that stay inside it, which is the zero padding.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
@@ -208,9 +205,8 @@ def conv1d_same_batch(
     return feats, index
 
 
-def conv1d_same_backward(
-    batch: WindowBatch, weights: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray,
+                         d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias, from one per table row.
 
     No input gradient: the conv is always the first layer. For each tap the
@@ -264,7 +260,7 @@ class NetworkContext:
     cfg: ModelConfig
     params: dict[str, np.ndarray]
     batch: WindowBatch  # the input: a table of rows and each window's start in it
-    feats: np.ndarray  # (T, D) feature table the pooling read: post-ReLU conv rows, or batch.rows
+    feats: np.ndarray  # (T, D) feature table the pooling read: post-ReLU conv rows, or the windows
     index: np.ndarray  # (B, N) the table row each window position reads
     bof_ctx: bof.BofContext | None
     pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
@@ -281,7 +277,7 @@ def forward_batch(
 
     ``x`` is a ``WindowBatch`` or a (batch, steps, d_in) array, which is read
     as a table whose window i starts at row i * steps. The pooling stage reads
-    the conv's feature table, or without the conv ``batch.rows``, by index.
+    the conv's feature table by index, or without the conv the windows' rows.
     """
     batch = x if isinstance(x, WindowBatch) else WindowBatch.of_windows(x)
     if batch.rows.shape[-1] != cfg.d_in:
@@ -292,8 +288,9 @@ def forward_batch(
         # the ReLU overwrites the conv output: only the activation is kept
         feats, index = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
         np.maximum(feats, 0.0, out=feats)
-    else:
-        feats, index = batch.rows, batch.starts[:, None] + np.arange(batch.window)
+    else:  # one row per window position, so the kernel's product has the windows' bits
+        feats = batch.rows[batch.starts[:, None] + np.arange(batch.window)].reshape(-1, cfg.d_in)
+        index = np.arange(feats.shape[0]).reshape(-1, batch.window)
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
@@ -372,7 +369,7 @@ def forward_windows(
 
     index = np.arange(batch)[:, None] + np.array(base)
     if cfg.arch == ARCH_TLONBOF:
-        _, memberships = bof.assign(feats, params, cfg.kernel, index)
+        _, memberships, _ = bof.assign(feats, params, cfg.kernel, index)
         regions = bof.segment(n_steps, cfg.n_regions, cfg.nested_regions)
         pooled, _ = bof.histogram(memberships, index, regions, params)
     else:

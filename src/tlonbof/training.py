@@ -158,6 +158,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_good)
             grads = network.backward_batch(ctx, y)
+            del ctx  # not held through the next step's gather and forward
             updates = {k: grads[k] for k in trainable}
             adam_step(params, updates, state)
             for k in network.LOG_SCALES:

@@ -18,7 +18,9 @@ for _var in (
 import numpy as np
 import pytest
 
-from tlonbof import config, network
+from reference import window_table
+
+from tlonbof import bof, config, network
 
 try:
     from hypothesis import settings
@@ -40,6 +42,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def pool_windows(x, params, cfg):
+    """``bof.forward_batch`` on a (windows, steps, dim) array of feature rows."""
+    table, index = window_table(x)
+    return bof.forward_batch(table, params, cfg, index)
 
 
 # small-instance defaults used across gradient tests

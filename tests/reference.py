@@ -94,6 +94,13 @@ def windowize(
     return series.features[idx], labels
 
 
+def window_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (windows, steps, dim) array as a table of its rows and the (windows, steps) index
+    of each position's row, every position a row of its own."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(-1, x.shape[-1]), np.arange(x.shape[0] * x.shape[1]).reshape(x.shape[:2])
+
+
 def gathered_windows(batch) -> np.ndarray:
     """The windows of a ``data.WindowBatch`` copied out of its table, (n_windows, window, dim)."""
     return batch.rows[batch.starts[:, None] + np.arange(batch.window)]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, draw_instance, tiny_config
+from conftest import ACCEPTANCE_LINES, draw_instance, pool_windows, tiny_config
 from reference import finite_diff_grad, relative_error, windowize
 from tlonbof import bof, cli, config, data, metrics, network, training
 from tlonbof.config import RunConfig
@@ -93,7 +93,7 @@ def test_criterion_02_normalization_invariants():
     for seed in range(1000):
         feats, params, cfg = _random_bof_case(seed)
         c_u, c_s = float(np.exp(params["log_cu"])), float(np.exp(params["log_cs"]))
-        hist, ctx = bof.forward_batch(feats[None], params, cfg)
+        hist, ctx = pool_windows(feats[None], params, cfg)
         row_sums = ctx.memberships.sum(axis=-1)  # one table row per timestep
         worst_row = max(worst_row, float(np.max(np.abs(row_sums - c_u)) / c_u))
         seg_sums = hist[0].reshape(cfg.n_regions, -1).sum(axis=1)
@@ -110,14 +110,14 @@ def test_criterion_03_temporal_semantics():
         feats, params, cfg = _random_bof_case(5000 + seed, min_regions=2)
         nt = cfg.n_regions
         regions = bof.segment(len(feats), nt)
-        base, _ = bof.forward_batch(feats[None], params, cfg)
+        base, _ = pool_windows(feats[None], params, cfg)
 
         rng = np.random.default_rng(9000 + seed)
         a, b = regions[int(rng.integers(0, nt))]
         perm = a + rng.permutation(b - a)
         shuffled = feats.copy()
         shuffled[a:b] = feats[perm]
-        permuted, _ = bof.forward_batch(shuffled[None], params, cfg)
+        permuted, _ = pool_windows(shuffled[None], params, cfg)
         ok_perm += int(np.array_equal(base, permuted))
 
         ri, rj = rng.choice(nt, size=2, replace=False)
@@ -126,7 +126,7 @@ def test_criterion_03_temporal_semantics():
         j = int(rng.integers(a2, b2))
         swapped = feats.copy()
         swapped[[i, j]] = feats[[j, i]]
-        crossed, _ = bof.forward_batch(swapped[None], params, cfg)
+        crossed, _ = pool_windows(swapped[None], params, cfg)
         ok_swap += int(not np.array_equal(base, crossed))
     record(3, "within-region permutations bit-identical, cross-region swaps visible",
            ok_perm == 100 and ok_swap == 100,
@@ -160,7 +160,7 @@ def test_criterion_04_classical_bof_degeneracy():
 
         # log c = 0 is c_u = c_s = 1
         params = {"codebook": codebook, "log_cu": 0.0, "log_cs": 0.0, "sigma": sigma}
-        hist, _ = bof.forward_batch(feats[None], params,
+        hist, _ = pool_windows(feats[None], params,
                                     network.ModelConfig(kernel=config.KERNEL_GAUSSIAN, n_regions=1))
         worst = max(worst, float(np.max(np.abs(hist[0] - direct))))
     record(4, "classical-BoF output matches a direct transcription at 1e-12",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import pool_windows
 from reference import finite_diff_grad, logistic_kernel, relative_error
 
 from tlonbof import bof, config, network
@@ -54,7 +55,7 @@ def test_soft_assign_rows_sum_to_cu():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(9, 4))
     codebook = rng.normal(size=(5, 4))
-    _, ctx = forward_batch(feats[None], _params(codebook, c_u=7.5, c_s=2.0), _cfg(n_regions=3))
+    _, ctx = pool_windows(feats[None], _params(codebook, c_u=7.5, c_s=2.0), _cfg(n_regions=3))
     u = ctx.memberships  # one table row per timestep of the one window
     assert u.shape == (9, 5)
     assert np.allclose(u.sum(axis=1), 7.5, rtol=1e-12)
@@ -64,7 +65,7 @@ def test_soft_assign_rows_sum_to_cu():
 def test_soft_assign_single_codeword_saturates():
     # with one codeword the normalization forces every row to c_u exactly
     rng = np.random.default_rng(1)
-    _, ctx = forward_batch(rng.normal(size=(1, 6, 3)), _params(rng.normal(size=(1, 3)), c_u=3.0),
+    _, ctx = pool_windows(rng.normal(size=(1, 6, 3)), _params(rng.normal(size=(1, 3)), c_u=3.0),
                            _cfg(n_regions=1))
     assert np.allclose(ctx.memberships, 3.0, rtol=1e-15)
 
@@ -74,7 +75,7 @@ def test_accumulate_is_scaled_column_mean():
     # two unit codewords give memberships [[1, 3], [3, 1], [2, 2]] at c_u = 4
     ln3 = np.log(3.0)
     feats = np.array([[[-ln3, ln3], [ln3, -ln3], [0.0, 0.0]]])
-    s, ctx = forward_batch(feats, _params(np.eye(2), c_u=4.0, c_s=5.0, alpha=0.5),
+    s, ctx = pool_windows(feats, _params(np.eye(2), c_u=4.0, c_s=5.0, alpha=0.5),
                            _cfg(n_regions=1))
     assert np.allclose(ctx.memberships, [[1.0, 3.0], [3.0, 1.0], [2.0, 2.0]])
     assert np.allclose(s[0], [10.0, 10.0])
@@ -104,7 +105,7 @@ def test_histogram_mass_conservation():
         feats, params, cfg = _random_case(seed, kind=kind)
         cb, nt = params["codebook"], cfg.n_regions
         c_u, c_s = _scales(params)
-        hist, _ = forward_batch(feats[None], params, cfg)
+        hist, _ = pool_windows(feats[None], params, cfg)
         assert hist.shape == (1, nt * cb.shape[0])
         for r in range(nt):
             seg = hist[0, r * cb.shape[0] : (r + 1) * cb.shape[0]]
@@ -118,7 +119,7 @@ def test_brute_force_oracle():
         cb, nt = params["codebook"], cfg.n_regions
         c_u, c_s = _scales(params)
         n, k = feats.shape[0], cb.shape[0]
-        hist, _ = forward_batch(feats[None], params, cfg)
+        hist, _ = pool_windows(feats[None], params, cfg)
         regions = segment(n, nt)
         expected = []
         for start, stop in reversed(regions):  # newest first in the output
@@ -138,8 +139,8 @@ def test_output_order_is_newest_region_first():
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(9, 3))
     cb = rng.normal(size=(4, 3))
-    hist, _ = forward_batch(feats[None], _params(cb), _cfg(n_regions=3))
-    solo, _ = forward_batch(feats[None, 6:9], _params(cb), _cfg(n_regions=1))
+    hist, _ = pool_windows(feats[None], _params(cb), _cfg(n_regions=3))
+    solo, _ = pool_windows(feats[None, 6:9], _params(cb), _cfg(n_regions=1))
     assert np.array_equal(hist[0, :4], solo[0])
 
 
@@ -150,11 +151,11 @@ def test_within_region_permutation_invariance():
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
         params = _params(cb, c_u=1.7, c_s=2.2)
-        base, _ = forward_batch(feats[None], params, _cfg(n_regions=3))
+        base, _ = pool_windows(feats[None], params, _cfg(n_regions=3))
         shuffled = feats.copy()
         for start, stop in segment(9, 3):
             shuffled[start:stop] = shuffled[start:stop][rng.permutation(stop - start)]
-        out, _ = forward_batch(shuffled[None], params, _cfg(n_regions=3))
+        out, _ = pool_windows(shuffled[None], params, _cfg(n_regions=3))
         assert np.array_equal(base, out)  # bit-identical, same additions
 
 
@@ -164,10 +165,10 @@ def test_cross_region_swap_changes_output():
         rng = np.random.default_rng(seed + 500)
         feats = rng.normal(size=(9, 4))
         cb = rng.normal(size=(5, 4))
-        base, _ = forward_batch(feats[None], _params(cb), _cfg(n_regions=3))
+        base, _ = pool_windows(feats[None], _params(cb), _cfg(n_regions=3))
         swapped = feats.copy()
         swapped[[0, 8]] = swapped[[8, 0]]  # oldest <-> newest region
-        out, _ = forward_batch(swapped[None], _params(cb), _cfg(n_regions=3))
+        out, _ = pool_windows(swapped[None], _params(cb), _cfg(n_regions=3))
         if not np.array_equal(base, out):
             changed += 1
     assert changed == 100
@@ -180,7 +181,7 @@ def test_classical_bof_degeneracy():
         feats = rng.normal(size=(7, 3))
         cb = rng.normal(size=(4, 3))
         sigma = 0.7 + rng.uniform(0.0, 1.0)
-        hist, _ = forward_batch(feats[None], _params(cb, sigma=sigma),
+        hist, _ = pool_windows(feats[None], _params(cb, sigma=sigma),
                                 _cfg(config.KERNEL_GAUSSIAN, n_regions=1))
         # direct transcription: normalized Gaussian memberships, then average
         prefactor = 1.0 / np.sqrt(2.0 * np.pi * sigma)
@@ -198,9 +199,9 @@ def test_batch_forward_matches_single():
     x = rng.normal(size=(5, 9, 4))
     cb = rng.normal(size=(6, 4))
     params = _params(cb, c_u=2.0, c_s=3.0, alpha=0.9, beta=0.1)
-    batch, _ = forward_batch(x, params, _cfg(n_regions=3))
+    batch, _ = pool_windows(x, params, _cfg(n_regions=3))
     for b in range(5):
-        single, _ = forward_batch(x[b : b + 1], params, _cfg(n_regions=3))
+        single, _ = pool_windows(x[b : b + 1], params, _cfg(n_regions=3))
         assert np.array_equal(batch[b], single[0])
 
 
@@ -218,10 +219,10 @@ def test_backward_matches_finite_differences(kind, nt, nested):
         upstream = rng.normal(size=nt * params["codebook"].shape[0])
 
         def value(f, **entries):
-            h, _ = forward_batch(f[None], {**params, **entries}, cfg)
+            h, _ = pool_windows(f[None], {**params, **entries}, cfg)
             return float(h[0] @ upstream)
 
-        _, ctx = forward_batch(feats[None], params, cfg)
+        _, ctx = pool_windows(feats[None], params, cfg)
         d_feats, g = bof.backward(ctx, upstream[None])
 
         fd_f = finite_diff_grad(lambda v: value(v.reshape(feats.shape)), feats.copy())
@@ -243,10 +244,10 @@ def test_zero_row_sum_raises():
     feats = np.full((3, 2), 100.0)
     cb = np.full((1, 2), -100.0)
     with pytest.raises(bof.NumericError):
-        forward_batch(feats[None], _params(cb), _cfg(config.KERNEL_LOGISTIC, n_regions=1))
+        pool_windows(feats[None], _params(cb), _cfg(config.KERNEL_LOGISTIC, n_regions=1))
     # a Gaussian row is divided by its largest value, so it holds a 1 where
     # the unshifted value exp(-80000 / (2 * 0.01**2)) is 0
-    hist, ctx = forward_batch(feats[None], _params(cb, sigma=0.01),
+    hist, ctx = pool_windows(feats[None], _params(cb, sigma=0.01),
                               _cfg(config.KERNEL_GAUSSIAN, n_regions=1))
     assert np.array_equal(ctx.k_mat, np.ones((3, 1)))
     assert np.isfinite(hist).all()
@@ -288,12 +289,12 @@ def test_backward_is_the_sum_of_the_per_window_backwards(kind):
     cb = rng.normal(size=(256, 256))
     params = _params(cb, c_u=15.0, c_s=256.0, alpha=0.03, beta=-0.2, sigma=12.0)
     upstream = rng.normal(size=(6, 3 * 256))
-    _, ctx = forward_batch(feats, params, _cfg(kind, n_regions=3))
+    _, ctx = pool_windows(feats, params, _cfg(kind, n_regions=3))
     got_feats, got = bof.backward(ctx, upstream)
     # one window at a time: products over 15 rows, not over the 90-row table
     want_feats, want = [], {}
     for b in range(6):
-        _, ctx = forward_batch(feats[b : b + 1], params, _cfg(kind, n_regions=3))
+        _, ctx = pool_windows(feats[b : b + 1], params, _cfg(kind, n_regions=3))
         d_feats, g = bof.backward(ctx, upstream[b : b + 1])
         want_feats.append(d_feats)
         want = {k: want.get(k, 0.0) + v for k, v in g.items()}

@@ -53,7 +53,7 @@ def test_matrix_forms_match_scalar_kernels():
     feats = rng.normal(size=(6, 3))
     codebook = rng.normal(size=(4, 3))
     params = {"codebook": codebook, "alpha": 0.8, "beta": 0.1}
-    lm = bof._kernel_matrix(feats, params, config.KERNEL_LOGISTIC)
+    lm, _ = bof._kernel_matrix(feats, params, config.KERNEL_LOGISTIC)
     gm = kernels.gaussian_matrix(feats, codebook, sigma=0.9)
     for i in range(6):
         for k in range(4):
@@ -134,6 +134,6 @@ def test_kernel_matrices_match_the_stacked_products(kind, batch, n_steps, dim, n
     feats = np.maximum(rng.normal(size=(batch, n_steps, dim)), 0.0)
     codebook = rng.normal(size=(n_codewords, dim))
     params = {"codebook": codebook, "alpha": 0.03, "beta": -0.2, "sigma": 12.0}
-    got = bof._kernel_matrix(feats.reshape(-1, dim), params, kind)  # the batch's table
+    got, _ = bof._kernel_matrix(feats.reshape(-1, dim), params, kind)  # the batch's table
     want = _stacked_kernel_matrix(feats, params, kind)
     assert relative_error(got.ravel(), want.ravel()) < 1e-15
