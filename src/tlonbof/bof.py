@@ -251,14 +251,15 @@ def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg,
 
 
 def backward(
-    ctx: BofContext, upstream: np.ndarray
+    ctx: BofContext, upstream: np.ndarray, out: dict[str, np.ndarray] | None = None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Gradients of a scalar loss given its gradient w.r.t. the histogram.
 
     ``upstream`` matches the forward output shape. Returns the gradient
     for the feature table, one row per table row, and a name -> gradient
     dict: ``codebook``, ``log_cu`` and ``log_cs`` (in log space), and for
-    the logistic kernel ``alpha`` and ``beta``.
+    the logistic kernel ``alpha`` and ``beta``: ``out``, if given, with each
+    written into the array it holds under that name, if any, bit for bit.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     batch, n_codewords = ctx.index.shape[0], ctx.k_mat.shape[1]
@@ -287,16 +288,18 @@ def backward(
         d_kk *= np.subtract(1.0, ctx.k_mat, out=scratch)
     del scratch  # freed before the (T, D) products below
 
+    grads = {} if out is None else out
     # the stored parameters are log c; chain through c = exp(log c)
-    grads = {"log_cu": np.array(dc_u * c_u), "log_cs": np.array(dc_s * c_s)}
+    scalars = {"log_cu": dc_u * c_u, "log_cs": dc_s * c_s}
     if ctx.kind == KERNEL_LOGISTIC:
         alpha = float(ctx.params["alpha"])
         d_z = d_kk
         d_feats = d_z @ ctx.codebook
         d_feats *= 2.0 * alpha
-        grads["codebook"] = (d_z.T @ ctx.feats) * (2.0 * alpha)
-        grads["alpha"] = np.array(float(np.vdot(upstream, ctx.alpha_tangent)))
-        grads["beta"] = np.array(float(2.0 * np.sum(d_z)))
+        d_cb = grads["codebook"] = np.matmul(d_z.T, ctx.feats, out=grads.get("codebook"))
+        d_cb *= 2.0 * alpha
+        scalars["alpha"] = float(np.vdot(upstream, ctx.alpha_tangent))
+        scalars["beta"] = float(2.0 * np.sum(d_z))
     else:
         # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2)); the
         # row maximum that K was divided by cancels in U, so it takes none
@@ -306,7 +309,9 @@ def backward(
         d_feats = d_sq @ ctx.codebook
         d_feats -= d_sq.sum(axis=-1)[:, None] * ctx.feats
         d_feats *= -2.0
-        grads["codebook"] = 2.0 * (
-            d_sq.sum(axis=0)[:, None] * ctx.codebook - d_sq.T @ ctx.feats
-        )
+        d_cb = grads["codebook"] = np.matmul(d_sq.T, ctx.feats, out=grads.get("codebook"))
+        np.subtract(d_sq.sum(axis=0)[:, None] * ctx.codebook, d_cb, out=d_cb)
+        d_cb *= 2.0
+    for name, value in scalars.items():
+        grads.setdefault(name, np.empty(()))[...] = value
     return d_feats, grads

@@ -187,7 +187,8 @@ class WindowDataset:
         days = day[np.diff(day, prepend=-1) > 0]
         cuts = np.searchsorted(keys, np.append(days, days[-1:] + 1) * self._stride)
         for d, lo, hi in zip(days.tolist(), cuts[:-1].tolist(), cuts[1:].tolist()):
-            np.take(self._days[d], keys[lo:hi] - d * self._stride, axis=0, out=rows[lo:hi])
+            np.take(self._days[d], keys[lo:hi] - d * self._stride, axis=0, out=rows[lo:hi],
+                    mode="clip")  # the keys are in range; "clip" writes straight into ``out``
         return WindowBatch(rows, (stop - w)[inverse], w), self.labels[indices]
 
     def runs(self, chunk: int):

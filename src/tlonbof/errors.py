@@ -13,8 +13,8 @@ class TrainingDiverged(NumericError):
     """Training loss or a scale factor became non-finite, or the model left the checkpoint's range.
 
     Carries the step index where divergence was detected and the last
-    known-good parameter snapshot (end of the previous epoch, or the
-    initialization if the first epoch diverged).
+    known-good parameters, in float32 as a checkpoint stores them (end of
+    the previous epoch, or the initialization if the first epoch diverged).
     """
 
     def __init__(self, step, last_good_params, what="non-finite loss"):

@@ -20,6 +20,7 @@ stay positive without projection, and their gradients are taken in log space.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -137,7 +138,10 @@ def trainable_names(cfg: ModelConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # primitive layers
 
-def _feature_layout(batch: WindowBatch, taps: int):
+FeatureLayout = namedtuple("FeatureLayout", "inner_rows starts edges index")
+
+
+def _feature_layout(batch: WindowBatch, taps: int) -> FeatureLayout:
     """The inner rows, distinct starts, edge positions and index of the conv's feature table.
 
     The table holds the batch rows some window reads at an inner position (every tap inside
@@ -157,15 +161,15 @@ def _feature_layout(batch: WindowBatch, taps: int):
     index = np.empty((ustarts.size, n), dtype=np.int64)
     index[:, inner] = (np.cumsum(held) - 1)[ustarts[:, None] + inner]
     index[:, edges] = inner_rows.size + np.arange(index[:, edges].size).reshape(ustarts.size, -1)
-    return inner_rows, ustarts, edges, index[copy_of]
+    return FeatureLayout(inner_rows, ustarts, edges, index[copy_of])
 
 
 def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
-                      bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      bias: np.ndarray) -> tuple[np.ndarray, FeatureLayout]:
     """Zero-padded same-length 1-D convolution of every window of a row table.
 
     ``batch.rows`` is (rows, d_in) and ``weights`` is (kernel, d_in, d_out). Returns the feature
-    table (T, d_out) of ``_feature_layout`` and the index of the row each window position reads.
+    table (T, d_out) and its layout, whose ``index`` is the row each window position reads.
     Each tap is one 2-D product over the batch's rows, written into one reused buffer, so a row
     that several windows share is multiplied once. The products are added onto the bias in tap
     order, shifted by the tap's offset, along the whole batch as if it were one sequence: that is
@@ -180,7 +184,8 @@ def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
     if rows.shape[-1] != d_in:
         raise ValueError(f"input dim {rows.shape[-1]} does not match kernel dim {d_in}")
     center = taps // 2
-    inner_rows, ustarts, edges, index = _feature_layout(batch, taps)
+    layout = _feature_layout(batch, taps)
+    inner_rows, ustarts, edges, _ = layout
     inner = np.broadcast_to(bias, (rows.shape[0], d_out)).copy()
     feats = np.empty((inner_rows.size + ustarts.size * len(edges), d_out))
     at_edges = feats[inner_rows.size :].reshape(ustarts.size, len(edges), d_out)
@@ -202,14 +207,15 @@ def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
                 at_edges[:, j] += prod[ustarts + (p + off)]
     # mode="clip" writes straight into ``out``; "raise" would buffer a copy
     np.take(inner, inner_rows, axis=0, out=feats[: inner_rows.size], mode="clip")
-    return feats, index
+    return feats, layout
 
 
-def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray,
-                         d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray, d_out: np.ndarray,
+                         layout: FeatureLayout, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``conv1d_same_batch`` w.r.t. its weights and bias, from one per table row.
 
-    No input gradient: the conv is always the first layer. For each tap the
+    ``layout`` is the forward pass's; the gradients are written into the arrays of ``out``
+    that are not None. No input gradient: the conv is always the first layer. For each tap the
     inner rows' gradients land on the batch rows the tap read for them, each
     edge position's are added at ``start + p + offset`` over the distinct
     starts, so no add writes a row twice, and one 2-D product of the batch's
@@ -218,14 +224,15 @@ def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray,
     taps, _, d_o = weights.shape
     rows, n = batch.rows, batch.window
     center = taps // 2
-    inner_rows, ustarts, edges, _ = _feature_layout(batch, taps)
+    inner_rows, ustarts, edges, _ = layout
     d_inner = d_out[: inner_rows.size]
     d_edges = d_out[inner_rows.size :].reshape(ustarts.size, len(edges), d_o)
-    d_w = np.zeros_like(weights)
+    d_w = np.empty_like(weights) if out[0] is None else out[0]
     g_rows = np.empty((rows.shape[0], d_o))
     for k in range(taps):
         off = k - center
         if abs(off) >= n:
+            d_w[k] = 0.0
             continue
         g_rows.fill(0.0)
         g_rows[inner_rows + off] = d_inner
@@ -233,7 +240,7 @@ def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray,
             if 0 <= p + off < n:
                 g_rows[ustarts + (p + off)] += d_edges[:, j]
         np.matmul(rows.T, g_rows, out=d_w[k])
-    return d_w, d_out.sum(axis=0)
+    return d_w, np.sum(d_out, axis=0, out=out[1])
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -262,6 +269,7 @@ class NetworkContext:
     batch: WindowBatch  # the input: a table of rows and each window's start in it
     feats: np.ndarray  # (T, D) feature table the pooling read: post-ReLU conv rows, or the windows
     index: np.ndarray  # (B, N) the table row each window position reads
+    layout: FeatureLayout | None  # the conv's, for its backward
     bof_ctx: bof.BofContext | None
     pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
     fc1_pre: np.ndarray
@@ -286,11 +294,13 @@ def forward_batch(
 
     if cfg.deep_features:
         # the ReLU overwrites the conv output: only the activation is kept
-        feats, index = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
+        feats, layout = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
         np.maximum(feats, 0.0, out=feats)
+        index = layout.index
     else:  # one row per window position, so the kernel's product has the windows' bits
         feats = batch.rows[batch.starts[:, None] + np.arange(batch.window)].reshape(-1, cfg.d_in)
         index = np.arange(feats.shape[0]).reshape(-1, batch.window)
+        layout = None
 
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
@@ -305,6 +315,7 @@ def forward_batch(
         batch=batch,
         feats=feats,
         index=index,
+        layout=layout,
         bof_ctx=bof_ctx,
         pooled=pooled,
         fc1_pre=fc1_pre,
@@ -383,11 +394,13 @@ def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:
     return float(-ctx.logp[np.arange(ctx.logp.shape[0]), labels].mean())
 
 
-def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndarray]:
+def backward_batch(ctx: NetworkContext, labels: np.ndarray,
+                   out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy w.r.t. every differentiable parameter.
 
     Every gradient the model defines is returned; ``trainable_names`` alone
-    decides which of them are trained.
+    decides which of them are trained. Given ``out``, a dict an earlier call returned, each
+    gradient is written into its array there, bit for bit, and ``out`` is returned.
     """
     cfg, params = ctx.cfg, ctx.params
     labels = np.asarray(labels)
@@ -397,29 +410,28 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray) -> dict[str, np.ndar
     if labels.min() < 0 or labels.max() >= cfg.n_classes:
         raise ValueError("label out of range")
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {} if out is None else out
     d_logits = ctx.probs.copy()
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
-    grads["fc2_w"] = ctx.fc1_act.T @ d_logits
-    grads["fc2_b"] = d_logits.sum(axis=0)
+    grads["fc2_w"] = np.matmul(ctx.fc1_act.T, d_logits, out=grads.get("fc2_w"))
+    grads["fc2_b"] = np.sum(d_logits, axis=0, out=grads.get("fc2_b"))
     d_fc1_act = d_logits @ params["fc2_w"].T
     d_fc1_pre = d_fc1_act * (ctx.fc1_pre > 0.0)
-    grads["fc1_w"] = ctx.pooled.T @ d_fc1_pre
-    grads["fc1_b"] = d_fc1_pre.sum(axis=0)
+    grads["fc1_w"] = np.matmul(ctx.pooled.T, d_fc1_pre, out=grads.get("fc1_w"))
+    grads["fc1_b"] = np.sum(d_fc1_pre, axis=0, out=grads.get("fc1_b"))
     d_pooled = d_fc1_pre @ params["fc1_w"].T
 
     if cfg.arch == ARCH_TLONBOF:
-        d_feats, bof_grads = bof.backward(ctx.bof_ctx, d_pooled)
-        grads.update(bof_grads)
+        d_feats, _ = bof.backward(ctx.bof_ctx, d_pooled, grads)
     else:  # the timestep mean is one region's mean
         d_feats = bof.spread(ctx.index, d_pooled, [(0, ctx.index.shape[1])], 1.0, len(ctx.feats))
 
     if cfg.deep_features:
         # relu(c) > 0 exactly where c > 0, so the activation gives the mask
         d_feats *= ctx.feats > 0.0
-        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(ctx.batch, params["conv_w"],
-                                                                d_feats)
+        grads["conv_w"], grads["conv_b"] = conv1d_same_backward(
+            ctx.batch, params["conv_w"], d_feats, ctx.layout,
+            out=(grads.get("conv_w"), grads.get("conv_b")))
     return grads
-

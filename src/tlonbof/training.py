@@ -46,25 +46,39 @@ def init_adam(params: dict[str, np.ndarray], names: list[str], lr: float = 1e-4)
     )
 
 
+ADAM_BLOCK = 32768  # values per pass of each operation, so the scratch pair stays in cache
+
+
 def adam_step(
     params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place, for the keys in ``grads``."""
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    """One bias-corrected Adam update, in place, for the keys in ``grads``.
+
+    Every operation runs over ``ADAM_BLOCK`` values of a parameter (rows, if it or a moment
+    is not C-contiguous) before the next, through one scratch pair per call.
+    """
     for k, g in grads.items():
         if k not in state.m:
             raise ValueError(f"gradient for unknown parameter {k!r}")
         if np.shape(g) != params[k].shape:
             raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {k!r} "
                              f"of shape {params[k].shape}")
-        # In place with one scratch buffer (an array even for 0-d
-        # parameters, so ``out=`` works). Each line keeps the operation order
-        # of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
-        m, v = state.m[k], state.v[k]
-        buf = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    blocks = []
+    for k, g in grads.items():
+        arrays = [params[k], state.m[k], state.v[k], np.asarray(g)]
+        if all(a.flags.c_contiguous for a in arrays[:3]):  # else reshape would copy
+            arrays = [a.reshape(-1) for a in arrays]
+        blocks += [[a[i : i + ADAM_BLOCK] for a in arrays]
+                   for i in range(0, len(arrays[0]), ADAM_BLOCK)]
+    scratch = np.empty((2, max((b[0].size for b in blocks), default=0)))
+    for p, m, v, g in blocks:
+        # Each line keeps the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+        # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), as one pass per key did, so the bits agree.
+        buf, step = (row[: p.size].reshape(p.shape) for row in scratch)
+        np.multiply(g, 1.0 - state.beta1, out=buf)
         m *= state.beta1
         m += buf
         np.multiply(g, g, out=buf)
@@ -73,10 +87,10 @@ def adam_step(
         v += buf
         np.sqrt(np.divide(v, bc2, out=buf), out=buf)
         buf += state.eps
-        step = m / bc1
+        np.divide(m, bc1, out=step)
         step *= state.lr
         step /= buf
-        params[k] -= step
+        p -= step
     return params, state
 
 
@@ -114,10 +128,6 @@ class TrainResult:
     history: TrainHistory
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
-
-
 def train(rc: RunConfig, dataset) -> TrainResult:
     """Run the full training protocol on a window dataset.
 
@@ -142,7 +152,8 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     history = TrainHistory()
     labels = dataset.labels
     steps_per_epoch = math.ceil(dataset.n_samples / rc.batch_size)
-    last_good = _snapshot(params)
+    last_good = {k: v.astype(np.float32) for k, v in params.items()}  # as a checkpoint stores them
+    grads = None  # the first step's gradient arrays, which every later step writes into
     step = 0
     for _epoch in range(rc.epochs):
         for _ in range(steps_per_epoch):
@@ -157,7 +168,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
                 raise TrainingDiverged(step, last_good, str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_good)
-            grads = network.backward_batch(ctx, y)
+            grads = network.backward_batch(ctx, y, out=grads)
             del ctx  # not held through the next step's gather and forward
             updates = {k: grads[k] for k in trainable}
             adam_step(params, updates, state)
@@ -171,7 +182,8 @@ def train(rc: RunConfig, dataset) -> TrainResult:
         problem = refusal(list(params.items()) + _adam_entries(state))
         if problem is not None:  # or the snapshot would not load
             raise TrainingDiverged(step, last_good, problem)
-        last_good = _snapshot(params)
+        for k, v in params.items():  # accepted: they are the snapshot now
+            last_good[k][...] = v
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
 

@@ -2,11 +2,11 @@
 
 Each one is a slow, direct transcription that the package's fast paths are
 checked against: the scalar labeler, materialised windows, a per-tap
-convolution and its weight gradient, the scalar kernels and the
-finite-difference gradient oracle. They import nothing from the modules
-they check (``tlonbof.core``, ``bof``, ``kernels``, ``network``,
-``training``); only the data types and constants of ``tlonbof.data`` and
-the exception types of ``tlonbof.errors``.
+convolution and its weight gradient, Adam one parameter at a time, the
+scalar kernels and the finite-difference gradient oracle. They import
+nothing from the modules they check (``tlonbof.core``, ``bof``,
+``kernels``, ``network``, ``training``); only the data types and constants
+of ``tlonbof.data`` and the exception types of ``tlonbof.errors``.
 ``test_core`` asserts that.
 """
 
@@ -143,6 +143,36 @@ def conv_backward_per_tap(x: np.ndarray, weights: np.ndarray, d_out: np.ndarray)
             rows = x[:, lo + off : hi + off].reshape(-1, d_in)
             d_w[k] = rows.T @ d_out[:, lo:hi].reshape(-1, d_o)
     return d_w, d_out.sum(axis=(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def adam_step_per_key(params, grads, state) -> None:
+    """One bias-corrected Adam update, in place, each key's arrays whole.
+
+    ``state`` is a ``training.AdamState``. Each line keeps the operation order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+    """
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for k, g in grads.items():
+        m, v = state.m[k], state.v[k]
+        buf = np.multiply(g, 1.0 - state.beta1, out=np.empty_like(m))
+        m *= state.beta1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - state.beta2
+        v *= state.beta2
+        v += buf
+        np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+        buf += state.eps
+        step = m / bc1
+        step *= state.lr
+        step /= buf
+        params[k] -= step
 
 
 # ---------------------------------------------------------------------------

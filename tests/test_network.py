@@ -15,19 +15,20 @@ XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
 
 def _conv(batch, w, b):
     """The conv output of every window position, (windows, steps, d_out)."""
-    feats, index = network.conv1d_same_batch(batch, w, b)
-    return feats[index]
+    feats, layout = network.conv1d_same_batch(batch, w, b)
+    return feats[layout.index]
 
 
 def _conv_backward(batch, w, d_out):
     """The conv gradients for a gradient ``d_out`` of every window position.
 
-    Each position's gradient is summed onto the feature table row it reads.
+    Each position's gradient is summed onto the feature table row it reads,
+    and the backward takes the forward pass's layout.
     """
-    feats, index = network.conv1d_same_batch(batch, w, np.zeros(w.shape[2]))
+    feats, layout = network.conv1d_same_batch(batch, w, np.zeros(w.shape[2]))
     d_rows = np.zeros_like(feats)
-    np.add.at(d_rows, index, d_out)
-    return network.conv1d_same_backward(batch, w, d_rows)
+    np.add.at(d_rows, layout.index, d_out)
+    return network.conv1d_same_backward(batch, w, d_rows, layout)
 
 
 def test_conv_identity_kernel():
@@ -49,10 +50,11 @@ def test_conv_bias_and_length():
     x = np.random.default_rng(1).normal(size=(1, 10, 4))
     w = np.random.default_rng(2).normal(size=(5, 4, 6))
     batch = WindowBatch.of_windows(x)
-    feats, index = network.conv1d_same_batch(batch, w, np.full(6, 2.5))
+    feats, layout = network.conv1d_same_batch(batch, w, np.full(6, 2.5))
     # 6 inner rows and the 2 + 2 positions next to the ends
-    assert feats.shape == (10, 6) and index.shape == (1, 10)
-    out = feats[index]
+    assert feats.shape == (10, 6) and layout.index.shape == (1, 10)
+    assert layout.inner_rows.size == 6 and layout.edges == [0, 1, 8, 9]
+    out = _conv(batch, w, np.full(6, 2.5))
     base = _conv(batch, w, np.zeros(6))
     assert np.allclose(out - base, 2.5)
 
@@ -546,6 +548,26 @@ def test_in_place_activations_are_invisible(overrides):
     first = _bits(network.backward_batch(ctx, labels))
     assert ctx.feats.tobytes() == feats_bits
     assert _bits(network.backward_batch(ctx, labels)) == first
+
+
+@pytest.mark.parametrize("n_steps", [6, 2])  # at 2 steps the outer taps of 5 read nothing
+@pytest.mark.parametrize("overrides", EVERY_MODEL)
+def test_backward_into_held_gradients_has_the_bits_of_fresh_ones(overrides, n_steps):
+    cfg = tiny_config(conv_kernel=5, n_regions=min(3, n_steps), **overrides)
+    rng = np.random.default_rng(8)
+    params = network.init_params(cfg, rng)
+    if "sigma" in params:
+        params["sigma"] = np.array(4.0)
+    batch = WindowBatch(rng.normal(size=(12, cfg.d_in)), np.array([0, 1, 5, 1, 6]), n_steps)
+    labels = np.array([0, 1, 2, 0, 1])
+    _, ctx = network.forward_batch(batch, params, cfg)
+    fresh = network.backward_batch(ctx, labels)
+    held = {k: np.full_like(v, np.nan) for k, v in fresh.items()}  # each value must be written
+    arrays = dict(held)
+    got = network.backward_batch(ctx, labels, out=held)
+    assert got is held and got.keys() == fresh.keys()
+    assert all(got[k] is arrays[k] for k in arrays)
+    assert _bits(got) == _bits(fresh)
 
 
 @pytest.mark.parametrize("overrides", EVERY_MODEL)

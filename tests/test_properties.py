@@ -383,8 +383,8 @@ def test_conv_forward_is_bitwise_the_flat_per_tap_reference(batch, n_steps, taps
     x = rng.normal(size=(batch, n_steps, d_in))
     w = rng.normal(size=(taps, d_in, d_out))
     b = rng.normal(size=d_out)
-    feats, index = network.conv1d_same_batch(data.WindowBatch.of_windows(x), w, b)
-    got = feats[index]
+    feats, layout = network.conv1d_same_batch(data.WindowBatch.of_windows(x), w, b)
+    got = feats[layout.index]
     want = conv_flat_per_tap(x, w, b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

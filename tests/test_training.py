@@ -4,11 +4,12 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import gathered_windows
+from reference import adam_step_per_key, gathered_windows
 
 from tlonbof import config, data, network, training
 from tlonbof.config import RunConfig
@@ -55,6 +56,63 @@ def test_adam_matches_reference_implementation():
         vhat = v / (1 - 0.999**t)
         ref_w -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
     assert np.allclose(params["w"], ref_w, atol=1e-12)
+
+
+BLOCK = training.ADAM_BLOCK
+ADAM_SHAPES = {
+    "0-d": [()],
+    "below a block": [(BLOCK - 1,)],
+    "one block": [(BLOCK,)],
+    "one past a block": [(BLOCK + 1,)],
+    "several blocks": [(5, 48, 512)],
+    "mixed": [(), (3,), (BLOCK + 1,), (3, 144, 100), ()],
+}
+
+
+def _bits_of(arrays: dict) -> dict:
+    return {k: v.tobytes() for k, v in arrays.items()}
+
+
+def _adam_against_the_per_key_step(params, moments=None, steps=3):
+    """Blocked and per-key Adam from the same start; asserts every value bit for bit."""
+    rng = np.random.default_rng(1)
+    want = {k: v.copy() for k, v in params.items()}
+    state, ref = init_adam(params, list(params), lr=1e-2), init_adam(want, list(want), lr=1e-2)
+    if moments is not None:  # the state's own arrays, laid out as the caller chose
+        state.m, state.v = moments
+    held = {k: v for k, v in params.items()}
+    for _ in range(steps):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
+        adam_step_per_key(want, grads, ref)
+    assert all(params[k] is held[k] for k in held)  # updated in place
+    assert state.t == ref.t == steps
+    assert _bits_of(params) == _bits_of(want)
+    assert _bits_of(state.m) == _bits_of(ref.m) and _bits_of(state.v) == _bits_of(ref.v)
+
+
+@pytest.mark.parametrize("shapes", ADAM_SHAPES.values(), ids=ADAM_SHAPES.keys())
+def test_blocked_adam_is_the_per_key_step_bit_for_bit(shapes):
+    rng = np.random.default_rng(0)
+    _adam_against_the_per_key_step({f"p{i}": np.array(rng.normal(size=shape))
+                                    for i, shape in enumerate(shapes)})
+
+
+def test_blocked_adam_updates_a_non_contiguous_parameter_in_place():
+    rng = np.random.default_rng(2)
+    base = rng.normal(size=(40, 3 * BLOCK // 40))
+    untouched = base[:, 1::3].copy()
+    params = {"strided": base[:, ::3], "transposed": rng.normal(size=(300, 200)).T,
+              "many rows": rng.normal(size=(BLOCK + 7, 2))[:, :1],
+              "dense": rng.normal(size=(BLOCK + 5,))}
+    _adam_against_the_per_key_step(params)
+    assert np.shares_memory(params["strided"], base)
+    assert np.array_equal(base[:, 1::3], untouched)
+    # moments that are views too
+    m_base, v_base = np.zeros((2, 64, 100)), np.zeros((2, 64, 100))
+    params = {"w": rng.normal(size=(64, 50))}
+    _adam_against_the_per_key_step(params, ({"w": m_base[0, :, ::2]}, {"w": v_base[1, :, 1::2]}))
+    assert m_base[0, :, ::2].any() and not m_base[0, :, 1::2].any() and not m_base[1].any()
 
 
 def test_adam_rejects_shape_mismatch():
@@ -153,6 +211,39 @@ def test_train_nan_guard_reports_step_and_snapshot():
     assert all(np.all(np.isfinite(v)) for v in snap.values())
 
 
+def test_a_diverged_run_saves_the_checkpoint_of_a_float64_snapshot(monkeypatch):
+    # the snapshot is kept as float32, the values a checkpoint stores, so the
+    # last-good checkpoint has the bytes one written from float64 would have
+    corpus = data.synth_generate(2, 60, seed=1)
+    corpus[0].features[10, :] = np.nan
+    ds = data.WindowDataset(corpus)
+    rc = RunConfig(batch_size=ds.n_samples, epochs=2, seed=0, **TINY_TRAIN)
+    with pytest.raises(TrainingDiverged) as err:
+        training.train(rc, ds)
+    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
+    init = network.init_params(cfg, np.random.Generator(np.random.PCG64(0)).spawn(2)[0])
+    snap = err.value.last_good_params
+    assert all(v.dtype == np.float32 for v in snap.values())
+    assert training.serialize_checkpoint(snap, cfg) == training.serialize_checkpoint(init, cfg)
+
+    # a loss that turns non-finite in epoch 3 leaves epoch 2's parameters
+    ds = small_dataset(n_days=2, rows=40, seed=2)
+    rc = RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN)
+    two_epochs = training.train(rc, ds)
+    real_loss = network.batch_loss
+    losses = iter(range(10**6))
+
+    def loss_then_nan(ctx, labels):
+        return real_loss(ctx, labels) if next(losses) < 4 else float("nan")
+
+    monkeypatch.setattr(network, "batch_loss", loss_then_nan)
+    with pytest.raises(TrainingDiverged) as err:
+        training.train(replace(rc, epochs=3), ds)
+    assert err.value.step == 4
+    assert (training.serialize_checkpoint(err.value.last_good_params, two_epochs.model_cfg)
+            == training.serialize_checkpoint(two_epochs.params, two_epochs.model_cfg))
+
+
 class _WindowsOfTheirOwn(data.WindowDataset):
     """The same batches, each window gathered as rows of its own."""
 
@@ -176,6 +267,35 @@ def test_training_on_the_row_table_is_training_on_the_gathered_windows():
         got = np.array(getattr(table.history, history))
         want = np.array(getattr(gathered.history, history))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min(), history
+
+
+def test_a_training_step_holds_one_set_of_gradients(monkeypatch):
+    # step 1's gradients are still held when step 2's backward runs; that
+    # backward writes into them, so it allocates less than one gradient set
+    # (about half of one here: its temporaries), not a second set (1.5)
+    real_backward = network.backward_batch
+    calls = []
+
+    def traced_backward(*args, **kwargs):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = real_backward(*args, **kwargs)
+        calls.append((tracemalloc.get_traced_memory()[1] - held, dict(grads)))
+        return grads
+
+    monkeypatch.setattr(network, "backward_batch", traced_backward)
+    ds = small_dataset(n_days=2, rows=40, seed=2)  # 32 samples: 2 steps of 16
+    rc = RunConfig(batch_size=16, epochs=1, seed=0, n_codewords=8, conv_filters=32,
+                   conv_kernel=3, hidden=64)
+    tracemalloc.start()
+    try:
+        result = training.train(rc, ds)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == result.history.steps == 2
+    (_, first), (grown, second) = calls
+    assert grown < sum(g.nbytes for g in first.values())
+    assert second.keys() == first.keys() and all(second[k] is first[k] for k in first)
 
 
 def test_log_scale_floor_keeps_the_parameter_arrays(monkeypatch):
