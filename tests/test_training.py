@@ -73,20 +73,20 @@ def _bits_of(arrays: dict) -> dict:
     return {k: v.tobytes() for k, v in arrays.items()}
 
 
-def _adam_against_the_per_key_step(params, moments=None, steps=3):
-    """Blocked and per-key Adam from the same start; asserts every value bit for bit."""
+def _adam_against_the_per_key_step(params, moments=None):
+    """Three steps of blocked and of per-key Adam from one start, every value bit for bit."""
     rng = np.random.default_rng(1)
     want = {k: v.copy() for k, v in params.items()}
     state, ref = init_adam(params, list(params), lr=1e-2), init_adam(want, list(want), lr=1e-2)
     if moments is not None:  # the state's own arrays, laid out as the caller chose
         state.m, state.v = moments
-    held = {k: v for k, v in params.items()}
-    for _ in range(steps):
+    held = dict(params)
+    for _ in range(3):
         grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
         adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
         adam_step_per_key(want, grads, ref)
     assert all(params[k] is held[k] for k in held)  # updated in place
-    assert state.t == ref.t == steps
+    assert state.t == ref.t == 3
     assert _bits_of(params) == _bits_of(want)
     assert _bits_of(state.m) == _bits_of(ref.m) and _bits_of(state.v) == _bits_of(ref.v)
 
