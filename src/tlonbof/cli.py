@@ -175,8 +175,20 @@ def cmd_train(args) -> int:
 # eval
 
 
+def _fold_windows(rc, by_day, k, role, days) -> data.WindowDataset:
+    """Fold ``k``'s windows of ``days``; a usage error naming the fold if they hold none."""
+    ds = _windows(rc, [by_day[d] for d in days])
+    if ds.n_samples == 0:
+        raise _Usage(f"fold {k} has no usable {role} windows in day(s) "
+                     f"{', '.join(map(str, days))} (window={rc.window}, horizon={rc.horizon})")
+    return ds
+
+
 def _eval_fold_rows(args, rc, corpus):
-    """Yield (fold_label, test_dataset, params, model_cfg) per fold."""
+    """Yield (fold_label, test_dataset, params, model_cfg) per fold.
+
+    Every fold's windows are checked before the first fold trains.
+    """
     fixed = None
     if args.model is not None:
         fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)
@@ -188,20 +200,22 @@ def _eval_fold_rows(args, rc, corpus):
             config_mod.check_model(mcfg.arch, mcfg.deep_features, mcfg.n_regions, rc.window)
         except FormatError as exc:
             raise _Usage(f"checkpoint {args.model}: {exc}") from None
+    by_day = {s.day_id: s for s in corpus}
     if rc.folds == config_mod.FOLDS_SINGLE:
         if fixed is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
         params, mcfg, _ = fixed
-        yield 1, _windows(rc, corpus), params, mcfg
+        yield 1, _fold_windows(rc, by_day, 1, "test", list(by_day)), params, mcfg
         return
-    by_day = {s.day_id: s for s in corpus}
-    folds = data.anchored_folds(list(by_day))
-    for k, fold in enumerate(folds, start=1):
-        testset = _windows(rc, [by_day[fold.test_day]])
-        if fixed is not None:
+    folds = []
+    for k, fold in enumerate(data.anchored_folds(list(by_day)), start=1):
+        testset = _fold_windows(rc, by_day, k, "test", [fold.test_day])
+        trainset = None if fixed else _fold_windows(rc, by_day, k, "training", fold.train_days)
+        folds.append((k, trainset, testset))
+    for k, trainset, testset in folds:
+        if trainset is None:
             params, mcfg, _ = fixed
         else:
-            trainset = _windows(rc, [by_day[d] for d in fold.train_days])
             result = training.train(rc, trainset)
             params, mcfg = result.params, result.model_cfg
         yield k, testset, params, mcfg
@@ -217,8 +231,6 @@ def cmd_eval(args) -> int:
     fold_rows = []
     dump_rows = []
     for k, testset, params, mcfg in _eval_fold_rows(args, rc, corpus):
-        if testset.n_samples == 0:
-            raise _Usage(f"fold {k} has no usable test windows")
         preds = training.predict(params, mcfg, testset)
         score = metrics.fold_scores(testset.labels, preds, mcfg.n_classes)
         per_fold.append(score)

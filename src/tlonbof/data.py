@@ -4,7 +4,8 @@ A corpus is a list of per-day series. Each day carries pre-extracted
 144-dimensional feature rows plus the mid-price at each event. Labels
 describe the direction of the mid-price over the next ``horizon`` events
 relative to a proportional threshold; classifiers consume fixed-length
-windows of the most recent rows.
+windows of the most recent rows, which ``WindowDataset.gather`` hands out as
+one table of distinct rows per batch, for training and scoring alike.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class WindowDataset:
 
     Windows are never materialized up front. ``gather`` copies the rows a
     batch of windows reads out of the day arrays on demand, each distinct
-    row once, and ``runs`` hands out views of a day's consecutive windows, so
-    memory stays proportional to the raw rows.
+    row once, for training and scoring alike, so memory stays proportional
+    to the raw rows.
     """
 
     def __init__(
@@ -190,22 +191,6 @@ class WindowDataset:
             np.take(self._days[d], keys[lo:hi] - d * self._stride, axis=0, out=rows[lo:hi],
                     mode="clip")  # the keys are in range; "clip" writes straight into ``out``
         return WindowBatch(rows, (stop - w)[inverse], w), self.labels[indices]
-
-    def runs(self, chunk: int):
-        """Consecutive windows of one day, at most ``chunk`` at a time, in sample order.
-
-        Yields ``(first, rows)``: sample ``first + j`` is the window
-        ``rows[j : j + window]``. ``rows`` is a view into the day array, and a
-        run never crosses a day.
-        """
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        cuts = [0, *(np.flatnonzero(np.diff(self._day_idx)) + 1).tolist(), self.n_samples]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            for first in range(lo, hi, chunk):
-                last = min(first + chunk, hi) - 1
-                day = self._days[self._day_idx[first]]
-                yield first, day[self._t[first] - self.window + 1 : self._t[last] + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ the gradient checks all see one enumeration; the pooling layer reads its
 parameters from it and returns its gradients under the same names. The two
 scale factors are stored in log space (keys ``log_cu``/``log_cs``) so they
 stay positive without projection, and their gradients are taken in log space.
+
+Training and scoring read the same ``data.WindowBatch`` through the one conv,
+``conv1d_same_batch``: ``forward_batch`` keeps the context the backward pass
+reads, and ``predict_batch`` gives its probabilities without it.
 """
 
 from __future__ import annotations
@@ -174,8 +178,10 @@ def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
     that several windows share is multiplied once. The products are added onto the bias in tap
     order, shifted by the tap's offset, along the whole batch as if it were one sequence: that is
     each window's output wherever every tap stays inside the window. The ``kernel // 2``
-    positions at each end of a distinct window add, in the same order, only the product rows
-    ``start + p + offset`` that stay inside it, which is the zero padding.
+    positions at each end of a distinct window take, in the same order, only the product rows
+    ``start + p + offset`` that stay inside it, which is the zero padding: a left edge adds them
+    onto the bias, and a right edge whose taps all read from its window's start on is the
+    running sum after its last tap inside the window.
     """
     taps, d_in, d_out = weights.shape
     if taps % 2 == 0:
@@ -203,7 +209,10 @@ def conv1d_same_batch(batch: WindowBatch, weights: np.ndarray,
         else:
             inner += prod
         for j, p in enumerate(edges):
-            if 0 <= p + off < n:
+            if p >= center:
+                if p + off == n - 1:  # its last tap inside the window
+                    at_edges[:, j] = inner[ustarts + p]
+            elif 0 <= p + off < n:
                 at_edges[:, j] += prod[ustarts + (p + off)]
     # mode="clip" writes straight into ``out``; "raise" would buffer a copy
     np.take(inner, inner_rows, axis=0, out=feats[: inner_rows.size], mode="clip")
@@ -278,6 +287,20 @@ class NetworkContext:
     probs: np.ndarray
 
 
+def _features(batch: WindowBatch, params: dict[str, np.ndarray], cfg: ModelConfig):
+    """The feature table the pooling reads, the (B, N) index of the row each window position
+    reads, and the conv's layout: the conv's table after its ReLU, or the batch's rows."""
+    if batch.rows.shape[-1] != cfg.d_in:
+        raise ValueError(f"feature dim {batch.rows.shape[-1]} does not match configured "
+                         f"d_in={cfg.d_in}")
+    if not cfg.deep_features:
+        return batch.rows, batch.starts[:, None] + np.arange(batch.window), None
+    # the ReLU overwrites the conv output: only the activation is kept
+    feats, layout = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
+    np.maximum(feats, 0.0, out=feats)
+    return feats, layout.index, layout
+
+
 def forward_batch(
     x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
 ) -> tuple[np.ndarray, NetworkContext]:
@@ -288,20 +311,10 @@ def forward_batch(
     the conv's feature table by index, or without the conv the windows' rows.
     """
     batch = x if isinstance(x, WindowBatch) else WindowBatch.of_windows(x)
-    if batch.rows.shape[-1] != cfg.d_in:
-        raise ValueError(f"feature dim {batch.rows.shape[-1]} does not match configured "
-                         f"d_in={cfg.d_in}")
-
-    if cfg.deep_features:
-        # the ReLU overwrites the conv output: only the activation is kept
-        feats, layout = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
-        np.maximum(feats, 0.0, out=feats)
-        index = layout.index
-    else:  # one row per window position, so the kernel's product has the windows' bits
-        feats = batch.rows[batch.starts[:, None] + np.arange(batch.window)].reshape(-1, cfg.d_in)
-        index = np.arange(feats.shape[0]).reshape(-1, batch.window)
-        layout = None
-
+    feats, index, layout = _features(batch, params, cfg)
+    if layout is None:
+        # one row per window position, so the kernel's product has the windows' bits
+        feats, index = feats[index.ravel()], np.arange(index.size).reshape(index.shape)
     bof_ctx = None
     if cfg.arch == ARCH_TLONBOF:
         pooled, bof_ctx = bof.forward_batch(feats, params, cfg, index)
@@ -334,54 +347,19 @@ def _head(pooled: np.ndarray, params: dict[str, np.ndarray]):
     return fc1_pre, fc1_act, logp, np.exp(logp)
 
 
-def forward_windows(
-    rows: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig, n_steps: int
-) -> np.ndarray:
-    """Class probabilities of every window ``rows[s : s + n_steps]`` of consecutive rows.
+def predict_batch(batch: WindowBatch, params: dict[str, np.ndarray],
+                  cfg: ModelConfig) -> np.ndarray:
+    """Class probabilities for a batch of equal-length windows, forward only.
 
-    The same numbers as ``forward_batch`` on the gathered windows, with each
-    row's work done once instead of once per window that holds it. A window
-    position's conv output depends only on its row and on which taps stay
-    inside the window, so there is one table per distinct tap set: the bias
-    plus those taps' shifted products of a per-tap GEMM over all rows, added
-    in tap order as ``conv1d_same_batch`` adds them. The kernel values and
-    memberships are computed once over the stacked tables, and each window
-    position reads its rows out of its table.
+    ``forward_batch``'s probabilities without its context: no kernel dots or alpha tangent are
+    kept for a backward pass. Without deep features the pooling reads each of the batch's rows
+    once however many windows hold it, so the kernel's product may round differently in the
+    last bit.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != cfg.d_in:
-        raise ValueError(f"expected (rows, {cfg.d_in}) input, got shape {rows.shape}")
-    batch = rows.shape[0] - n_steps + 1
-    if n_steps < 1 or batch < 1:
-        raise ValueError(f"{rows.shape[0]} rows hold no window of {n_steps} steps")
-
-    # position p of window s is row base[p] + s of ``feats``
-    feats, base = rows, range(n_steps)
-    if cfg.deep_features:
-        weights, bias = params["conv_w"], params["conv_b"]
-        taps = weights.shape[0]
-        center = taps // 2
-        products = [rows @ weights[k] for k in range(taps)]
-        # taps lo .. hi - 1 stay inside the window at position p
-        tap_sets = [(max(0, center - p), min(taps, n_steps + center - p)) for p in range(n_steps)]
-        # positions with the same tap set are consecutive; one table each
-        firsts = [p for p in range(n_steps) if p == 0 or tap_sets[p] != tap_sets[p - 1]]
-        spans = list(zip(firsts, firsts[1:] + [n_steps]))
-        feats = np.empty((n_steps + len(spans) * (batch - 1), bias.size))
-        base, at = [], 0
-        for a, b in spans:
-            table = feats[at : at + b - a + batch - 1]  # for rows a .. b + batch - 2
-            table[...] = bias
-            for k in range(*tap_sets[a]):
-                table += products[k][a + k - center : b - 1 + batch + k - center]
-            np.maximum(table, 0.0, out=table)
-            base += range(at, at + b - a)
-            at += len(table)
-
-    index = np.arange(batch)[:, None] + np.array(base)
+    feats, index, _ = _features(batch, params, cfg)
     if cfg.arch == ARCH_TLONBOF:
         _, memberships, _ = bof.assign(feats, params, cfg.kernel, index)
-        regions = bof.segment(n_steps, cfg.n_regions, cfg.nested_regions)
+        regions = bof.segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
         pooled, _ = bof.histogram(memberships, index, regions, params)
     else:
         pooled = feats[index].mean(axis=1)

@@ -4,7 +4,8 @@ The protocol defaults are batches of 128 windows drawn with replacement
 (each sample weighted inversely to its class frequency), learning rate
 1e-4, 20 epochs, where one epoch is ceil(n_samples / batch_size) steps.
 Runs are bitwise reproducible for a fixed seed: initialization and batch
-sampling draw from independent child streams of one seed.
+sampling draw from independent child streams of one seed. Prediction
+gathers chunks of consecutive samples the way training gathers a batch.
 """
 
 from __future__ import annotations
@@ -190,21 +191,25 @@ def train(rc: RunConfig, dataset) -> TrainResult:
 def predict(
     params: dict[str, np.ndarray], cfg: ModelConfig, dataset, chunk: int = 128
 ) -> np.ndarray:
-    """Argmax class predictions over a whole dataset, in runs of ``chunk`` windows.
+    """Argmax class predictions over a whole dataset, ``chunk`` windows at a time.
 
-    Each run is ``chunk`` consecutive windows of one day (fewer at a day's
-    end), scored from its rows by ``network.forward_windows``, so a row
-    shared by many windows goes through the conv once per run and through
-    the kernel once per tap set. At the paper geometry a run of 128 windows
-    reads 142 rows and computes kernel values for 650 table rows (1.3 MB at
-    256 codewords). A training batch of 128 windows drawn at random shares
-    fewer rows: its feature table has about 1,100 of the 1,920 window
-    positions' rows, whose kernel values (2.3 MB) its backward pass keeps.
+    Each chunk of consecutive samples is gathered as training gathers a batch
+    and scored by ``network.predict_batch``, so a row shared by many windows
+    goes through the conv once per chunk. At the paper geometry a chunk of 128
+    windows of one day reads 142 rows; its feature table has 138 inner rows
+    and 512 edge rows (4 edge positions of 128 windows), whose 650 rows of
+    kernel values take 1.3 MB at 256 codewords. A training batch of 128
+    windows drawn at random shares fewer rows: its feature table has about
+    1,100 of the 1,920 window positions' rows, whose kernel values (2.3 MB)
+    its backward pass keeps.
     """
-    preds = np.empty(dataset.n_samples, dtype=np.int64)
-    for first, rows in dataset.runs(chunk):
-        probs = network.forward_windows(rows, params, cfg, dataset.window)
-        preds[first : first + len(probs)] = probs.argmax(axis=1)
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    n = dataset.n_samples
+    preds = np.empty(n, dtype=np.int64)
+    for first in range(0, n, chunk):
+        batch, _ = dataset.gather(np.arange(first, min(first + chunk, n)))
+        preds[first : first + chunk] = network.predict_batch(batch, params, cfg).argmax(axis=1)
     return preds
 
 

@@ -354,6 +354,27 @@ def test_eval_retrains_per_fold_without_model(tmp_path):
     assert [r[0] for r in rows] == ["1", "2", "mean", "std"]
 
 
+@pytest.mark.parametrize("rows,message", [
+    ((20, 120, 120), "fold 1 has no usable training windows in day(s) 1 "),
+    ((120, 120, 20), "fold 2 has no usable test windows in day(s) 3 "),
+], ids=["empty-training-day", "empty-test-day"])
+def test_eval_refuses_an_empty_fold_before_training_any(tmp_path, capsys, monkeypatch, rows,
+                                                        message):
+    # the 20-row day is too short for a window of 15 with a horizon of 10
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    for day_id, n in enumerate(rows, start=1):
+        series = data.synth_generate(1, n, seed=day_id)[0]
+        series.day_id = day_id
+        data.write_feature_csv(datadir / f"day_{day_id}.csv", series)
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("a fold was trained"))
+    report = tmp_path / "r.csv"
+    assert main(["eval", "--config", write_cfg(tmp_path), "--data", str(datadir),
+                 "--report", str(report)]) == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys):
     datadir = make_data(tmp_path, days=2, rows=60)
     bad = tmp_path / "bad.tlnb"

@@ -1,4 +1,4 @@
-"""Property tests for the four input readers, the window runs, the conv and the sigmoid.
+"""Property tests for the four input readers, the gathered windows, the conv and the sigmoid.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
@@ -321,30 +321,7 @@ def test_checkpoint_writer_refuses_exactly_what_the_reader_refuses(model):
 
 
 # ---------------------------------------------------------------------------
-# window runs
-
-
-@given(st.lists(st.integers(0, 30), max_size=5), st.integers(1, 6), st.integers(1, 4),
-       st.integers(1, 12))
-def test_window_runs_cover_every_sample_once_in_order(day_lengths, window, horizon, chunk):
-    rng = np.random.default_rng(len(day_lengths))
-    corpus = [data.FeatureSeries(d, rng.normal(size=(n, data.N_FEATURES)),
-                                 100.0 + rng.uniform(size=n))
-              for d, n in enumerate(day_lengths, start=1)]
-    ds = data.WindowDataset(corpus, window=window, horizon=horizon)
-    expected_first = 0
-    for first, rows in ds.runs(chunk):
-        assert first == expected_first
-        count = len(rows) - window + 1
-        assert 1 <= count <= chunk
-        day = int(ds.day_ids[first])
-        assert (ds.day_ids[first : first + count] == day).all()  # never crosses a day
-        assert np.shares_memory(rows, corpus[day - 1].features)  # a view, not a copy
-        x = gathered_windows(ds.gather(np.arange(first, first + count))[0])
-        for j in range(count):
-            assert np.array_equal(rows[j : j + window], x[j])
-        expected_first += count
-    assert expected_first == ds.n_samples
+# gathered windows
 
 
 @given(st.lists(st.integers(0, 60), min_size=1, max_size=4), st.sampled_from([1, 15]),

@@ -352,6 +352,15 @@ def test_predict_chunking_is_invisible():
         assert np.array_equal(training.predict(r.params, r.model_cfg, ds, chunk=chunk), want)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_predict_refuses_a_chunk_below_one(chunk):
+    ds = small_dataset(n_days=1, rows=40)
+    cfg = network.ModelConfig(**TINY_TRAIN)
+    params = network.init_params(cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        training.predict(params, cfg, ds, chunk=chunk)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
