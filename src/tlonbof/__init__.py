@@ -37,7 +37,6 @@ _configure_threads()
 # the submodules import numpy, so they come after the caps
 from .bof import forward_batch as bof_forward_batch, segment
 from .config import RunConfig, load_run_config, save_run_config
-from .core import glorot_uniform
 from .data import (
     DOWN,
     STATIONARY,
@@ -53,7 +52,7 @@ from .data import (
 )
 from .errors import FormatError, NumericError, TrainingDiverged, UndefinedMetricError
 from .metrics import cohens_kappa, confusion, macro_prf
-from .network import ModelConfig, init_params
+from .network import ModelConfig, glorot_uniform, init_params
 from .training import (
     AdamState,
     TrainResult,

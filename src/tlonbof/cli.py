@@ -191,7 +191,8 @@ def _eval_fold_rows(args, rc, corpus):
     """
     fixed = None
     if args.model is not None:
-        fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)
+        # (params, mcfg) only: scoring reads no Adam state, and the state holds the file
+        fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)[:2]
         mcfg, d_corpus = fixed[1], corpus[0].features.shape[1]
         if mcfg.d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
@@ -204,9 +205,12 @@ def _eval_fold_rows(args, rc, corpus):
     if rc.folds == config_mod.FOLDS_SINGLE:
         if fixed is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
-        params, mcfg, _ = fixed
+        params, mcfg = fixed
         yield 1, _fold_windows(rc, by_day, 1, "test", list(by_day)), params, mcfg
         return
+    if len(by_day) < 2:
+        raise _Usage(f"anchored folds need at least 2 days, got {len(by_day)} "
+                     "(--folds single with --model scores one)")
     folds = []
     for k, fold in enumerate(data.anchored_folds(list(by_day)), start=1):
         testset = _fold_windows(rc, by_day, k, "test", [fold.test_day])
@@ -214,7 +218,7 @@ def _eval_fold_rows(args, rc, corpus):
         folds.append((k, trainset, testset))
     for k, trainset, testset in folds:
         if trainset is None:
-            params, mcfg, _ = fixed
+            params, mcfg = fixed
         else:
             result = training.train(rc, trainset)
             params, mcfg = result.params, result.model_cfg

@@ -32,7 +32,6 @@ import numpy as np
 from . import bof, kernels
 from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_LEARNED, SCALING_OFF,
                      RunConfig, check_model, pooled_regions, value_error)
-from .core import glorot_uniform
 from .data import N_FEATURES, WindowBatch
 
 LOG_SCALES = ("log_cu", "log_cs")  # c_u and c_s, stored as log c
@@ -103,6 +102,19 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         kernel_params = ("alpha", "beta") if cfg.kernel == KERNEL_LOGISTIC else ("sigma",)
         shapes.update(dict.fromkeys(LOG_SCALES + kernel_params, ()))
     return shapes
+
+
+def glorot_uniform(
+    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw i.i.d. uniform values on [-b, b] with b = sqrt(6/(fan_in+fan_out))."""
+    shape = tuple(int(d) for d in shape)
+    if any(d <= 0 for d in shape):
+        raise ValueError(f"zero-sized shape {shape}")
+    if fan_in < 1 or fan_out < 1:
+        raise ValueError(f"fan_in/fan_out must be >= 1, got {fan_in}/{fan_out}")
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, shape).astype(np.float64)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -252,10 +264,6 @@ def conv1d_same_backward(batch: WindowBatch, weights: np.ndarray, d_out: np.ndar
     return d_w, np.sum(d_out, axis=0, out=out[1])
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if x.shape[-1] != weights.shape[0]:
         raise ValueError(f"input dim {x.shape[-1]} does not match weight rows {weights.shape[0]}")
@@ -342,7 +350,7 @@ def forward_batch(
 def _head(pooled: np.ndarray, params: dict[str, np.ndarray]):
     """Dense head on pooled features: fc1 pre-activation and ReLU, log-probs, probs."""
     fc1_pre = fully_connected(pooled, params["fc1_w"], params["fc1_b"])
-    fc1_act = relu(fc1_pre)
+    fc1_act = np.maximum(fc1_pre, 0.0)
     logp = log_softmax(fully_connected(fc1_act, params["fc2_w"], params["fc2_b"]))
     return fc1_pre, fc1_act, logp, np.exp(logp)
 

@@ -56,7 +56,8 @@ def adam_step(
     """One bias-corrected Adam update, in place, for the keys in ``grads``.
 
     Every operation runs over ``ADAM_BLOCK`` values of a parameter (rows, if it or a moment
-    is not C-contiguous) before the next, through one scratch pair per call.
+    is not C-contiguous) before the next, through one scratch pair per call. A moment
+    that is not float64, as a loaded checkpoint's are, is widened the first time it steps.
     """
     for k, g in grads.items():
         if k not in state.m:
@@ -69,6 +70,8 @@ def adam_step(
     bc2 = 1.0 - state.beta2**state.t
     blocks = []
     for k, g in grads.items():
+        for moments in (state.m, state.v):
+            moments[k] = moments[k].astype(np.float64, copy=False)
         arrays = [params[k], state.m[k], state.v[k], np.asarray(g)]
         if all(a.flags.c_contiguous for a in arrays[:3]):  # else reshape would copy
             arrays = [a.reshape(-1) for a in arrays]
@@ -218,7 +221,9 @@ def predict(
 # per tensor: name length u16 LE + UTF-8 name, rank u8, dims u32 LE each,
 # payload f32 LE row-major. Each ModelConfig field travels as a rank-0
 # "meta.<field>" entry, enum-valued ones as their index in the run-config
-# choice tuple; optimizer moments travel as "adam.*" entries.
+# choice tuple; optimizer moments travel as "adam.*" entries. The reader decodes
+# each payload as a view of the file's bytes and widens only the parameters to
+# float64; the moments stay the float32 values stored until adam_step steps them.
 
 _META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
 
@@ -320,10 +325,10 @@ def save_checkpoint(
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)  # so take slices without copying
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.blob):
             raise FormatError(f"truncated checkpoint while reading {what}", location=f"byte {self.off}")
         out = self.blob[self.off : self.off + n]
@@ -362,7 +367,7 @@ def deserialize_checkpoint(blob: bytes):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
         name_at = reader.off
         try:
-            name = reader.take(name_len, f"name of tensor {i}").decode("utf-8")
+            name = str(reader.take(name_len, f"name of tensor {i}"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"name of tensor {i} is not UTF-8", location=f"byte {name_at}") from None
         rank = reader.take(1, f"rank of {name}")[0]
@@ -371,7 +376,7 @@ def deserialize_checkpoint(blob: bytes):
                               location=f"byte {reader.off - 1}")
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
         payload = reader.take(4 * math.prod(dims), f"payload of {name}")
-        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)  # a view of blob, not a copy
         if not name.startswith("meta."):
             tensors[name] = arr
         elif arr.shape == ():
@@ -393,7 +398,7 @@ def deserialize_checkpoint(blob: bytes):
     problem = refusal(list(tensors.items()))
     if problem is not None:
         raise FormatError(f"checkpoint tensor {problem}")
-    params = {k: tensors[k] for k in shapes}
+    params = {k: tensors[k].astype(np.float64) for k in shapes}
     if not has_adam:
         return params, cfg, None
     scalars = {k: float(tensors[f"adam.{k}"]) for k in ADAM_SCALARS}
@@ -404,6 +409,10 @@ def deserialize_checkpoint(blob: bytes):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, model_cfg, adam_state_or_None)."""
+    """Read a checkpoint; returns (params, model_cfg, adam_state_or_None).
+
+    The parameters are float64 copies. The Adam moments are read-only float32 views
+    of the file's bytes, which they keep alive; ``adam_step`` widens each as it steps it.
+    """
     with open(path, "rb") as fh:
         return deserialize_checkpoint(fh.read())

@@ -4,8 +4,8 @@ Each one is a slow, direct transcription that the package's fast paths are
 checked against: the scalar labeler, materialised windows, a per-tap
 convolution and its weight gradient, Adam one parameter at a time, the
 scalar kernels and the finite-difference gradient oracle. They import
-nothing from the modules they check (``tlonbof.core``, ``bof``,
-``kernels``, ``network``, ``training``); only the data types and constants
+nothing from the modules they check (``bof``, ``kernels``,
+``network``, ``training``); only the data types and constants
 of ``tlonbof.data`` and the exception types of ``tlonbof.errors``.
 ``test_core`` asserts that.
 """

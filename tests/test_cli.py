@@ -344,6 +344,54 @@ def test_eval_anchored_fixed_model_rows_and_summary(tmp_path):
         assert float(r[4]) == score["kappa"]
 
 
+def trained_on_other_days(tmp_path, cfg) -> str:
+    model = tmp_path / "m.tlnb"
+    datadir = make_data(tmp_path, days=2, rows=60, seed=1, name="train_days")
+    assert main(["train", "--config", cfg, "--data", datadir, "--out", str(model)]) == 0
+    return str(model)
+
+
+def test_eval_model_output_does_not_depend_on_the_adam_state(tmp_path):
+    datadir = make_data(tmp_path, days=3, rows=60)
+    cfg = write_cfg(tmp_path, epochs=2)
+    model = Path(trained_on_other_days(tmp_path, cfg))
+    params, mcfg, state = training.load_checkpoint(model)
+    assert state is not None
+    bare = tmp_path / "bare.tlnb"
+    training.save_checkpoint(bare, params, mcfg)
+    outputs = []
+    for path in (model, bare):
+        report, dump = tmp_path / f"{path.stem}.csv", tmp_path / f"{path.stem}.preds.csv"
+        assert main(["eval", "--config", cfg, "--model", str(path), "--data", datadir,
+                     "--report", str(report), "--dump-predictions", str(dump)]) == 0
+        outputs.append((report.read_bytes(), dump.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["retrain", "model"])
+def test_eval_anchored_on_one_day_is_usage_error(tmp_path, capsys, with_model):
+    datadir = make_data(tmp_path, days=1, rows=60)
+    cfg = write_cfg(tmp_path, epochs=2)
+    model = ["--model", trained_on_other_days(tmp_path, cfg)] if with_model else []
+    report = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--data", datadir, *model,
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 2 days, got 1" in err
+    assert not report.exists()
+
+
+def test_eval_single_fold_with_model_on_one_day(tmp_path):
+    datadir = make_data(tmp_path, days=1, rows=60)
+    cfg = write_cfg(tmp_path, epochs=2)
+    model = trained_on_other_days(tmp_path, cfg)
+    report = tmp_path / "r.csv"
+    assert main(["eval", "--config", cfg, "--model", model, "--data", datadir,
+                 "--folds", "single", "--report", str(report)]) == 0
+    assert [r[0] for r in read_csv(report)[1]] == ["1", "mean", "std"]
+
+
 def test_eval_retrains_per_fold_without_model(tmp_path):
     datadir = make_data(tmp_path, days=3, rows=60)
     cfg = write_cfg(tmp_path, epochs=1)

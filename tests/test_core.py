@@ -8,8 +8,7 @@ import reference
 from reference import finite_diff_grad, relative_error
 
 import tlonbof
-from tlonbof import config
-from tlonbof.core import glorot_uniform
+from tlonbof import config, glorot_uniform
 from tlonbof.errors import NumericError
 
 

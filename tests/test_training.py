@@ -396,6 +396,46 @@ def test_checkpoint_without_optimizer_state(tmp_path):
     assert cfg == result.model_cfg
 
 
+def test_loaded_moments_stay_stored_float32_until_adam_steps_them(tmp_path):
+    result, ds = trained_result(epochs=1)
+    path = tmp_path / "model.tlnb"
+    training.save_checkpoint(path, result.params, result.model_cfg, result.adam_state)
+    params, cfg, state = training.load_checkpoint(path)
+    assert all(v.dtype == np.float64 for v in params.values())
+    for kind in ("m", "v"):
+        for k, stored in getattr(result.adam_state, kind).items():
+            got = getattr(state, kind)[k]
+            assert got.dtype == np.float32 and np.array_equal(got, stored.astype(np.float32)), k
+    x, y = ds.gather(np.arange(16))
+    _, ctx = network.forward_batch(x, params, cfg)
+    grads = network.backward_batch(ctx, y)
+    adam_step(params, {k: grads[k] for k in network.trainable_names(cfg)}, state)
+    assert all(a.dtype == np.float64 for a in [*state.m.values(), *state.v.values()])
+
+
+def test_load_checkpoint_peak_is_the_file_and_the_float64_parameters(tmp_path):
+    # the moments are not widened, so loading costs the file's bytes and the
+    # float64 parameters, plus less than one tensor's float32 bytes of scratch
+    cfg = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
+    rng = np.random.default_rng(0)
+    params = network.init_params(cfg, rng)
+    state = init_adam(params, network.trainable_names(cfg))
+    for k in state.m:
+        state.m[k][...] = rng.normal(size=params[k].shape)
+        state.v[k][...] = rng.random(params[k].shape)
+    path = tmp_path / "model.tlnb"
+    training.save_checkpoint(path, params, cfg, state)
+    training.load_checkpoint(path)  # first-call allocations are not the reader's
+    tracemalloc.start()
+    try:
+        training.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [v.size for v in params.values()]
+    assert peak < path.stat().st_size + 8 * sum(sizes) + 4 * max(sizes)
+
+
 def test_checkpoint_magic_and_truncation(tmp_path):
     result, _ = trained_result()
     path = tmp_path / "model.tlnb"
