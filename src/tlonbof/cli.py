@@ -30,6 +30,7 @@ DEFAULT_GRID = [
 ]
 
 _GRID_HEADER = ["deep_features", "temporal_modeling", "kernel_param_learning", "adaptive_scaling"]
+SCORES = ("precision", "recall", "f1", "kappa")  # metrics.fold_scores, in report order
 
 
 class _Usage(Exception):
@@ -66,6 +67,14 @@ def _check_out_paths(*paths) -> None:
             raise _Usage(f"directory of output path does not exist: {path}")
 
 
+def _seed(seed: int) -> int:
+    """A ``--seed`` value, by the config's rule for ``seed``."""
+    problem = config_mod.value_error("seed", seed)
+    if problem is not None:
+        raise _Usage(f"--seed: {problem}")
+    return seed
+
+
 def _load_corpus(path) -> tuple[str, list[data.FeatureSeries]]:
     """The data directory and its days; a missing directory or a bad entry is a usage error."""
     if path is None:
@@ -85,14 +94,15 @@ def _windows(rc: config_mod.RunConfig, corpus) -> data.WindowDataset:
     )
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-              for c in range(len(header))]
-    def fmt(row):
-        return "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-    lines = [fmt(header), fmt(["-" * w for w in widths])]
-    lines += [fmt(r) for r in rows]
-    return "\n".join(lines)
+def _show(header: list[str], rows: list[list[str]]) -> None:
+    """Print report rows as a table: kappa columns to 4 places, other scores to 2, "" as -."""
+    places = [4 if h.startswith("kappa") else 2 if h.split("_")[0] in SCORES else None
+              for h in header]
+    rows = [["-" if not v else v if p is None else f"{float(v):.{p}f}" for v, p in zip(r, places)]
+            for r in rows]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    for row in [header, ["-" * w for w in widths], *rows]:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
@@ -101,7 +111,7 @@ def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _score_cells(score: dict[str, float]) -> list[str]:
-    return [repr(score[k]) for k in ("precision", "recall", "f1", "kappa")]
+    return [repr(score[k]) for k in SCORES]
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +123,19 @@ def cmd_synth(args) -> int:
         corpus = data.synth_generate(
             n_days=args.days,
             rows_per_day=args.rows_per_day,
-            seed=args.seed,
+            seed=_seed(args.seed),
             separation=args.separation,
         )
     except ValueError as exc:
         raise _Usage(str(exc)) from None
-    os.makedirs(args.out, exist_ok=True)
-    for series in corpus:
-        data.write_feature_csv(
-            os.path.join(args.out, f"day_{series.day_id:03d}.csv"), series
-        )
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # --out, or a directory above it, is a file
+        raise _Usage(f"cannot make output directory {args.out}: {exc.strerror}") from None
+    paths = [os.path.join(args.out, f"day_{series.day_id:03d}.csv") for series in corpus]
+    _check_out_paths(*paths)
+    for path, series in zip(paths, corpus):
+        data.write_feature_csv(path, series)
     print(f"wrote {len(corpus)} day files to {args.out}")
     return 0
 
@@ -142,7 +155,7 @@ def _write_history(path, history: training.TrainHistory) -> None:
 def cmd_train(args) -> int:
     rc = _load_config(args.config)
     if args.seed is not None:
-        rc.seed = args.seed
+        rc.seed = _seed(args.seed)
     history_path = args.history or os.path.splitext(args.out)[0] + ".history.csv"
     _check_out_paths(args.out, history_path)
     data_dir, corpus = _load_corpus(args.data or rc.data_dir or None)
@@ -153,7 +166,7 @@ def cmd_train(args) -> int:
     try:
         result = training.train(rc, trainset)
     except TrainingDiverged as exc:
-        cfg = ModelConfig.from_run(rc, trainset.feature_dim, float(trainset.window))
+        cfg = ModelConfig.from_run(rc, float(trainset.window))
         training.save_checkpoint(args.out, exc.last_good_params, cfg)
         print(f"error: {exc}; last good parameters saved to {args.out}", file=sys.stderr)
         return 1
@@ -163,11 +176,7 @@ def cmd_train(args) -> int:
     score = metrics.fold_scores(trainset.labels, preds, result.model_cfg.n_classes)
     print(f"checkpoint: {args.out}")
     print(f"history:    {history_path} ({result.history.steps} steps)")
-    print(_table(
-        ["precision", "recall", "f1", "kappa"],
-        [[f"{score['precision']:.2f}", f"{score['recall']:.2f}",
-          f"{score['f1']:.2f}", f"{score['kappa']:.4f}"]],
-    ))
+    _show(SCORES, [_score_cells(score)])
     return 0
 
 
@@ -246,19 +255,12 @@ def cmd_eval(args) -> int:
                     str(int(testset.labels[i])), str(int(preds[i])),
                 ])
     summary = metrics.summarize(per_fold)
-    for stat in ("mean", "std"):
-        idx = 0 if stat == "mean" else 1
-        fold_rows.append([stat] + [
-            repr(summary[k][idx]) for k in ("precision", "recall", "f1", "kappa")
-        ])
-    _write_csv(args.report, ["fold", "precision", "recall", "f1", "kappa"], fold_rows)
+    for idx, stat in enumerate(("mean", "std")):
+        fold_rows.append([stat] + [repr(summary[k][idx]) for k in SCORES])
+    _write_csv(args.report, ["fold", *SCORES], fold_rows)
     if args.dump_predictions:
         _write_csv(args.dump_predictions, ["fold", "day_id", "index", "true", "pred"], dump_rows)
-    pretty = [
-        [r[0]] + [f"{float(v):.2f}" for v in r[1:4]] + [f"{float(r[4]):.4f}"]
-        for r in fold_rows
-    ]
-    print(_table(["fold", "precision", "recall", "f1", "kappa"], pretty))
+    _show(["fold", *SCORES], fold_rows)
     return 0
 
 
@@ -345,12 +347,7 @@ def cmd_ablate(args) -> int:
             stats = ["", "", "", ""]
         rows.append(flags + stats + [status])
     _write_csv(args.report, header, rows)
-    pretty = [
-        r[:4] + [f"{float(v):.2f}" if v else "-" for v in r[4:6]]
-        + [f"{float(v):.4f}" if v else "-" for v in r[6:8]] + [r[8]]
-        for r in rows
-    ]
-    print(_table(header, pretty))
+    _show(header, rows)
     return 0
 
 

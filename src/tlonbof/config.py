@@ -87,8 +87,8 @@ def value_error(key: str, value) -> str | None:
         return f"{key} must be finite, got {value!r}"
     if key in _POSITIVE and not value > 0:
         return f"{key} must be {'>= 1' if isinstance(value, int) else 'positive'}, got {value}"
-    if key == "epochs" and value < 0:
-        return f"epochs must be >= 0, got {value}"
+    if key in ("epochs", "seed") and value < 0:
+        return f"{key} must be >= 0, got {value}"
     if key == "conv_kernel" and value % 2 == 0:
         return f"conv_kernel must be odd, got {value}"
     if key == "lr" and value > F32_MAX:
@@ -206,6 +206,9 @@ def parse_seed_list(raw: str) -> list[int]:
         raise FormatError(f"bad seed list {raw!r}, expected comma-separated integers") from None
     if not seeds:
         raise FormatError(f"seed list {raw!r} is empty")
+    problem = value_error("seed", min(seeds))  # the one seed that can break the rule
+    if problem is not None:
+        raise FormatError(f"seed list {raw!r}: {problem}")
     return seeds
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MEAN_HORIZON, POINT_HORIZON, read_text, write_atomic
+from .config import MEAN_HORIZON, POINT_HORIZON, RunConfig, read_text, write_atomic
 from .errors import FormatError
 
 N_FEATURES = 144
@@ -128,40 +128,28 @@ class WindowDataset:
     def __init__(
         self,
         corpus: list[FeatureSeries],
-        window: int = 15,
-        horizon: int = 10,
-        threshold: float = 1e-4,
-        mode: str = MEAN_HORIZON,
+        window: int = RunConfig.window,
+        horizon: int = RunConfig.horizon,
+        threshold: float = RunConfig.threshold,
+        mode: str = RunConfig.label_mode,
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._days = [np.ascontiguousarray(s.features) for s in corpus]
-        # (day, t) -> day * stride + t sorts by day, then t, and keeps the
-        # windows of different days at least a window apart
+        # a sample's key, day * stride + t for the last row t of its window, sorts by
+        # day, then t, and keeps the windows of different days at least a window apart
         self._stride = max((len(s) for s in corpus), default=1)
-        day_idx, ts, labels, day_ids = [], [], [], []
-        for i, s in enumerate(corpus):
-            count = len(s) - window - horizon + 1
-            if count <= 0:
-                continue
-            day_labels = _label_day(s.mid_prices, horizon, threshold, mode)[window - 1 :]
-            day_idx.append(np.full(count, i, dtype=np.int64))
-            ts.append(np.arange(window - 1, window - 1 + count, dtype=np.int64))
-            labels.append(day_labels)
-            day_ids.append(np.full(count, s.day_id, dtype=np.int64))
-        self._day_idx = np.concatenate(day_idx) if day_idx else np.empty(0, dtype=np.int64)
-        self._t = np.concatenate(ts) if ts else np.empty(0, dtype=np.int64)
-        self.labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-        self.day_ids = np.concatenate(day_ids) if day_ids else np.empty(0, dtype=np.int64)
+        counts = np.array([max(len(s) - window - horizon + 1, 0) for s in corpus], dtype=np.int64)
+        offsets = np.arange(len(corpus)) * self._stride + window - 1 - (np.cumsum(counts) - counts)
+        self._keys = np.arange(counts.sum()) + np.repeat(offsets, counts)
+        self.labels = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            _label_day(s.mid_prices, horizon, threshold, mode)[window - 1 :] for s in corpus])
+        self.day_ids = np.repeat(np.array([s.day_id for s in corpus], dtype=np.int64), counts)
 
     @property
     def n_samples(self) -> int:
         return self.labels.size
-
-    @property
-    def feature_dim(self) -> int:
-        return N_FEATURES
 
     def __len__(self) -> int:
         return self.n_samples
@@ -176,8 +164,7 @@ class WindowDataset:
         """
         indices = np.asarray(indices)
         w = self.window
-        ends, inverse = np.unique(self._day_idx[indices] * self._stride + self._t[indices],
-                                  return_inverse=True)
+        ends, inverse = np.unique(self._keys[indices], return_inverse=True)
         # in key order each window adds the rows its predecessor does not hold
         new = np.minimum(np.diff(ends, prepend=ends[:1] - w), w)
         stop = np.cumsum(new)
@@ -343,6 +330,8 @@ def synth_generate(
     """
     if n_days < 1 or rows_per_day < 1:
         raise ValueError("n_days and rows_per_day must be >= 1")
+    if not np.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation!r}")
     horizon, drift = SYNTH_HORIZON, SYNTH_DRIFT
     signal = np.zeros(N_FEATURES, dtype=bool)
     signal[list(SIGNAL_COLUMNS)] = True
@@ -365,6 +354,9 @@ def synth_generate(
         future = (csum[horizon + 1 :] - csum[1 : total - horizon + 1]) / horizon
         z = (future / clean[:rows_per_day] - 1.0) / (drift * (horizon + 1) / 2.0)
         feats = rng.normal(size=(rows_per_day, N_FEATURES))
-        feats[:, signal] = separation * z[:, None] + SYNTH_SIGNAL_NOISE * feats[:, signal]
+        with np.errstate(over="ignore"):  # a huge separation overflows, refused below
+            feats[:, signal] = separation * z[:, None] + SYNTH_SIGNAL_NOISE * feats[:, signal]
+        if not np.isfinite(feats).all():
+            raise ValueError(f"separation {separation!r} gives non-finite features")
         corpus.append(FeatureSeries(day, feats, mids[:rows_per_day]))
     return corpus

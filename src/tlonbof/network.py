@@ -64,15 +64,15 @@ class ModelConfig:
         check_model(self.arch, self.deep_features, self.n_regions)  # FormatError is a ValueError
 
     @classmethod
-    def from_run(cls, rc, d_in: int, avg_seq_len: float) -> "ModelConfig":
-        """The model a run config describes, for windows of ``d_in`` features.
+    def from_run(cls, rc, avg_seq_len: float) -> "ModelConfig":
+        """The model a run config describes, for windows of ``N_FEATURES`` features.
 
         Fields the run config shares by name are copied; without temporal
         modelling the histogram has a single region.
         """
         shared = {f.name: getattr(rc, f.name) for f in fields(cls) if hasattr(rc, f.name)}
         shared["n_regions"] = pooled_regions(rc)
-        return cls(**shared, d_in=d_in, avg_seq_len=avg_seq_len)
+        return cls(**shared, avg_seq_len=avg_seq_len)
 
     @property
     def feature_dim(self) -> int:

@@ -1,8 +1,8 @@
 """Training loop, Adam optimizer, class-balanced sampling, checkpoints.
 
-The protocol defaults are batches of 128 windows drawn with replacement
-(each sample weighted inversely to its class frequency), learning rate
-1e-4, 20 epochs, where one epoch is ceil(n_samples / batch_size) steps.
+Batches are drawn with replacement, each sample weighted inversely to its
+class frequency, and one epoch is ceil(n_samples / batch_size) steps; the
+batch size, learning rate and epochs default to ``config.RunConfig``'s.
 Runs are bitwise reproducible for a fixed seed: initialization and batch
 sampling draw from independent child streams of one seed. Prediction
 gathers chunks of consecutive samples the way training gathers a batch.
@@ -36,10 +36,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    lr: float = 1e-4
+    lr: float = RunConfig.lr
 
 
-def init_adam(params: dict[str, np.ndarray], names: list[str], lr: float = 1e-4) -> AdamState:
+def init_adam(params: dict[str, np.ndarray], names: list[str],
+              lr: float = RunConfig.lr) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(params[k]) for k in names},
         v={k: np.zeros_like(params[k]) for k in names},
@@ -137,7 +138,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
 
     The model is ``ModelConfig.from_run(rc, ...)``; ``batch_size``,
     ``epochs``, ``lr`` and ``seed`` set the protocol. ``dataset`` needs
-    ``labels``, ``feature_dim``, ``window`` and a ``gather(indices) ->
+    ``n_samples``, ``labels``, ``window`` and a ``gather(indices) ->
     (batch, y)`` method whose batch ``network.forward_batch`` takes (see
     ``data.WindowDataset``).
     Aborts with :class:`TrainingDiverged` if the batch loss goes
@@ -149,7 +150,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     if dataset.n_samples == 0:
         raise ValueError("training dataset is empty")
     rng_init, rng_batch = np.random.Generator(np.random.PCG64(rc.seed)).spawn(2)
-    cfg = ModelConfig.from_run(rc, dataset.feature_dim, float(dataset.window))
+    cfg = ModelConfig.from_run(rc, float(dataset.window))
     params = network.init_params(cfg, rng_init)
     trainable = network.trainable_names(cfg)
     state = init_adam(params, trainable, lr=rc.lr)
@@ -191,10 +192,11 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
 
-def predict(
-    params: dict[str, np.ndarray], cfg: ModelConfig, dataset, chunk: int = 128
-) -> np.ndarray:
-    """Argmax class predictions over a whole dataset, ``chunk`` windows at a time.
+PREDICT_CHUNK = 128  # windows scored per gather
+
+
+def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndarray:
+    """Argmax class predictions over a whole dataset, ``PREDICT_CHUNK`` windows at a time.
 
     Each chunk of consecutive samples is gathered as training gathers a batch
     and scored by ``network.predict_batch``, so a row shared by many windows
@@ -206,13 +208,11 @@ def predict(
     1,100 of the 1,920 window positions' rows, whose kernel values (2.3 MB)
     its backward pass keeps.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     n = dataset.n_samples
     preds = np.empty(n, dtype=np.int64)
-    for first in range(0, n, chunk):
-        batch, _ = dataset.gather(np.arange(first, min(first + chunk, n)))
-        preds[first : first + chunk] = network.predict_batch(batch, params, cfg).argmax(axis=1)
+    for first in range(0, n, PREDICT_CHUNK):
+        idx = np.arange(first, min(first + PREDICT_CHUNK, n))
+        preds[idx] = network.predict_batch(dataset.gather(idx)[0], params, cfg).argmax(axis=1)
     return preds
 
 

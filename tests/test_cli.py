@@ -74,6 +74,58 @@ def test_synth_rejects_bad_counts(tmp_path):
                  "--rows-per-day", "5"]) == 2
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "entry-is-directory"])
+def test_synth_to_an_unusable_output_path_is_usage_error(tmp_path, capsys, where):
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    out, named = {"file": (blocker, blocker), "under-file": (blocker / "sub", blocker / "sub"),
+                  "entry-is-directory": (tmp_path / "d", tmp_path / "d" / "day_002.csv")}[where]
+    if where == "entry-is-directory":
+        named.mkdir(parents=True)
+    assert main(["synth", "--out", str(out), "--days", "2", "--rows-per-day", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(named) in err
+    assert not (tmp_path / "d" / "day_001.csv").exists()  # refused before the first day file
+
+
+@pytest.mark.parametrize("separation,fragment", [
+    ("nan", "separation must be finite, got nan"),
+    ("inf", "separation must be finite, got inf"),
+    ("1.7976931348623157e308", "gives non-finite features"),
+])
+def test_synth_refuses_a_separation_that_gives_non_finite_features(tmp_path, capsys, separation,
+                                                                   fragment):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--days", "2", "--rows-per-day", "30",
+                 "--separation", separation]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,cfg,fragment", [
+    ("train", ["--seed", "-1"], {}, "--seed: seed must be >= 0, got -1"),
+    ("synth", ["--seed", "-2"], None, "--seed: seed must be >= 0, got -2"),
+    ("train", [], {"seed": -3}, "seed must be >= 0, got -3 (at line 11)"),
+    ("eval", [], {"seed": -3}, "seed must be >= 0, got -3 (at line 11)"),
+    ("ablate", [], {"ablation_seeds": "0,-1"},
+     "seed list '0,-1': seed must be >= 0, got -1 (at line 10)"),
+])
+def test_a_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, command, flags, cfg,
+                                        fragment):
+    monkeypatch.setattr(training, "train", lambda *a: pytest.fail("training started"))
+    out = str(tmp_path / "out")
+    if command == "synth":
+        argv = ["synth", "--out", out, "--days", "2", "--rows-per-day", "30"]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, **cfg), "--data", make_data(tmp_path),
+                "--out" if command == "train" else "--report", out]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not os.path.exists(out)
+
+
 def test_config_prints_canonical_defaults(tmp_path, capsys):
     assert main(["config"]) == 0
     assert capsys.readouterr().out == config.dumps(config.RunConfig())

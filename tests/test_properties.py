@@ -139,7 +139,7 @@ def check_config(parse, source):
     assert rc.lr <= config.F32_MAX  # a checkpoint can store it
     assert rc.window >= rc.n_regions or not rc.temporal_modeling or rc.arch != "tlonbof"
     assert config.loads(config.dumps(rc)) == rc
-    network.ModelConfig.from_run(rc, data.N_FEATURES, float(rc.window))  # every model rule holds
+    network.ModelConfig.from_run(rc, float(rc.window))  # every model rule holds
 
 
 config_lines = st.lists(

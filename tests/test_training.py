@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import os
 import struct
@@ -157,7 +158,7 @@ def test_train_zero_epochs_returns_initialization():
     rc = RunConfig(epochs=0, seed=11, **TINY_TRAIN)
     result = training.train(rc, ds)
     rng_init, _ = np.random.Generator(np.random.PCG64(11)).spawn(2)
-    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
+    cfg = network.ModelConfig.from_run(rc, float(ds.window))
     expected = network.init_params(cfg, rng_init)
     assert result.history.steps == 0
     for k in expected:
@@ -220,7 +221,7 @@ def test_a_diverged_run_saves_the_checkpoint_of_a_float64_snapshot(monkeypatch):
     rc = RunConfig(batch_size=ds.n_samples, epochs=2, seed=0, **TINY_TRAIN)
     with pytest.raises(TrainingDiverged) as err:
         training.train(rc, ds)
-    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
+    cfg = network.ModelConfig.from_run(rc, float(ds.window))
     init = network.init_params(cfg, np.random.Generator(np.random.PCG64(0)).spawn(2)[0])
     snap = err.value.last_good_params
     assert all(v.dtype == np.float32 for v in snap.values())
@@ -336,7 +337,7 @@ def test_a_training_step_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-def test_predict_chunking_is_invisible():
+def test_predict_chunking_is_invisible(monkeypatch):
     # days of different lengths; the 20-row day is too short to give a window
     corpus = [data.synth_generate(1, n, seed=n)[0] for n in (80, 20, 143, 61)]
     for day_id, series in enumerate(corpus, start=1):
@@ -349,16 +350,8 @@ def test_predict_chunking_is_invisible():
     probs, _ = network.forward_batch(x, r.params, r.model_cfg)
     want = probs.argmax(axis=1)
     for chunk in (1, 7, 128, 512):
-        assert np.array_equal(training.predict(r.params, r.model_cfg, ds, chunk=chunk), want)
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_predict_refuses_a_chunk_below_one(chunk):
-    ds = small_dataset(n_days=1, rows=40)
-    cfg = network.ModelConfig(**TINY_TRAIN)
-    params = network.init_params(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        training.predict(params, cfg, ds, chunk=chunk)
+        monkeypatch.setattr(training, "PREDICT_CHUNK", chunk)
+        assert np.array_equal(training.predict(r.params, r.model_cfg, ds), want)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +656,7 @@ def test_train_keeps_only_snapshots_that_save_and_load(monkeypatch, value):
     rc = RunConfig(batch_size=ds.n_samples, epochs=1, seed=0, **TINY_TRAIN)
     with pytest.raises(TrainingDiverged, match="log_cs") as err:
         training.train(rc, ds)
-    cfg = network.ModelConfig.from_run(rc, ds.feature_dim, float(ds.window))
+    cfg = network.ModelConfig.from_run(rc, float(ds.window))
     training.deserialize_checkpoint(
         training.serialize_checkpoint(err.value.last_good_params, cfg))
 
@@ -702,18 +695,23 @@ def test_checkpoint_floored_scale_factor_loads():
 
 
 def test_model_config_defaults_are_the_run_config_defaults():
-    assert network.ModelConfig() == network.ModelConfig.from_run(
-        RunConfig(), data.N_FEATURES, float(RunConfig().window))
+    rc = RunConfig()
+    assert network.ModelConfig() == network.ModelConfig.from_run(rc, float(rc.window))
+    # the dataset's and the optimizer's defaults are the run config's, not copies of them
+    given = inspect.signature(data.WindowDataset).parameters
+    assert ([given[k].default for k in ("window", "horizon", "threshold", "mode")]
+            == [rc.window, rc.horizon, rc.threshold, rc.label_mode])
+    assert AdamState(m={}, v={}).lr == init_adam({}, []).lr == rc.lr
 
 
 def test_model_config_from_run_copies_shared_fields():
     rc = RunConfig(arch="cnn_gap", n_codewords=9, conv_filters=11, conv_kernel=3, hidden=13,
                    n_regions=4, kernel="gaussian", kernel_param_learning=False,
                    adaptive_scaling="off", nested_regions=True)
-    cfg = network.ModelConfig.from_run(rc, d_in=6, avg_seq_len=20.0)
+    cfg = network.ModelConfig.from_run(rc, avg_seq_len=20.0)
     assert cfg == network.ModelConfig(
-        arch="cnn_gap", d_in=6, conv_filters=11, conv_kernel=3, n_codewords=9, n_regions=4,
-        hidden=13, n_classes=3, kernel="gaussian", deep_features=True, nested_regions=True,
+        arch="cnn_gap", d_in=data.N_FEATURES, conv_filters=11, conv_kernel=3, n_codewords=9,
+        n_regions=4, hidden=13, n_classes=3, kernel="gaussian", deep_features=True, nested_regions=True,
         kernel_param_learning=False, adaptive_scaling="off", avg_seq_len=20.0)
-    flat = network.ModelConfig.from_run(replace(rc, temporal_modeling=False), 6, 20.0)
+    flat = network.ModelConfig.from_run(replace(rc, temporal_modeling=False), 20.0)
     assert flat.n_regions == 1
