@@ -200,8 +200,9 @@ def _eval_fold_rows(args, rc, corpus):
     """
     fixed = None
     if args.model is not None:
-        # (params, mcfg) only: scoring reads no Adam state, and the state holds the file
-        fixed = _read_input("checkpoint file", args.model, training.load_checkpoint)[:2]
+        # scoring reads no Adam state: it is checked as it is read and dropped
+        fixed = _read_input("checkpoint file", args.model,
+                            lambda path: training.load_checkpoint(path, keep_adam=False))[:2]
         mcfg, d_corpus = fixed[1], corpus[0].features.shape[1]
         if mcfg.d_in != d_corpus:
             raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
@@ -242,24 +243,22 @@ def cmd_eval(args) -> int:
     _, corpus = _load_corpus(args.data or rc.data_dir or None)
     per_fold = []
     fold_rows = []
-    dump_rows = []
+    dump = ["fold,day_id,index,true,pred\n"]  # one text block per fold after the header
     for k, testset, params, mcfg in _eval_fold_rows(args, rc, corpus):
         preds = training.predict(params, mcfg, testset)
         score = metrics.fold_scores(testset.labels, preds, mcfg.n_classes)
         per_fold.append(score)
         fold_rows.append([str(k)] + _score_cells(score))
         if args.dump_predictions:
-            for i in range(testset.n_samples):
-                dump_rows.append([
-                    str(k), str(int(testset.day_ids[i])), str(i),
-                    str(int(testset.labels[i])), str(int(preds[i])),
-                ])
+            columns = (testset.day_ids.tolist(), range(testset.n_samples),
+                       testset.labels.tolist(), preds.tolist())
+            dump.append("".join(map(f"{k},{{}},{{}},{{}},{{}}\n".format, *columns)))
     summary = metrics.summarize(per_fold)
     for idx, stat in enumerate(("mean", "std")):
         fold_rows.append([stat] + [repr(summary[k][idx]) for k in SCORES])
     _write_csv(args.report, ["fold", *SCORES], fold_rows)
     if args.dump_predictions:
-        _write_csv(args.dump_predictions, ["fold", "day_id", "index", "true", "pred"], dump_rows)
+        config_mod.write_atomic(args.dump_predictions, "".join(dump).encode("utf-8"))
     _show(["fold", *SCORES], fold_rows)
     return 0
 

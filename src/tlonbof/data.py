@@ -188,6 +188,7 @@ _HEADER = ["day_id", "mid_price"] + [f"f{i}" for i in range(1, N_FEATURES + 1)]
 _HEADER_LINE = (",".join(_HEADER) + "\n").encode()
 # every byte a plain body holds; any other sends the file to the row loop
 _PLAIN = b"0123456789.,+-eE\n"
+_HEADER_NOT_PLAIN = len(_HEADER_LINE.translate(None, _PLAIN))  # the header's bytes outside it
 
 
 def load_feature_csv(path) -> FeatureSeries:
@@ -272,13 +273,19 @@ def _bulk_parse(raw: bytes):
     a line over the csv module's field limit, a cell numpy cannot parse, a
     row of another width, or day ids that are not one integer.
     """
-    body = raw[len(_HEADER_LINE) :]
-    if (not raw.startswith(_HEADER_LINE) or not body or body.translate(None, _PLAIN)
-            or b"\n\n" in raw or max(map(len, body.split(b"\n"))) > csv.field_size_limit()):
+    if (not raw.startswith(_HEADER_LINE) or len(raw) == len(_HEADER_LINE)
+            or len(raw.translate(None, _PLAIN)) != _HEADER_NOT_PLAIN):
         return None
+    limit, start = csv.field_size_limit(), len(_HEADER_LINE)
+    while start < len(raw):  # each body line, in place: none blank, none over the limit
+        end = raw.find(b"\n", start)
+        end = len(raw) if end < 0 else end
+        if end == start or end - start > limit:
+            return None
+        start = end + 1
     try:
-        table = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, quotechar=None,
-                           dtype=np.float64, ndmin=2)
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, quotechar=None,
+                           dtype=np.float64, ndmin=2, skiprows=1)
     except ValueError:
         return None
     days = table[:, 0]

@@ -114,7 +114,7 @@ def glorot_uniform(
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fan_in/fan_out must be >= 1, got {fan_in}/{fan_out}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape).astype(np.float64)
+    return rng.uniform(-bound, bound, shape)  # float64 already: no copy
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:

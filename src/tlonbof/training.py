@@ -10,6 +10,7 @@ gathers chunks of consecutive samples the way training gathers a batch.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field, fields
@@ -221,9 +222,9 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
 # per tensor: name length u16 LE + UTF-8 name, rank u8, dims u32 LE each,
 # payload f32 LE row-major. Each ModelConfig field travels as a rank-0
 # "meta.<field>" entry, enum-valued ones as their index in the run-config
-# choice tuple; optimizer moments travel as "adam.*" entries. The reader decodes
-# each payload as a view of the file's bytes and widens only the parameters to
-# float64; the moments stay the float32 values stored until adam_step steps them.
+# choice tuple; optimizer moments travel as "adam.*" entries. The reader reads
+# one payload at a time and widens only the parameters to float64; the moments
+# stay the float32 values stored until adam_step steps them.
 
 _META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
 
@@ -323,24 +324,35 @@ def save_checkpoint(
     write_atomic(path, serialize_checkpoint(params, cfg, state))
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = memoryview(blob)  # so take slices without copying
-        self.off = 0
+READ_BLOCK = 16384  # float32 values read at a time, so no buffer of a payload's size is made
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.off + n > len(self.blob):
+
+class _Reader:
+    """Reads an open binary file from its start, never past its end."""
+
+    def __init__(self, fh):
+        self.fh, self.off, self.size = fh, 0, fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+
+    def need(self, n: int, what: str) -> None:
+        if self.off + n > self.size:
             raise FormatError(f"truncated checkpoint while reading {what}", location=f"byte {self.off}")
-        out = self.blob[self.off : self.off + n]
+
+    def take(self, n: int, what: str, into=None):
+        """The next ``n`` bytes, read into ``into`` (``n`` bytes long) if it is given."""
+        self.need(n, what)
+        into = bytearray(n) if into is None else into
+        if self.fh.readinto(into) != n:  # the file shrank while it was read
+            raise FormatError(f"checkpoint changed while reading {what}", location=f"byte {self.off}")
         self.off += n
-        return out
+        return into
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _check_tensor_set(got: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
-    """Require exactly the tensors of ``shapes``, each with its shape."""
+def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple]) -> None:
+    """Require exactly the tensors of ``shapes``, each with its shape (``got``: name -> shape)."""
     missing = [k for k in shapes if k not in got]
     if missing:
         raise FormatError(f"checkpoint lacks tensor {missing[0]} required by its model")
@@ -348,13 +360,15 @@ def _check_tensor_set(got: dict[str, np.ndarray], shapes: dict[str, tuple]) -> N
     if unknown:
         raise FormatError(f"checkpoint tensor {unknown[0]} is not part of its model")
     for name, shape in shapes.items():
-        if got[name].shape != shape:
-            raise FormatError(f"checkpoint tensor {name} has shape {got[name].shape}, "
-                              f"expected {shape}")
+        if got[name] != shape:
+            raise FormatError(f"checkpoint tensor {name} has shape {got[name]}, expected {shape}")
 
 
-def deserialize_checkpoint(blob: bytes):
-    reader = _Reader(blob)
+def _read_checkpoint(fh, keep_adam: bool = True):
+    """:func:`load_checkpoint` of an open file. Each payload is read through one scratch
+    array and checked by :func:`refusal` as it is read; a refusal is raised after the
+    layout checks."""
+    reader = _Reader(fh)
     if reader.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad magic, not a TLNB checkpoint", location="byte 0")
     version = reader.u32("version")
@@ -362,7 +376,9 @@ def deserialize_checkpoint(blob: bytes):
         raise FormatError(f"unsupported checkpoint version {version}", location="byte 4")
     count = reader.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
-    meta: dict[str, float] = {}
+    found: dict[str, tuple] = {}  # the shape of every tensor but the metadata
+    problems: dict[str, str | None] = {}  # refusal(...) of each, in file order
+    scratch = np.empty(READ_BLOCK, dtype="<f4")
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
         name_at = reader.off
@@ -375,31 +391,42 @@ def deserialize_checkpoint(blob: bytes):
             raise FormatError(f"tensor {name} has rank {rank}, above 3",
                               location=f"byte {reader.off - 1}")
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
-        payload = reader.take(4 * math.prod(dims), f"payload of {name}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)  # a view of blob, not a copy
-        if not name.startswith("meta."):
-            tensors[name] = arr
-        elif arr.shape == ():
-            meta[name] = float(arr)
-        else:
-            raise FormatError(f"checkpoint model metadata {name} has shape {arr.shape}, not ()")
-    if reader.off != len(blob):
+        size, what, kind = math.prod(dims), f"payload of {name}", name[: name.find(".") + 1]
+        reader.need(4 * size, what)  # before allocating: the dims may name any size
+        if kind == "meta." and rank:
+            raise FormatError(f"checkpoint model metadata {name} has shape {dims}, not ()")
+        keep = keep_adam or kind != "adam."
+        out = np.empty(size, np.float32 if kind in ("adam.", "meta.") else np.float64) if keep else None
+        # "" is not judged: log scales and sigma are scalars, and the shape check refuses others
+        problem = "" if rank and name in (*network.LOG_SCALES, "sigma") else None
+        for lo in range(0, size, READ_BLOCK):  # through one scratch, widening parameters
+            block = scratch[: min(size - lo, READ_BLOCK)]
+            reader.take(block.nbytes, what, block)
+            if problem is None and kind != "meta.":
+                problem = refusal([(name, block if rank else block.reshape(()))])
+            if keep and problem is None:  # a refused block is not cast: it may hold NaNs
+                out[lo : lo + block.size] = block
+        if keep:
+            tensors[name] = out.reshape(dims)
+        if kind != "meta.":
+            found[name], problems[name] = dims, problem
+    if reader.off != reader.size:
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
-    cfg = _config_from_meta(meta)
+    cfg = _config_from_meta({k: float(v) for k, v in tensors.items() if k.startswith("meta.")})
     shapes = network.param_shapes(cfg)
     expected = dict(shapes)
-    has_adam = any(k.startswith("adam.") for k in tensors)
+    has_adam = any(k.startswith("adam.") for k in found)
     if has_adam:
         trainable = network.trainable_names(cfg)
         expected.update((f"adam.{k}", ()) for k in ADAM_SCALARS)
         expected.update((f"adam.{kind}.{k}", shapes[k]) for kind in "mv" for k in trainable)
-    _check_tensor_set(tensors, expected)
-    problem = refusal(list(tensors.items()))
+    _check_tensor_set(found, expected)
+    problem = next(filter(None, problems.values()), None)
     if problem is not None:
         raise FormatError(f"checkpoint tensor {problem}")
-    params = {k: tensors[k].astype(np.float64) for k in shapes}
-    if not has_adam:
+    params = {k: tensors[k] for k in shapes}
+    if not has_adam or not keep_adam:
         return params, cfg, None
     scalars = {k: float(tensors[f"adam.{k}"]) for k in ADAM_SCALARS}
     state = AdamState(m={k: tensors[f"adam.m.{k}"] for k in trainable},
@@ -408,11 +435,17 @@ def deserialize_checkpoint(blob: bytes):
     return params, cfg, state
 
 
-def load_checkpoint(path):
+def deserialize_checkpoint(blob: bytes):
+    """:func:`load_checkpoint` of checkpoint bytes."""
+    return _read_checkpoint(io.BytesIO(blob))
+
+
+def load_checkpoint(path, keep_adam: bool = True):
     """Read a checkpoint; returns (params, model_cfg, adam_state_or_None).
 
-    The parameters are float64 copies. The Adam moments are read-only float32 views
-    of the file's bytes, which they keep alive; ``adam_step`` widens each as it steps it.
+    The parameters are read as float64 and the Adam moments as the float32 arrays stored,
+    which ``adam_step`` widens as it steps each. No buffer of the file's size is made.
+    ``keep_adam=False`` checks the Adam state as it is read and returns None for it.
     """
-    with open(path, "rb") as fh:
-        return deserialize_checkpoint(fh.read())
+    with open(path, "rb") as fh:  # a pipe cannot be sized, so it is read whole
+        return _read_checkpoint(fh if fh.seekable() else io.BytesIO(fh.read()), keep_adam)

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,55 @@ def test_eval_model_output_does_not_depend_on_the_adam_state(tmp_path):
                      "--report", str(report), "--dump-predictions", str(dump)]) == 0
         outputs.append((report.read_bytes(), dump.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # a 2-epoch model
+def test_eval_dump_lists_every_window_of_every_fold(tmp_path):
+    datadir = make_data(tmp_path, days=3, rows=60)
+    cfg = write_cfg(tmp_path, epochs=2)
+    model = trained_on_other_days(tmp_path, cfg)
+    dump = tmp_path / "preds.csv"
+    assert main(["eval", "--config", cfg, "--model", model, "--data", datadir,
+                 "--report", str(tmp_path / "r.csv"), "--dump-predictions", str(dump)]) == 0
+    params, mcfg, _ = training.load_checkpoint(model)
+    rc = config.load_run_config(cfg)
+    lines = ["fold,day_id,index,true,pred"]
+    for k, series in enumerate(data.load_feature_dir(datadir)[1:], start=1):  # anchored
+        ds = cli._windows(rc, [series])
+        preds = training.predict(params, mcfg, ds)
+        lines += [f"{k},{series.day_id},{i},{ds.labels[i]},{preds[i]}" for i in range(len(ds))]
+    assert len(lines) > 2 * 30 and dump.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # an untrained model
+def test_eval_model_reads_the_checkpoint_without_its_adam_state(tmp_path, monkeypatch):
+    # the read peaks below the float64 parameters and one tensor's float32 bytes
+    cfg = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
+    rng = np.random.default_rng(0)
+    params = network.init_params(cfg, rng)
+    state = training.init_adam(params, network.trainable_names(cfg))
+    for k in state.m:
+        state.m[k][...] = rng.normal(size=params[k].shape)
+    model = tmp_path / "m.tlnb"
+    training.save_checkpoint(model, params, cfg, state)
+    datadir = make_data(tmp_path, days=1, rows=40)
+    real_load, peaks = training.load_checkpoint, []
+
+    def traced_load(*args, **kwargs):
+        real_load(*args, **kwargs)  # first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            loaded = real_load(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return loaded
+
+    monkeypatch.setattr(training, "load_checkpoint", traced_load)
+    assert main(["eval", "--model", str(model), "--folds", "single", "--data", datadir,
+                 "--report", str(tmp_path / "r.csv")]) == 0
+    sizes = [v.size for v in params.values()]
+    assert len(peaks) == 1 and peaks[0] < 8 * sum(sizes) + 4 * max(sizes)
 
 
 @pytest.mark.parametrize("with_model", [False, True], ids=["retrain", "model"])

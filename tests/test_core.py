@@ -1,5 +1,6 @@
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,19 @@ def test_glorot_bound_and_coverage():
     assert np.all(np.abs(w) <= bound)
     # fills a decent part of the interval, not collapsed near zero
     assert np.max(w) > 0.8 * bound and np.min(w) < -0.8 * bound
+
+
+def test_init_params_allocates_each_weight_once():
+    # rng.uniform already returns float64: a copy of each weight would peak at 1.6x
+    cfg = tlonbof.ModelConfig()  # the paper geometry
+    tlonbof.init_params(cfg, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        params = tlonbof.init_params(cfg, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * sum(v.nbytes for v in params.values())
 
 
 def test_glorot_rejects_bad_fans():

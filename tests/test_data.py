@@ -204,6 +204,8 @@ def _edit_cells(lines, edit, rows=(3,), column=6):
 # on line 3 (None: the value as written).
 ROW_LOOP_FILES = {
     "blank-line": (lambda ls: _join(ls[:3] + [b""] + ls[3:]), ("expected 146 columns, got 0", 4)),
+    "blank-line-after-header": (lambda ls: _join(ls[:1] + [b""] + ls[1:]),
+                                ("expected 146 columns, got 0", 2)),
     "trailing-blank-line": (lambda ls: _join(ls) + b"\n", ("expected 146 columns, got 0", 7)),
     "no-final-newline": (lambda ls: b"\n".join(ls), None),
     "crlf": (lambda ls: _join(ls, b"\r\n"), None),

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -429,6 +430,136 @@ def test_load_checkpoint_peak_is_the_file_and_the_float64_parameters(tmp_path):
     assert peak < path.stat().st_size + 8 * sum(sizes) + 4 * max(sizes)
 
 
+PEAK_CFG = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
+
+
+def _checkpoint_with_moments(path, cfg=PEAK_CFG):
+    """Save a checkpoint of ``cfg`` with drawn Adam moments; returns (params, state)."""
+    rng = np.random.default_rng(0)
+    params = network.init_params(cfg, rng)
+    state = init_adam(params, network.trainable_names(cfg))
+    for k in state.m:
+        state.m[k][...] = rng.normal(size=params[k].shape)
+        state.v[k][...] = rng.random(params[k].shape)
+    training.save_checkpoint(path, params, cfg, state)
+    return params, state
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()``, after one untraced call."""
+    call()  # first-call allocations are not the reader's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_checkpoint_peak_is_what_it_returns(tmp_path):
+    # the payloads go through one block-sized scratch, so no buffer of the file is made:
+    # the peak is the float64 parameters and the float32 moments returned, plus less
+    # than one tensor's float32 bytes
+    path = tmp_path / "model.tlnb"
+    params, state = _checkpoint_with_moments(path)
+    peak = _traced_peak(lambda: training.load_checkpoint(path))
+    sizes = [v.size for v in params.values()]
+    moments = sum(params[k].size for k in state.m)
+    assert peak < 8 * sum(sizes) + 2 * 4 * moments + 4 * max(sizes)
+    assert max(sizes) > training.READ_BLOCK  # a payload of several blocks
+    back, _, back_state = training.load_checkpoint(path)
+    for k, v in params.items():
+        assert back[k].dtype == np.float64
+        assert back[k].tobytes() == v.astype(np.float32).astype(np.float64).tobytes(), k
+    for kind in ("m", "v"):
+        for k, stored in getattr(state, kind).items():
+            got = getattr(back_state, kind)[k]
+            assert got.flags.writeable and got.tobytes() == stored.astype(np.float32).tobytes()
+
+
+def test_a_load_that_drops_the_adam_state_holds_only_the_float64_parameters(tmp_path):
+    # what eval --model reads: the moments are checked through the scratch and dropped
+    path = tmp_path / "model.tlnb"
+    params, _ = _checkpoint_with_moments(path)
+    peak = _traced_peak(lambda: training.load_checkpoint(path, keep_adam=False))
+    sizes = [v.size for v in params.values()]
+    assert peak < 8 * sum(sizes) + 4 * max(sizes)
+    bare, cfg, state = training.load_checkpoint(path, keep_adam=False)
+    full, full_cfg, _ = training.load_checkpoint(path)
+    assert state is None and cfg == full_cfg
+    assert all(bare[k].tobytes() == full[k].tobytes() for k in full)
+
+
+def test_a_payload_the_file_cannot_hold_is_refused_before_it_is_allocated(tmp_path):
+    # 65536 x 65536 float32 values are 16 GiB, which numpy could try to allocate; the
+    # reader bounds each payload by the bytes left in the file first
+    header = training._encode_tensors([])[:8] + struct.pack("<IH", 1, 1) + b"x"
+    dims = struct.pack("<B2I", 2, 65536, 65536)
+    path = tmp_path / "model.tlnb"
+    path.write_bytes(header + dims + bytes(1 << 20))
+
+    def load():
+        with pytest.raises(FormatError) as err:
+            training.load_checkpoint(path)
+        return err.value
+
+    peak = _traced_peak(load)
+    err = load()
+    assert str(err).startswith("truncated checkpoint while reading payload of x")
+    assert err.location == f"byte {len(header) + len(dims)}"
+    assert peak < path.stat().st_size
+    with pytest.raises(FormatError) as again:
+        training.deserialize_checkpoint(path.read_bytes())
+    assert str(again.value) == str(err)
+
+
+@pytest.mark.parametrize("block", [1, 5, 1000])
+def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    state = init_adam(params, network.trainable_names(LAYOUT_CFG))
+    state.m["fc1_w"][...] = np.random.default_rng(1).normal(size=params["fc1_w"].shape)
+    blob = training.serialize_checkpoint(params, LAYOUT_CFG, state)
+    whole = training.deserialize_checkpoint(blob)
+    monkeypatch.setattr(training, "READ_BLOCK", block)
+    got = training.deserialize_checkpoint(blob)
+    assert got[1] == whole[1]
+    for a, b in [(got[0], whole[0]), (got[2].m, whole[2].m), (got[2].v, whole[2].v)]:
+        assert all(a[k].tobytes() == b[k].tobytes() for k in b)
+
+    def last_value_nan(tensors):  # in the last block of fc1_w
+        tensors["fc1_w"] = tensors["fc1_w"].copy()
+        tensors["fc1_w"].flat[-1] = np.nan
+
+    with pytest.raises(FormatError, match="checkpoint tensor fc1_w is non-finite"):
+        training.deserialize_checkpoint(_layout_blob(last_value_nan))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_checkpoint_reads_a_pipe(tmp_path):
+    # a pipe has no size to bound the payloads by, so it is read whole
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    blob = training.serialize_checkpoint(
+        params, LAYOUT_CFG, init_adam(params, network.trainable_names(LAYOUT_CFG)))
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+    writer.start()
+    got = training.load_checkpoint(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = training.deserialize_checkpoint(blob)
+    assert got[1] == want[1] and got[2].t == want[2].t
+    assert all(got[0][k].tobytes() == want[0][k].tobytes() for k in want[0])
+
+
+def test_a_signalling_nan_is_refused_without_a_cast_warning():
+    # widening a signalling NaN to float64 raises numpy's invalid-value warning, which
+    # the test settings turn into an error: refused values are not widened
+    snan = np.frombuffer(struct.pack("<I", 0x7F800001), dtype="<f4")[0]
+    with pytest.raises(FormatError, match="checkpoint tensor conv_b is non-finite"):
+        training.deserialize_checkpoint(_layout_blob(_set("conv_b", snan)))
+
+
 def test_checkpoint_magic_and_truncation(tmp_path):
     result, _ = trained_result()
     path = tmp_path / "model.tlnb"
@@ -615,6 +746,23 @@ def test_checkpoint_non_finite_values_are_format_errors(edit, name):
     with pytest.raises(FormatError) as err:
         training.deserialize_checkpoint(_layout_blob(edit))
     assert name in str(err.value)
+
+
+@pytest.mark.parametrize("edit,name", [
+    (lambda t: t.update((k, np.array(v)) for k, v in ADAM_WITHOUT_T.items()), "adam.t"),
+    (_with_mis_shaped_moment, "adam.m.fc1_w"),
+    (_with_adam_state("adam.lr", np.nan), "adam.lr"),
+    (_with_adam_state("adam.v.codebook", -np.inf), "adam.v.codebook"),
+], ids=["partial-adam-scalars", "mis-shaped-adam-moment", "nan-adam-scalar", "inf-adam-moment"])
+def test_a_load_that_drops_the_adam_state_still_refuses_it(tmp_path, edit, name):
+    path = tmp_path / "model.tlnb"
+    path.write_bytes(_layout_blob(edit))
+    with pytest.raises(FormatError) as err:
+        training.load_checkpoint(path, keep_adam=False)
+    assert name in str(err.value)
+    with pytest.raises(FormatError) as kept:
+        training.load_checkpoint(path)
+    assert str(kept.value) == str(err.value)
 
 
 @pytest.mark.parametrize("name,value", [
