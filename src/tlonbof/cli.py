@@ -1,5 +1,8 @@
 """Command line entry points: synth, train, eval, ablate, config.
 
+``eval`` and ``ablate`` run each fold through ``_run_fold``, which trains unless given a
+model, predicts, scores and gives the fold a status; ``ablate`` runs the last anchored fold.
+
 The BLAS thread caps of TLNB_THREADS / TLNB_DETERMINISTIC are applied when
 the ``tlonbof`` package is imported, before numpy loads; ``main`` rejects a
 malformed TLNB_THREADS.
@@ -30,7 +33,6 @@ DEFAULT_GRID = [
 ]
 
 _GRID_HEADER = ["deep_features", "temporal_modeling", "kernel_param_learning", "adaptive_scaling"]
-SCORES = ("precision", "recall", "f1", "kappa")  # metrics.fold_scores, in report order
 
 
 class _Usage(Exception):
@@ -96,7 +98,7 @@ def _windows(rc: config_mod.RunConfig, corpus) -> data.WindowDataset:
 
 def _show(header: list[str], rows: list[list[str]]) -> None:
     """Print report rows as a table: kappa columns to 4 places, other scores to 2, "" as -."""
-    places = [4 if h.startswith("kappa") else 2 if h.split("_")[0] in SCORES else None
+    places = [4 if h.startswith("kappa") else 2 if h.split("_")[0] in metrics.SCORES else None
               for h in header]
     rows = [["-" if not v else v if p is None else f"{float(v):.{p}f}" for v, p in zip(r, places)]
             for r in rows]
@@ -110,8 +112,9 @@ def _write_csv(path, header: list[str], rows: list[list[str]]) -> None:
     config_mod.write_atomic(path, text.encode("utf-8"))
 
 
-def _score_cells(score: dict[str, float]) -> list[str]:
-    return [repr(score[k]) for k in SCORES]
+def _score_cells(score: dict[str, float] | None) -> list[str]:
+    """A score dict as report cells, in ``metrics.SCORES`` order; no scores give empty cells."""
+    return [repr(score[k]) if score else "" for k in metrics.SCORES]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def cmd_train(args) -> int:
     score = metrics.fold_scores(trainset.labels, preds, result.model_cfg.n_classes)
     print(f"checkpoint: {args.out}")
     print(f"history:    {history_path} ({result.history.steps} steps)")
-    _show(SCORES, [_score_cells(score)])
+    _show(metrics.SCORES, [_score_cells(score)])
     return 0
 
 
@@ -184,55 +187,47 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _fold_windows(rc, by_day, k, role, days) -> data.WindowDataset:
+def _fold_windows(rc, k, role, days: list[data.FeatureSeries]) -> data.WindowDataset:
     """Fold ``k``'s windows of ``days``; a usage error naming the fold if they hold none."""
-    ds = _windows(rc, [by_day[d] for d in days])
+    ds = _windows(rc, days)
     if ds.n_samples == 0:
-        raise _Usage(f"fold {k} has no usable {role} windows in day(s) "
-                     f"{', '.join(map(str, days))} (window={rc.window}, horizon={rc.horizon})")
+        ids = ", ".join(str(s.day_id) for s in days)
+        raise _Usage(f"fold {k} has no usable {role} windows in day(s) {ids} "
+                     f"(window={rc.window}, horizon={rc.horizon})")
     return ds
 
 
-def _eval_fold_rows(args, rc, corpus):
-    """Yield (fold_label, test_dataset, params, model_cfg) per fold.
-
-    Every fold's windows are checked before the first fold trains.
-    """
-    fixed = None
-    if args.model is not None:
-        # scoring reads no Adam state: it is checked as it is read and dropped
-        fixed = _read_input("checkpoint file", args.model,
-                            lambda path: training.load_checkpoint(path, keep_adam=False))[:2]
-        mcfg, d_corpus = fixed[1], corpus[0].features.shape[1]
-        if mcfg.d_in != d_corpus:
-            raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
-                         f"but the corpus has {d_corpus}")
-        try:
-            config_mod.check_model(mcfg.arch, mcfg.deep_features, mcfg.n_regions, rc.window)
-        except FormatError as exc:
-            raise _Usage(f"checkpoint {args.model}: {exc}") from None
+def _anchored(rc, corpus, train=True, which=slice(None)):
+    """(k, training windows or None, test windows) of the anchored folds ``which`` picks:
+    fold k trains on days 1..k, tests on day k+1. All are checked before any fold trains."""
     by_day = {s.day_id: s for s in corpus}
-    if rc.folds == config_mod.FOLDS_SINGLE:
-        if fixed is None:
-            raise _Usage("--folds single needs --model (no per-fold training to run)")
-        params, mcfg = fixed
-        yield 1, _fold_windows(rc, by_day, 1, "test", list(by_day)), params, mcfg
-        return
     if len(by_day) < 2:
         raise _Usage(f"anchored folds need at least 2 days, got {len(by_day)} "
-                     "(--folds single with --model scores one)")
+                     "(eval --folds single --model scores one)")
     folds = []
-    for k, fold in enumerate(data.anchored_folds(list(by_day)), start=1):
-        testset = _fold_windows(rc, by_day, k, "test", [fold.test_day])
-        trainset = None if fixed else _fold_windows(rc, by_day, k, "training", fold.train_days)
+    for k, fold in list(enumerate(data.anchored_folds(list(by_day)), start=1))[which]:
+        testset = _fold_windows(rc, k, "test", [by_day[fold.test_day]])
+        trainset = _fold_windows(rc, k, "training", [by_day[d] for d in fold.train_days]) \
+            if train else None
         folds.append((k, trainset, testset))
-    for k, trainset, testset in folds:
-        if trainset is None:
-            params, mcfg = fixed
-        else:
+    return folds
+
+
+def _run_fold(rc, what, trainset, testset, model=None):
+    """(predictions, scores, status) of ``testset``, training on ``trainset`` unless given a
+    ``model`` (params, model config). A numeric failure (a diverged run too) is ``failed``, an
+    undefined score ``undefined``; either has no scores and prints a line naming ``what``."""
+    preds = None
+    try:
+        if model is None:
             result = training.train(rc, trainset)
-            params, mcfg = result.params, result.model_cfg
-        yield k, testset, params, mcfg
+            model = result.params, result.model_cfg
+        preds = training.predict(*model, testset)
+        return preds, metrics.fold_scores(testset.labels, preds, model[1].n_classes), "ok"
+    except (NumericError, UndefinedMetricError) as exc:
+        status = "undefined" if isinstance(exc, UndefinedMetricError) else "failed"
+        print(f"{what} {status}: {exc}", file=sys.stderr)
+        return preds, None, status
 
 
 def cmd_eval(args) -> int:
@@ -241,25 +236,47 @@ def cmd_eval(args) -> int:
         rc.folds = args.folds
     _check_out_paths(args.report, args.dump_predictions)
     _, corpus = _load_corpus(args.data or rc.data_dir or None)
-    per_fold = []
-    fold_rows = []
+    model = None
+    if args.model is not None:
+        # scoring reads no Adam state: it is checked as it is read and dropped
+        model = _read_input("checkpoint file", args.model,
+                            lambda path: training.load_checkpoint(path, keep_adam=False))[:2]
+        mcfg, d_corpus = model[1], corpus[0].features.shape[1]
+        if mcfg.d_in != d_corpus:
+            raise _Usage(f"checkpoint {args.model} takes d_in={mcfg.d_in} features per row, "
+                         f"but the corpus has {d_corpus}")
+        try:
+            config_mod.check_model(mcfg.arch, mcfg.deep_features, mcfg.n_regions, rc.window)
+        except FormatError as exc:
+            raise _Usage(f"checkpoint {args.model}: {exc}") from None
+    if rc.folds == config_mod.FOLDS_SINGLE:
+        if model is None:
+            raise _Usage("--folds single needs --model (no per-fold training to run)")
+        folds = [(1, None, _fold_windows(rc, 1, "test", corpus))]
+    else:
+        folds = _anchored(rc, corpus, train=model is None)
+    per_fold, rows = [], []
     dump = ["fold,day_id,index,true,pred\n"]  # one text block per fold after the header
-    for k, testset, params, mcfg in _eval_fold_rows(args, rc, corpus):
-        preds = training.predict(params, mcfg, testset)
-        score = metrics.fold_scores(testset.labels, preds, mcfg.n_classes)
+    for k, trainset, testset in folds:
+        preds, score, status = _run_fold(rc, f"fold {k}", trainset, testset, model)
         per_fold.append(score)
-        fold_rows.append([str(k)] + _score_cells(score))
-        if args.dump_predictions:
+        rows.append([str(k)] + _score_cells(score) + [status])
+        if args.dump_predictions and preds is not None:
             columns = (testset.day_ids.tolist(), range(testset.n_samples),
                        testset.labels.tolist(), preds.tolist())
             dump.append("".join(map(f"{k},{{}},{{}},{{}},{{}}\n".format, *columns)))
-    summary = metrics.summarize(per_fold)
+    not_ok = [f"fold {r[0]} {r[-1]}" for r in rows if r[-1] != "ok"]
+    summary = {} if not_ok else metrics.summarize(per_fold)  # only over a full set of folds
     for idx, stat in enumerate(("mean", "std")):
-        fold_rows.append([stat] + [repr(summary[k][idx]) for k in SCORES])
-    _write_csv(args.report, ["fold", *SCORES], fold_rows)
+        rows.append([stat] + _score_cells({key: v[idx] for key, v in summary.items()}) + [""])
+    header = ["fold", *metrics.SCORES, "status"]
+    _write_csv(args.report, header, rows)
     if args.dump_predictions:
         config_mod.write_atomic(args.dump_predictions, "".join(dump).encode("utf-8"))
-    _show(["fold", *SCORES], fold_rows)
+    _show(header, rows)
+    if not_ok:
+        print(f"error: {', '.join(not_ok)} (every fold is in {args.report})", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -300,9 +317,7 @@ def load_grid(path) -> list[tuple[bool, bool, bool, str]]:
 def cmd_ablate(args) -> int:
     rc = _load_config(args.config)
     _check_out_paths(args.report)
-    data_dir, corpus = _load_corpus(args.data or rc.data_dir or None)
-    if len(corpus) < 2:
-        raise _Usage("ablation needs at least 2 days (train on all but last, test on last)")
+    _, corpus = _load_corpus(args.data or rc.data_dir or None)
     if args.grid is not None:
         try:
             grid = _read_input("grid file", args.grid, load_grid)
@@ -318,32 +333,21 @@ def cmd_ablate(args) -> int:
         except FormatError as exc:
             raise _Usage(f"grid row {n} ({','.join(map(str, row))}): {exc}") from None
     seeds = config_mod.parse_seed_list(rc.ablation_seeds)  # the loader checked it
-    trainset = _windows(rc, corpus[:-1])
-    testset = _windows(rc, corpus[-1:])
-    if trainset.n_samples == 0 or testset.n_samples == 0:
-        raise _Usage(f"not enough usable windows in {data_dir}")
+    [(_, trainset, testset)] = _anchored(rc, corpus, which=slice(-1, None))
     header = _GRID_HEADER + ["f1_mean", "f1_std", "kappa_mean", "kappa_std", "status"]
     rows = []
     for row in grid:
-        scores, status = [], "ok"
+        scores = []
         for seed in seeds:
             cell = replace(rc, seed=seed, **dict(zip(_GRID_HEADER, row)))
-            try:
-                result = training.train(cell, trainset)
-                preds = training.predict(result.params, result.model_cfg, testset)
-                score = metrics.fold_scores(testset.labels, preds, result.model_cfg.n_classes)
-            except (NumericError, UndefinedMetricError) as exc:
-                status = "undefined" if isinstance(exc, UndefinedMetricError) else "failed"
-                print(f"cell ({','.join(map(str, row))}) seed {seed} {status}: {exc}",
-                      file=sys.stderr)
+            _, score, status = _run_fold(cell, f"cell ({','.join(map(str, row))}) seed {seed}",
+                                         trainset, testset)
+            if status != "ok":
                 break
             scores.append(score)
         flags = [str(v).lower() for v in row]  # config spelling: true/false, scaling as is
-        if status == "ok":
-            summary = metrics.summarize(scores)
-            stats = [repr(v) for key in ("f1", "kappa") for v in summary[key]]
-        else:
-            stats = ["", "", "", ""]
+        summary = metrics.summarize(scores) if status == "ok" else {}  # only over every seed
+        stats = [repr(summary[key][i]) if summary else "" for key in ("f1", "kappa") for i in (0, 1)]
         rows.append(flags + stats + [status])
     _write_csv(args.report, header, rows)
     _show(header, rows)

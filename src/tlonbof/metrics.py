@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 
+SCORES = ("precision", "recall", "f1", "kappa")  # fold_scores' keys, in report order
+
 
 def confusion(true: np.ndarray, pred: np.ndarray, n_classes: int = 3) -> np.ndarray:
     """Counts matrix with true labels on rows, predictions on columns."""
@@ -75,13 +77,7 @@ def cohens_kappa(cm: np.ndarray) -> float:
 def fold_scores(true: np.ndarray, pred: np.ndarray, n_classes: int = 3) -> dict[str, float]:
     """Report-card entry for one fold: macro P/R/F1 in percent, kappa raw."""
     cm = confusion(true, pred, n_classes)
-    p, r, f1 = macro_prf(cm)
-    return {
-        "precision": 100.0 * p,
-        "recall": 100.0 * r,
-        "f1": 100.0 * f1,
-        "kappa": cohens_kappa(cm),
-    }
+    return dict(zip(SCORES, [*(100.0 * v for v in macro_prf(cm)), cohens_kappa(cm)]))
 
 
 def summarize(per_fold: list[dict[str, float]]) -> dict[str, tuple[float, float]]:

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through cli.main."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -347,8 +348,9 @@ def test_eval_single_fold_on_memorized_set(tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--model", str(model), "--data", datadir,
                  "--folds", "single", "--report", str(report)]) == 0
     header, rows = read_csv(report)
-    assert header == ["fold", "precision", "recall", "f1", "kappa"]
+    assert header == ["fold", "precision", "recall", "f1", "kappa", "status"]
     assert [r[0] for r in rows] == ["1", "mean", "std"]
+    assert rows[0][-1] == "ok"
     assert float(rows[0][3]) == 100.0
     assert float(rows[0][4]) == 1.0
 
@@ -371,13 +373,15 @@ def test_eval_anchored_fixed_model_rows_and_summary(tmp_path):
     header, rows = read_csv(report)
     fold_rows = [r for r in rows if r[0] not in ("mean", "std")]
     assert len(fold_rows) == 3  # 4 days -> 3 anchored folds
+    assert [r[-1] for r in fold_rows] == ["ok"] * 3
 
-    # summary rows equal an independent recomputation from the fold rows
-    per_fold = [dict(zip(header[1:], map(float, r[1:]))) for r in fold_rows]
+    # summary rows equal an independent recomputation from the fold rows' score columns
+    scores = [(i, key) for i, key in enumerate(header) if key in metrics.SCORES]
+    per_fold = [{key: float(r[i]) for i, key in scores} for r in fold_rows]
     summary = metrics.summarize(per_fold)
     mean_row = next(r for r in rows if r[0] == "mean")
     std_row = next(r for r in rows if r[0] == "std")
-    for i, key in enumerate(header[1:], start=1):
+    for i, key in scores:
         assert float(mean_row[i]) == summary[key][0]
         assert float(std_row[i]) == summary[key][1]
 
@@ -648,9 +652,77 @@ def test_undefined_kappa_exits_1_without_traceback(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--data", str(datadir),
                  "--out", str(tmp_path / "m.tlnb")]) == 1
     assert capsys.readouterr().err.startswith("error: kappa undefined")
+    # eval still writes its report, then exits 1 naming the fold
+    report = tmp_path / "r.csv"
     assert main(["eval", "--config", cfg, "--data", str(datadir),
-                 "--report", str(tmp_path / "r.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: kappa undefined")
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fold 1 undefined: kappa undefined")
+    assert err.splitlines()[-1].startswith("error: fold 1 undefined")
+    assert [r[-1] for r in read_csv(report)[1]] == ["undefined", "", ""]
+
+
+def always_stationary(tmp_path) -> str:
+    """A checkpoint whose head predicts ``STATIONARY`` for every window."""
+    cfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
+    params = network.init_params(cfg, np.random.default_rng(0))
+    params["fc2_w"][...] = 0.0
+    params["fc2_b"][...] = np.eye(3)[data.STATIONARY]
+    model = tmp_path / "stationary.tlnb"
+    training.save_checkpoint(model, params, cfg)
+    return str(model)
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # one predicted class
+def test_eval_keeps_the_folds_around_an_undefined_one(tmp_path, capsys):
+    """Day 3 has a constant mid-price, so fold 2 (tested on it) has no kappa."""
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    for series in data.synth_generate(4, 80, seed=2):  # days 2 and 4 hold mixed labels
+        if series.day_id == 3:
+            series.mid_prices[:] = 100.0
+        data.write_feature_csv(datadir / f"day_{series.day_id:03d}.csv", series)
+    cfg = write_cfg(tmp_path)
+    report = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--model", always_stationary(tmp_path),
+                 "--data", str(datadir), "--report", str(report)]) == 1
+    header, rows = read_csv(report)
+    assert header == ["fold", *metrics.SCORES, "status"]
+    assert [(r[0], r[-1]) for r in rows] == [("1", "ok"), ("2", "undefined"), ("3", "ok"),
+                                             ("mean", ""), ("std", "")]
+    rc = config.load_run_config(cfg)
+    for row, series in zip(rows[0:3:2], data.load_feature_dir(str(datadir))[1:4:2]):
+        labels = cli._windows(rc, [series]).labels
+        score = metrics.fold_scores(labels, np.full_like(labels, data.STATIONARY))
+        assert [float(v) for v in row[1:5]] == [score[k] for k in metrics.SCORES]
+    assert all(r[1:5] == ["", "", "", ""] for r in rows[1:2] + rows[3:])
+    err = capsys.readouterr().err
+    assert "fold 2 undefined: kappa undefined" in err
+    assert err.splitlines()[-1].startswith("error: fold 2 undefined")
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # fold 1's 3-epoch model
+def test_eval_reports_a_diverged_fold_as_failed(tmp_path, capsys):
+    datadir = make_data(tmp_path, days=3, rows=60)
+    # the settings of test_train_divergence_exits_1_and_saves_last_good: fold 1's run on one
+    # day stays in range, fold 2's longer run on two days leaves the float32 range
+    cfg = write_cfg(tmp_path, text="batch_size = 16\nn_codewords = 4\nconv_filters = 4\n"
+                                   "hidden = 8\nepochs = 3\nkernel = gaussian\n"
+                                   "kernel_param_learning = false\n", lr="1e30")
+    report, dump = tmp_path / "r.csv", tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--data", datadir, "--report", str(report),
+                 "--dump-predictions", str(dump)]) == 1
+    _, rows = read_csv(report)
+    assert [r[-1] for r in rows] == ["ok", "failed", "", ""]
+    assert "" not in rows[0] and rows[1:] == [["2", "", "", "", "", "failed"],
+                                              ["mean", "", "", "", "", ""],
+                                              ["std", "", "", "", "", ""]]
+    assert {line.split(",")[0] for line in dump.read_text().splitlines()[1:]} == {"1"}
+    err = capsys.readouterr().err
+    assert "fold 2 failed: " in err and "beyond float32" in err
+    assert err.splitlines()[-1].startswith("error: fold 2 failed (")
 
 
 def test_ablate_records_undefined_kappa_and_writes_report(tmp_path, capsys):
@@ -691,6 +763,35 @@ def test_ablate_runs_grid_rows(tmp_path):
     assert all(r[-1] == "ok" for r in rows)
     assert rows[0][:4] == ["true", "true", "true", "learned"]
     assert rows[1][:4] == ["false", "false", "false", "frozen"]
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
+def test_ablate_report_bytes_are_the_last_fold_trained_per_seed(tmp_path):
+    # ablate trains on every day but the last and tests on the last, one run per seed;
+    # the report is rebuilt here from those runs, byte for byte
+    datadir = make_data(tmp_path, days=3, rows=70)
+    cfg = write_cfg(tmp_path, epochs=1)
+    grid = tmp_path / "grid.csv"
+    grid.write_text(",".join(cli._GRID_HEADER) + "\ntrue,true,true,learned\n"
+                    "false,true,false,frozen\n")
+    report = tmp_path / "ablation.csv"
+    assert main(["ablate", "--config", cfg, "--data", datadir,
+                 "--grid", str(grid), "--report", str(report)]) == 0
+    rc = config.load_run_config(cfg)
+    corpus = data.load_feature_dir(datadir)
+    trainset, testset = cli._windows(rc, corpus[:-1]), cli._windows(rc, corpus[-1:])
+    lines = [",".join(cli._GRID_HEADER) + ",f1_mean,f1_std,kappa_mean,kappa_std,status"]
+    for row in cli.load_grid(grid):
+        scores = []
+        for seed in (0, 1):
+            flags = dict(zip(cli._GRID_HEADER, row))
+            result = training.train(dataclasses.replace(rc, seed=seed, **flags), trainset)
+            preds = training.predict(result.params, result.model_cfg, testset)
+            scores.append(metrics.fold_scores(testset.labels, preds))
+        summary = metrics.summarize(scores)
+        stats = [repr(v) for key in ("f1", "kappa") for v in summary[key]]
+        lines.append(",".join([str(v).lower() for v in row] + stats + ["ok"]))
+    assert report.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_ablate_default_grid_has_published_shape(tmp_path):

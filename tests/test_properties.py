@@ -1,13 +1,18 @@
-"""Property tests for the four input readers, the gathered windows, the conv and the sigmoid.
+"""Property tests for the four input readers, the gathered windows, the conv, the sigmoid
+and whole eval/ablate commands.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
 line, and the feature CSV loader must give what its csv row loop alone
 gives. The checkpoint writer must refuse exactly what the reader refuses.
+A command on a small corpus and an edge-value config must end in exit 0
+with its outputs written, or in exit 1 or 2 with an ``error:`` line.
 Example counts and determinism come from the profile in conftest.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
@@ -19,7 +24,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from reference import conv_flat_per_tap, gathered_windows, windowize  # noqa: E402
 
@@ -380,3 +385,76 @@ def test_sigmoid_into_its_own_input_is_bitwise_the_fresh_result(z):
     assert type(got) is type(want)
     assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
     assert np.array_equal(z.view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# whole commands on small corpora and edge-value configs
+
+SOURCE_DAYS = data.synth_generate(4, 120, seed=0)
+
+
+@st.composite
+def command_inputs(draw):
+    """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price) and a config."""
+    days = []
+    for day_id in range(1, draw(st.integers(1, 4)) + 1):
+        n = draw(st.integers(0, 60))
+        start = draw(st.integers(0, 120 - n))
+        source = SOURCE_DAYS[day_id - 1]
+        mids = source.mid_prices[start:start + n]
+        if draw(st.booleans()):
+            mids = np.full_like(mids, 100.0)
+        days.append(data.FeatureSeries(day_id, source.features[start:start + n], mids))
+    window = draw(st.sampled_from([1, 2, 15]))
+    edges = {
+        "window": window,
+        "horizon": draw(st.sampled_from([1, 10, 30])),
+        "n_regions": draw(st.sampled_from([1, window, window + 1])),
+        "lr": draw(st.sampled_from([1e-4, 1e30, 3e38, 1e39])),
+    }
+    return days, edges
+
+
+def run_command(argv, outputs):
+    """``cli.main(argv)``: exit 0 leaves every file in ``outputs``, exit 1 or 2 an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert all(os.path.isfile(p) for p in outputs), (argv, outputs)
+    else:
+        assert code in (1, 2), code
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines()), \
+            err.getvalue()
+
+
+@settings(max_examples=100, deadline=5000)  # about 2 s in all on one core
+@given(command_inputs())
+@example(([data.FeatureSeries(1, SOURCE_DAYS[0].features[:60], SOURCE_DAYS[0].mid_prices[:60])],
+          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4}))  # one day: no fold
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
+def test_eval_and_ablate_end_in_an_exit_code_and_their_outputs(scratch, inputs):
+    days, edges = inputs
+    with tempfile.TemporaryDirectory(dir=scratch) as tmp:
+        datadir = os.path.join(tmp, "data")
+        os.mkdir(datadir)
+        for series in days:
+            data.write_feature_csv(os.path.join(datadir, f"day_{series.day_id}.csv"), series)
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("batch_size = 8\nepochs = 1\nn_codewords = 4\nconv_filters = 4\n"
+                     "conv_kernel = 3\nhidden = 6\nablation_seeds = 0\n"
+                     + "".join(f"{k} = {v!r}\n" for k, v in edges.items()))
+        model = os.path.join(tmp, "m.tlnb")
+        mcfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6,
+                                   n_regions=edges["n_regions"])
+        training.save_checkpoint(model, network.init_params(mcfg, np.random.default_rng(0)),
+                                 mcfg)
+        grid = os.path.join(tmp, "grid.csv")
+        with open(grid, "w") as fh:
+            fh.write(",".join(cli._GRID_HEADER) + "\ntrue,true,true,learned\n")
+        common = ["--config", cfg, "--data", datadir, "--report"]
+        out = [os.path.join(tmp, name) for name in ("e.csv", "p.csv", "s.csv", "a.csv")]
+        run_command(["eval", *common, out[0], "--dump-predictions", out[1]], out[:2])
+        run_command(["eval", *common, out[2], "--model", model, "--folds", "single"], out[2:3])
+        run_command(["ablate", *common, out[3], "--grid", grid], out[3:])
