@@ -187,30 +187,29 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _fold_windows(rc, k, role, days: list[data.FeatureSeries]) -> data.WindowDataset:
-    """Fold ``k``'s windows of ``days``; a usage error naming the fold if they hold none."""
-    ds = _windows(rc, days)
-    if ds.n_samples == 0:
+def _fold_days(rc, k, role, days: list[data.FeatureSeries]) -> list[data.FeatureSeries]:
+    """``days``, or a usage error naming fold ``k`` if they hold no window."""
+    if not sum(data.window_count(len(s), rc.window, rc.horizon) for s in days):
         ids = ", ".join(str(s.day_id) for s in days)
         raise _Usage(f"fold {k} has no usable {role} windows in day(s) {ids} "
                      f"(window={rc.window}, horizon={rc.horizon})")
-    return ds
+    return days
 
 
 def _anchored(rc, corpus, train=True, which=slice(None)):
-    """(k, training windows or None, test windows) of the anchored folds ``which`` picks:
-    fold k trains on days 1..k, tests on day k+1. All are checked before any fold trains."""
+    """(k, training windows or None, test windows) of the anchored folds ``which`` picks, fold k
+    training on days 1..k and testing on day k+1: all counted first, each built when reached."""
     by_day = {s.day_id: s for s in corpus}
     if len(by_day) < 2:
         raise _Usage(f"anchored folds need at least 2 days, got {len(by_day)} "
                      "(eval --folds single --model scores one)")
     folds = []
     for k, fold in list(enumerate(data.anchored_folds(list(by_day)), start=1))[which]:
-        testset = _fold_windows(rc, k, "test", [by_day[fold.test_day]])
-        trainset = _fold_windows(rc, k, "training", [by_day[d] for d in fold.train_days]) \
+        test_days = _fold_days(rc, k, "test", [by_day[fold.test_day]])
+        train_days = _fold_days(rc, k, "training", [by_day[d] for d in fold.train_days]) \
             if train else None
-        folds.append((k, trainset, testset))
-    return folds
+        folds.append((k, train_days, test_days))
+    return ((k, days and _windows(rc, days), _windows(rc, test)) for k, days, test in folds)
 
 
 def _run_fold(rc, what, trainset, testset, model=None):
@@ -252,7 +251,7 @@ def cmd_eval(args) -> int:
     if rc.folds == config_mod.FOLDS_SINGLE:
         if model is None:
             raise _Usage("--folds single needs --model (no per-fold training to run)")
-        folds = [(1, None, _fold_windows(rc, 1, "test", corpus))]
+        folds = [(1, None, _windows(rc, _fold_days(rc, 1, "test", corpus)))]
     else:
         folds = _anchored(rc, corpus, train=model is None)
     per_fold, rows = [], []

@@ -116,6 +116,11 @@ class WindowBatch:
         return cls(x.reshape(-1, dim), np.arange(n_windows) * window, window)
 
 
+def window_count(n_rows: int, window: int, horizon: int) -> int:
+    """The labelled windows of a day of ``n_rows`` rows: each ends ``horizon`` rows before one."""
+    return max(n_rows - window - horizon + 1, 0)
+
+
 class WindowDataset:
     """Window samples over a corpus, gathered lazily from per-day arrays.
 
@@ -140,7 +145,7 @@ class WindowDataset:
         # a sample's key, day * stride + t for the last row t of its window, sorts by
         # day, then t, and keeps the windows of different days at least a window apart
         self._stride = max((len(s) for s in corpus), default=1)
-        counts = np.array([max(len(s) - window - horizon + 1, 0) for s in corpus], dtype=np.int64)
+        counts = np.array([window_count(len(s), window, horizon) for s in corpus], dtype=np.int64)
         offsets = np.arange(len(corpus)) * self._stride + window - 1 - (np.cumsum(counts) - counts)
         self._keys = np.arange(counts.sum()) + np.repeat(offsets, counts)
         self.labels = np.concatenate([np.empty(0, dtype=np.int64)] + [
@@ -150,9 +155,6 @@ class WindowDataset:
     @property
     def n_samples(self) -> int:
         return self.labels.size
-
-    def __len__(self) -> int:
-        return self.n_samples
 
     def gather(self, indices: np.ndarray) -> tuple[WindowBatch, np.ndarray]:
         """The windows of samples ``indices`` and their labels.

@@ -105,50 +105,64 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def glorot_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
+    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator, out=None
 ) -> np.ndarray:
-    """Draw i.i.d. uniform values on [-b, b] with b = sqrt(6/(fan_in+fan_out))."""
+    """I.i.d. uniform values on [-b, b], b = sqrt(6/(fan_in+fan_out)), into ``out`` if given."""
     shape = tuple(int(d) for d in shape)
     if any(d <= 0 for d in shape):
         raise ValueError(f"zero-sized shape {shape}")
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fan_in/fan_out must be >= 1, got {fan_in}/{fan_out}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape)  # float64 already: no copy
+    out = rng.random(shape, out=out)  # rng.uniform(-b, b)'s -b + 2b * u bit for bit, in place
+    return np.add(np.multiply(out, 2.0 * bound, out=out), -bound, out=out)
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, protocol-initialized scales."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if len(shape) > 1:
+def flat_views(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> the next ``prod(shape)`` values of ``vector`` as that shape, in ``shapes`` order."""
+    parts = np.split(vector, np.cumsum([math.prod(s) for s in shapes.values()], dtype=int)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
+def param_vector(cfg: ModelConfig, dtype=np.float64) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed vector of every parameter value and name -> view of it, in ``param_shapes``
+    order; the ``trainable_shapes`` fill its head, in their order, so Adam steps one vector."""
+    shapes = param_shapes(cfg)
+    vector = np.zeros(sum(math.prod(s) for s in shapes.values()), dtype)
+    views = flat_views(vector, {**trainable_shapes(cfg), **shapes})  # the frozen ones last
+    return vector, {k: views[k] for k in shapes}
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator, out=None) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights, zero biases, protocol-initialized scales, in zeroed ``out``."""
+    params = param_vector(cfg)[1] if out is None else out
+    for p in params.values():
+        if p.ndim > 1:
             # the Glorot bound depends only on fan_in + fan_out, i.e. the
             # last axis plus the product of the others (taps * d_in for conv)
-            params[name] = glorot_uniform(shape, math.prod(shape[:-1]), shape[-1], rng)
-        else:
-            params[name] = np.zeros(shape)
+            glorot_uniform(p.shape, math.prod(p.shape[:-1]), p.shape[-1], rng, out=p)
     if cfg.arch == ARCH_TLONBOF:
         # log_cu = log_cs = 0 already is c_u = c_s = 1, i.e. scaling off;
         # the protocol init is c_u = mean sequence length, c_s = codebook size
         if cfg.adaptive_scaling != SCALING_OFF:
-            params["log_cu"] = np.array(np.log(float(cfg.avg_seq_len)))
-            params["log_cs"] = np.array(np.log(float(cfg.n_codewords)))
+            params["log_cu"][...] = np.log(float(cfg.avg_seq_len))
+            params["log_cs"][...] = np.log(float(cfg.n_codewords))
         if cfg.kernel == KERNEL_LOGISTIC:
-            params["alpha"] = np.array(1.0)
+            params["alpha"][...] = 1.0
         else:
-            params["sigma"] = np.array(kernels.default_sigma(params["codebook"]))
+            params["sigma"][...] = kernels.default_sigma(params["codebook"])
     return params
 
 
-def trainable_names(cfg: ModelConfig) -> list[str]:
-    """The parameters Adam updates: all but sigma, the log scales unless learned,
-    and alpha and beta without kernel-parameter learning, in ``param_shapes`` order."""
+def trainable_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the parameters Adam updates: all but sigma, the log scales unless
+    learned, and alpha and beta without kernel-parameter learning, in ``param_shapes`` order."""
     frozen = {"sigma"}
     if cfg.adaptive_scaling != SCALING_LEARNED:
         frozen.update(LOG_SCALES)
     if not cfg.kernel_param_learning:
         frozen.update(("alpha", "beta"))
-    return [k for k in param_shapes(cfg) if k not in frozen]
+    return {k: s for k, s in param_shapes(cfg).items() if k not in frozen}
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +398,9 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray,
                    out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy w.r.t. every differentiable parameter.
 
-    Every gradient the model defines is returned; ``trainable_names`` alone
-    decides which of them are trained. Given ``out``, a dict an earlier call returned, each
-    gradient is written into its array there, bit for bit, and ``out`` is returned.
+    Every gradient the model defines is returned; ``trainable_shapes`` alone
+    decides which of them are trained. Given ``out`` (an earlier call's, or ``param_vector``
+    views), each gradient is written into its array there, bit for bit, and it is returned.
     """
     cfg, params = ctx.cfg, ctx.params
     labels = np.asarray(labels)

@@ -10,10 +10,11 @@ gathers chunks of consecutive samples the way training gathers a batch.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,8 +32,9 @@ ADAM_SCALARS = ("t", "lr", "beta1", "beta2", "eps")  # stored as "adam.<field>"
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    shapes: dict[str, tuple[int, ...]]  # the parameters m and v hold, one vector each, in order
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -40,50 +42,33 @@ class AdamState:
     lr: float = RunConfig.lr
 
 
-def init_adam(params: dict[str, np.ndarray], names: list[str],
-              lr: float = RunConfig.lr) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(params[k]) for k in names},
-        v={k: np.zeros_like(params[k]) for k in names},
-        lr=lr,
-    )
+def init_adam(shapes: dict[str, tuple[int, ...]], lr: float = RunConfig.lr,
+              dtype=np.float64) -> AdamState:
+    size = sum(math.prod(s) for s in shapes.values())
+    return AdamState(dict(shapes), np.zeros(size, dtype), np.zeros(size, dtype), lr=lr)
 
 
 ADAM_BLOCK = 32768  # values per pass of each operation, so the scratch pair stays in cache
 
 
-def adam_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place, for the keys in ``grads``.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the vector ``params``, in place, laid out as the moments.
 
-    Every operation runs over ``ADAM_BLOCK`` values of a parameter (rows, if it or a moment
-    is not C-contiguous) before the next, through one scratch pair per call. A moment
-    that is not float64, as a loaded checkpoint's are, is widened the first time it steps.
-    """
-    for k, g in grads.items():
-        if k not in state.m:
-            raise ValueError(f"gradient for unknown parameter {k!r}")
-        if np.shape(g) != params[k].shape:
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter {k!r} "
-                             f"of shape {params[k].shape}")
+    Every operation runs over ``ADAM_BLOCK`` values before the next, through one scratch pair
+    per call. Moments that are not float64, as a loaded checkpoint's are, are widened once."""
+    if not np.shape(params) == np.shape(grads) == state.m.shape:
+        raise ValueError(f"parameters of shape {np.shape(params)} and gradients of shape "
+                         f"{np.shape(grads)} do not match the moments' {state.m.shape}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    blocks = []
-    for k, g in grads.items():
-        for moments in (state.m, state.v):
-            moments[k] = moments[k].astype(np.float64, copy=False)
-        arrays = [params[k], state.m[k], state.v[k], np.asarray(g)]
-        if all(a.flags.c_contiguous for a in arrays[:3]):  # else reshape would copy
-            arrays = [a.reshape(-1) for a in arrays]
-        blocks += [[a[i : i + ADAM_BLOCK] for a in arrays]
-                   for i in range(0, len(arrays[0]), ADAM_BLOCK)]
-    scratch = np.empty((2, max((b[0].size for b in blocks), default=0)))
-    for p, m, v, g in blocks:
+    state.m, state.v = (a.astype(np.float64, copy=False) for a in (state.m, state.v))
+    scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
+    for i in range(0, params.size, ADAM_BLOCK):
+        p, m, v, g = (a[i : i + ADAM_BLOCK] for a in (params, state.m, state.v, grads))
         # Each line keeps the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
         # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), as one pass per key did, so the bits agree.
-        buf, step = (row[: p.size].reshape(p.shape) for row in scratch)
+        buf, step = scratch[:, : p.size]
         np.multiply(g, 1.0 - state.beta1, out=buf)
         m *= state.beta1
         m += buf
@@ -97,7 +82,6 @@ def adam_step(
         step *= state.lr
         step /= buf
         p -= step
-    return params, state
 
 
 def balanced_batch(labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,14 +136,15 @@ def train(rc: RunConfig, dataset) -> TrainResult:
         raise ValueError("training dataset is empty")
     rng_init, rng_batch = np.random.Generator(np.random.PCG64(rc.seed)).spawn(2)
     cfg = ModelConfig.from_run(rc, float(dataset.window))
-    params = network.init_params(cfg, rng_init)
-    trainable = network.trainable_names(cfg)
-    state = init_adam(params, trainable, lr=rc.lr)
+    vector, params = network.param_vector(cfg)
+    network.init_params(cfg, rng_init, out=params)
+    state = init_adam(network.trainable_shapes(cfg), lr=rc.lr)
+    grad_vector, grads = network.param_vector(cfg)  # every step's backward writes into these
+    snapshot, last_good = network.param_vector(cfg, np.float32)  # as a checkpoint stores them
+    snapshot[...] = vector
     history = TrainHistory()
     labels = dataset.labels
     steps_per_epoch = math.ceil(dataset.n_samples / rc.batch_size)
-    last_good = {k: v.astype(np.float32) for k, v in params.items()}  # as a checkpoint stores them
-    grads = None  # the first step's gradient arrays, which every later step writes into
     step = 0
     for _epoch in range(rc.epochs):
         for _ in range(steps_per_epoch):
@@ -174,10 +159,9 @@ def train(rc: RunConfig, dataset) -> TrainResult:
                 raise TrainingDiverged(step, last_good, str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDiverged(step, last_good)
-            grads = network.backward_batch(ctx, y, out=grads)
+            network.backward_batch(ctx, y, out=grads)
             del ctx  # not held through the next step's gather and forward
-            updates = {k: grads[k] for k in trainable}
-            adam_step(params, updates, state)
+            adam_step(vector[: state.m.size], grad_vector[: state.m.size], state)  # trainable heads
             for k in network.LOG_SCALES:
                 if k in params and params[k] < LOG_SCALE_FLOOR:
                     params[k][...] = LOG_SCALE_FLOOR
@@ -188,8 +172,7 @@ def train(rc: RunConfig, dataset) -> TrainResult:
         problem = refusal(list(params.items()) + _adam_entries(state))
         if problem is not None:  # or the snapshot would not load
             raise TrainingDiverged(step, last_good, problem)
-        for k, v in params.items():  # accepted: they are the snapshot now
-            last_good[k][...] = v
+        snapshot[...] = vector  # accepted: it is the snapshot now
     return TrainResult(params=params, model_cfg=cfg, adam_state=state, history=history)
 
 
@@ -224,7 +207,7 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
 # "meta.<field>" entry, enum-valued ones as their index in the run-config
 # choice tuple; optimizer moments travel as "adam.*" entries. The reader reads
 # one payload at a time and widens only the parameters to float64; the moments
-# stay the float32 values stored until adam_step steps them.
+# are read into one float32 vector each, which adam_step widens when it steps them.
 
 _META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
 
@@ -239,19 +222,19 @@ def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
     return entries
 
 
-def _config_from_meta(meta: dict[str, float]) -> ModelConfig:
+def _config_from_meta(tensors: dict[str, np.ndarray]) -> ModelConfig:
     values = {}
     for f in fields(ModelConfig):
         key = f"meta.{f.name}"
-        if not math.isfinite(meta.get(key, math.nan)):
+        if not math.isfinite(tensors.get(key, math.nan)):
             raise FormatError(f"checkpoint model metadata {key} is missing or not finite")
         if f.name in CHOICES:
-            choices, index = CHOICES[f.name], int(meta[key])
+            choices, index = CHOICES[f.name], int(tensors[key])
             if not 0 <= index < len(choices):
                 raise FormatError(f"checkpoint {key} = {index} is not an index into {choices}")
             values[f.name] = choices[index]
         else:
-            values[f.name] = _META_DECODE[f.type](meta[key])
+            values[f.name] = _META_DECODE[f.type](tensors[key])
     try:
         return ModelConfig(**values)
     except ValueError as exc:
@@ -275,8 +258,8 @@ def _encode_tensors(entries: list[tuple[str, np.ndarray]]) -> bytes:
 
 def _adam_entries(state: AdamState) -> list[tuple[str, np.ndarray]]:
     return ([(f"adam.{k}", np.array(float(getattr(state, k)))) for k in ADAM_SCALARS]
-            + [(f"adam.m.{k}", v) for k, v in sorted(state.m.items())]
-            + [(f"adam.v.{k}", v) for k, v in sorted(state.v.items())])
+            + [(f"adam.{kind}.{k}", a) for kind in "mv"
+               for k, a in sorted(network.flat_views(getattr(state, kind), state.shapes).items())])
 
 
 def refusal(entries: list[tuple[str, np.ndarray]]) -> str | None:
@@ -347,9 +330,6 @@ class _Reader:
         self.off += n
         return into
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
 
 def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple]) -> None:
     """Require exactly the tensors of ``shapes``, each with its shape (``got``: name -> shape)."""
@@ -371,13 +351,14 @@ def _read_checkpoint(fh, keep_adam: bool = True):
     reader = _Reader(fh)
     if reader.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad magic, not a TLNB checkpoint", location="byte 0")
-    version = reader.u32("version")
+    version = struct.unpack("<I", reader.take(4, "version"))[0]
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", location="byte 4")
-    count = reader.u32("tensor count")
+    count = struct.unpack("<I", reader.take(4, "tensor count"))[0]
     tensors: dict[str, np.ndarray] = {}
     found: dict[str, tuple] = {}  # the shape of every tensor but the metadata
     problems: dict[str, str | None] = {}  # refusal(...) of each, in file order
+    state, slots = None, {}  # float32 moments, and each moment's view of them, once sized
     scratch = np.empty(READ_BLOCK, dtype="<f4")
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
@@ -396,7 +377,15 @@ def _read_checkpoint(fh, keep_adam: bool = True):
         if kind == "meta." and rank:
             raise FormatError(f"checkpoint model metadata {name} has shape {dims}, not ()")
         keep = keep_adam or kind != "adam."
-        out = np.empty(size, np.float32 if kind in ("adam.", "meta.") else np.float64) if keep else None
+        if keep and state is None and name[:7] in ("adam.m.", "adam.v."):
+            with contextlib.suppress(FormatError):  # the writer writes the metadata first
+                moments = network.trainable_shapes(_config_from_meta(tensors))
+                reader.need(8 * sum(map(math.prod, moments.values())), "moments")  # else no vectors
+                state = init_adam(moments, dtype=np.float32)
+                slots = dict(_adam_entries(state)[len(ADAM_SCALARS) :])
+        out = slots.get(name)
+        if keep and (out is None or out.shape != dims):
+            out = np.empty(size, np.float32 if kind in ("adam.", "meta.") else np.float64)
         # "" is not judged: log scales and sigma are scalars, and the shape check refuses others
         problem = "" if rank and name in (*network.LOG_SCALES, "sigma") else None
         for lo in range(0, size, READ_BLOCK):  # through one scratch, widening parameters
@@ -405,7 +394,7 @@ def _read_checkpoint(fh, keep_adam: bool = True):
             if problem is None and kind != "meta.":
                 problem = refusal([(name, block if rank else block.reshape(()))])
             if keep and problem is None:  # a refused block is not cast: it may hold NaNs
-                out[lo : lo + block.size] = block
+                out.reshape(-1)[lo : lo + block.size] = block
         if keep:
             tensors[name] = out.reshape(dims)
         if kind != "meta.":
@@ -413,14 +402,14 @@ def _read_checkpoint(fh, keep_adam: bool = True):
     if reader.off != reader.size:
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
-    cfg = _config_from_meta({k: float(v) for k, v in tensors.items() if k.startswith("meta.")})
+    cfg = _config_from_meta(tensors)
     shapes = network.param_shapes(cfg)
     expected = dict(shapes)
     has_adam = any(k.startswith("adam.") for k in found)
+    trainable = network.trainable_shapes(cfg)
     if has_adam:
-        trainable = network.trainable_names(cfg)
         expected.update((f"adam.{k}", ()) for k in ADAM_SCALARS)
-        expected.update((f"adam.{kind}.{k}", shapes[k]) for kind in "mv" for k in trainable)
+        expected.update((f"adam.{kind}.{k}", trainable[k]) for kind in "mv" for k in trainable)
     _check_tensor_set(found, expected)
     problem = next(filter(None, problems.values()), None)
     if problem is not None:
@@ -428,11 +417,12 @@ def _read_checkpoint(fh, keep_adam: bool = True):
     params = {k: tensors[k] for k in shapes}
     if not has_adam or not keep_adam:
         return params, cfg, None
+    if state is None or state.shapes != trainable:  # the moments came before the metadata
+        state = init_adam(trainable, dtype=np.float32)
+    for name, view in _adam_entries(state)[len(ADAM_SCALARS) :]:  # the moments
+        view[...] = tensors[name]  # no copy where it was read into the view
     scalars = {k: float(tensors[f"adam.{k}"]) for k in ADAM_SCALARS}
-    state = AdamState(m={k: tensors[f"adam.m.{k}"] for k in trainable},
-                      v={k: tensors[f"adam.v.{k}"] for k in trainable},
-                      t=int(scalars.pop("t")), **scalars)
-    return params, cfg, state
+    return params, cfg, replace(state, t=int(scalars.pop("t")), **scalars)
 
 
 def deserialize_checkpoint(blob: bytes):

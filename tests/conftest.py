@@ -20,7 +20,7 @@ import pytest
 
 from reference import window_table
 
-from tlonbof import bof, config, network
+from tlonbof import bof, config, network, training
 
 try:
     from hypothesis import settings
@@ -48,6 +48,15 @@ def pool_windows(x, params, cfg):
     """``bof.forward_batch`` on a (windows, steps, dim) array of feature rows."""
     table, index = window_table(x)
     return bof.forward_batch(table, params, cfg, index)
+
+
+def adam_step_by_name(params, grads, state):
+    """``training.adam_step`` on name -> array maps, as a loaded checkpoint's are: the state's
+    names gathered into one vector each, stepped, and the parameters written back in place."""
+    p, g = (np.concatenate([a[k].ravel() for k in state.shapes]) for a in (params, grads))
+    training.adam_step(p, g, state)
+    for k, view in network.flat_views(p, state.shapes).items():
+        params[k][...] = view
 
 
 # small-instance defaults used across gradient tests

@@ -152,7 +152,8 @@ def conv_backward_per_tap(x: np.ndarray, weights: np.ndarray, d_out: np.ndarray)
 def adam_step_per_key(params, grads, state) -> None:
     """One bias-corrected Adam update, in place, each key's arrays whole.
 
-    ``state`` is a ``training.AdamState``. Each line keeps the operation order of
+    ``state`` has the fields of a ``training.AdamState``, with ``m`` and ``v`` mapping each name to
+    its moment array. Each line keeps the operation order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
     """
     state.t += 1

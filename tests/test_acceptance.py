@@ -12,11 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, draw_instance, pool_windows, tiny_config
+from conftest import (ACCEPTANCE_LINES, adam_step_by_name, draw_instance, pool_windows,
+                      tiny_config)
 from reference import finite_diff_grad, relative_error, windowize
 from tlonbof import bof, cli, config, data, metrics, network, training
 from tlonbof.config import RunConfig
-from tlonbof.training import AdamState, adam_step
+from tlonbof.training import AdamState
 
 
 def record(num, desc, ok, detail=""):
@@ -58,7 +59,7 @@ def test_criterion_01_gradient_exactness():
                 params[name] = saved
                 return float(-np.log(probs[0, label]))
 
-            for name in network.trainable_names(cfg):
+            for name in network.trainable_shapes(cfg):
                 fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
                 err = relative_error(np.asarray(grads[name]).ravel(), fd.ravel())
                 worst = max(worst, err)
@@ -314,8 +315,9 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
 
     ref_params = {k: quant(v) for k, v in result.params.items()}
     ref_state = AdamState(
-        m={k: quant(v) for k, v in result.adam_state.m.items()},
-        v={k: quant(v) for k, v in result.adam_state.v.items()},
+        result.adam_state.shapes,
+        m=quant(result.adam_state.m),
+        v=quant(result.adam_state.v),
         t=result.adam_state.t,
         lr=float(quant(result.adam_state.lr)),
         beta1=float(quant(result.adam_state.beta1)),
@@ -326,7 +328,7 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     for params, state in ((loaded_params, loaded_state), (ref_params, ref_state)):
         _, ctx = network.forward_batch(x, params, cfg)
         grads = network.backward_batch(ctx, y)
-        adam_step(params, {k: grads[k] for k in network.trainable_names(cfg)}, state)
+        adam_step_by_name(params, grads, state)
     resumed = all(np.array_equal(loaded_params[k], ref_params[k]) for k in ref_params)
     record(9, "fixed-seed runs bit-identical; resume matches the f32-quantized run",
            deterministic and resumed)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +440,7 @@ def test_eval_dump_lists_every_window_of_every_fold(tmp_path):
     for k, series in enumerate(data.load_feature_dir(datadir)[1:], start=1):  # anchored
         ds = cli._windows(rc, [series])
         preds = training.predict(params, mcfg, ds)
-        lines += [f"{k},{series.day_id},{i},{ds.labels[i]},{preds[i]}" for i in range(len(ds))]
+        lines += [f"{k},{series.day_id},{i},{ds.labels[i]},{preds[i]}" for i in range(ds.n_samples)]
     assert len(lines) > 2 * 30 and dump.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
@@ -449,9 +450,8 @@ def test_eval_model_reads_the_checkpoint_without_its_adam_state(tmp_path, monkey
     cfg = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
-    state = training.init_adam(params, network.trainable_names(cfg))
-    for k in state.m:
-        state.m[k][...] = rng.normal(size=params[k].shape)
+    state = training.init_adam(network.trainable_shapes(cfg))
+    state.m[...] = rng.normal(size=state.m.size)
     model = tmp_path / "m.tlnb"
     training.save_checkpoint(model, params, cfg, state)
     datadir = make_data(tmp_path, days=1, rows=40)
@@ -506,6 +506,31 @@ def test_eval_retrains_per_fold_without_model(tmp_path):
                  "--report", str(report)]) == 0
     _, rows = read_csv(report)
     assert [r[0] for r in rows] == ["1", "2", "mean", "std"]
+
+
+@pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
+def test_eval_holds_one_fold_of_windows_at_a_time(tmp_path, monkeypatch):
+    # a fold's windows are built when it runs, so the folds' index arrays, which together
+    # grow with the square of the day count, are not all held through the first training
+    built, alive = [], []
+    real_windows, real_train = cli._windows, training.train
+
+    def windows(rc, corpus):
+        ds = real_windows(rc, corpus)
+        built.append(weakref.ref(ds))
+        return ds
+
+    def train(rc, dataset):
+        alive.append(sum(ref() is not None for ref in built))
+        return real_train(rc, dataset)
+
+    monkeypatch.setattr(cli, "_windows", windows)
+    monkeypatch.setattr(training, "train", train)
+    datadir = make_data(tmp_path, days=6, rows=40)
+    code = main(["eval", "--config", write_cfg(tmp_path, epochs=1), "--data", datadir,
+                 "--report", str(tmp_path / "r.csv")])
+    assert code in (0, 1)  # a 1-epoch fold may score undefined; every fold still trains
+    assert len(alive) == 5 and max(alive) <= 2, alive
 
 
 @pytest.mark.parametrize("rows,message", [

@@ -296,18 +296,18 @@ def test_gaussian_config_gets_sigma_parameter():
     assert "sigma" in params and "alpha" not in params
     assert float(params["sigma"]) > 0
     # sigma stays fixed: it is not in the trainable set
-    assert "sigma" not in network.trainable_names(cfg)
+    assert "sigma" not in network.trainable_shapes(cfg)
 
 
 def test_trainable_names_follow_ablation_flags():
-    full = network.trainable_names(tiny_config())
+    full = network.trainable_shapes(tiny_config())
     assert {"conv_w", "conv_b", "codebook", "fc1_w", "fc1_b", "fc2_w", "fc2_b",
             "log_cu", "log_cs", "alpha", "beta"} == set(full)
-    no_kpl = network.trainable_names(tiny_config(kernel_param_learning=False))
+    no_kpl = network.trainable_shapes(tiny_config(kernel_param_learning=False))
     assert "alpha" not in no_kpl and "beta" not in no_kpl
-    frozen = network.trainable_names(tiny_config(adaptive_scaling=config.SCALING_FROZEN))
+    frozen = network.trainable_shapes(tiny_config(adaptive_scaling=config.SCALING_FROZEN))
     assert "log_cu" not in frozen and "log_cs" not in frozen
-    shallow = network.trainable_names(tiny_config(deep_features=False))
+    shallow = network.trainable_shapes(tiny_config(deep_features=False))
     assert "conv_w" not in shallow and "conv_b" not in shallow
 
 
@@ -327,7 +327,7 @@ def test_trainable_names_table(arch, kernel, scaling, kpl, deep):
                 + ["fc1_w", "fc1_b", "fc2_w", "fc2_b"]
                 + (["log_cu", "log_cs"] if bof and scaling == config.SCALING_LEARNED else [])
                 + (["alpha", "beta"] if bof and kpl and kernel == config.KERNEL_LOGISTIC else []))
-    assert network.trainable_names(cfg) == expected
+    assert list(network.trainable_shapes(cfg)) == expected
 
 
 def test_cnn_gap_requires_deep_features():
@@ -377,7 +377,7 @@ def test_model_gradients_match_finite_differences(overrides):
             params[name] = saved
             return float(-np.log(probs[0, label]))
 
-        for name in network.trainable_names(cfg):
+        for name in network.trainable_shapes(cfg):
             fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
             an = np.asarray(grads[name], dtype=float)
             err = relative_error(an.ravel(), fd.ravel())
@@ -504,7 +504,7 @@ def test_gradient_descent_decreases_loss():
         _, ctx = network.forward_batch(x, params, cfg)
         losses.append(network.batch_loss(ctx, y))
         grads = network.backward_batch(ctx, y)
-        for k in network.trainable_names(cfg):
+        for k in network.trainable_shapes(cfg):
             params[k] = params[k] - 0.01 * grads[k]
     assert losses[-1] < losses[0]
     assert losses[-1] < 0.9 * losses[0]
@@ -641,7 +641,7 @@ def test_a_step_on_a_row_table_matches_finite_differences(n_rows, starts, n_step
         params[name] = saved
         return float(-np.log(probs[np.arange(len(labels)), labels]).mean())
 
-    for name in network.trainable_names(cfg):
+    for name in network.trainable_shapes(cfg):
         fd = finite_diff_grad(lambda v, n=name: loss_of(n, v), params[name].copy())
         an = np.asarray(grads[name], dtype=float)
         # near-zero gradients hit the oracle's roundoff floor

@@ -228,9 +228,8 @@ def _model_with(kernel: str, edits) -> tuple:
     cfg = network.ModelConfig(d_in=3, conv_filters=2, conv_kernel=3, n_codewords=2,
                               n_regions=2, hidden=2, kernel=kernel, avg_seq_len=4.0)
     params = network.init_params(cfg, np.random.default_rng(0))
-    state = training.init_adam(params, network.trainable_names(cfg))
-    tensors = {**params, **{f"adam.m.{k}": v for k, v in state.m.items()},
-               **{f"adam.v.{k}": v for k, v in state.v.items()}}
+    state = training.init_adam(network.trainable_shapes(cfg))
+    tensors = {**params, **dict(training._adam_entries(state)[len(training.ADAM_SCALARS) :])}
     for name, index, value in edits:
         if name in tensors:
             tensors[name].flat[index % tensors[name].size] = value
@@ -262,8 +261,8 @@ def check_checkpoint(blob: bytes):
     if "sigma" in params:
         assert params["sigma"] > 0
     if state is not None:
-        assert set(state.m) == set(state.v) == set(network.trainable_names(cfg))
-        assert all(np.isfinite(v).all() for v in [*state.m.values(), *state.v.values()])
+        assert state.shapes == network.trainable_shapes(cfg)
+        assert np.isfinite(state.m).all() and np.isfinite(state.v).all()
         assert all(math.isfinite(v) for v in (state.lr, state.beta1, state.beta2, state.eps))
 
 
@@ -298,7 +297,8 @@ EDGE_VALUES = st.one_of(st.floats(3.40e38, 3.41e38), st.floats(-3.41e38, -3.40e3
 def edited_models(draw):
     kernel = draw(st.sampled_from(config.KERNEL_CHOICES))
     params, _, state = _model_with(kernel, [])
-    names = sorted(params) + [f"adam.{kind}.{k}" for kind in "mv" for k in sorted(state.m)]
+    moments = training._adam_entries(state)[len(training.ADAM_SCALARS) :]
+    names = sorted(params) + [name for name, _ in moments]
     names += ["lr", "beta1", "beta2", "eps"]
     edits = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(0, 99), EDGE_VALUES),
                           min_size=1, max_size=3))
@@ -395,7 +395,8 @@ SOURCE_DAYS = data.synth_generate(4, 120, seed=0)
 
 @st.composite
 def command_inputs(draw):
-    """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price) and a config."""
+    """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price), config keys
+    and a ``train --seed``."""
     days = []
     for day_id in range(1, draw(st.integers(1, 4)) + 1):
         n = draw(st.integers(0, 60))
@@ -406,13 +407,17 @@ def command_inputs(draw):
             mids = np.full_like(mids, 100.0)
         days.append(data.FeatureSeries(day_id, source.features[start:start + n], mids))
     window = draw(st.sampled_from([1, 2, 15]))
-    edges = {
+    keys = {
         "window": window,
         "horizon": draw(st.sampled_from([1, 10, 30])),
         "n_regions": draw(st.sampled_from([1, window, window + 1])),
         "lr": draw(st.sampled_from([1e-4, 1e30, 3e38, 1e39])),
+        "arch": draw(st.sampled_from(config.ARCH_CHOICES)),
+        "kernel": draw(st.sampled_from(config.KERNEL_CHOICES)),
     }
-    return days, edges
+    for key in ("deep_features", "nested_regions", "temporal_modeling"):
+        keys[key] = draw(st.booleans())
+    return days, keys, draw(st.sampled_from([0, 7, -1, 2**64]))
 
 
 def run_command(argv, outputs):
@@ -428,13 +433,13 @@ def run_command(argv, outputs):
             err.getvalue()
 
 
-@settings(max_examples=100, deadline=5000)  # about 2 s in all on one core
+@settings(max_examples=100, deadline=5000)  # about 3 s in all on one core
 @given(command_inputs())
 @example(([data.FeatureSeries(1, SOURCE_DAYS[0].features[:60], SOURCE_DAYS[0].mid_prices[:60])],
-          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4}))  # one day: no fold
+          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4}, 0))  # one day: no fold
 @pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
-def test_eval_and_ablate_end_in_an_exit_code_and_their_outputs(scratch, inputs):
-    days, edges = inputs
+def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
+    days, keys, seed = inputs
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         datadir = os.path.join(tmp, "data")
         os.mkdir(datadir)
@@ -444,17 +449,20 @@ def test_eval_and_ablate_end_in_an_exit_code_and_their_outputs(scratch, inputs):
         with open(cfg, "w") as fh:
             fh.write("batch_size = 8\nepochs = 1\nn_codewords = 4\nconv_filters = 4\n"
                      "conv_kernel = 3\nhidden = 6\nablation_seeds = 0\n"
-                     + "".join(f"{k} = {v!r}\n" for k, v in edges.items()))
+                     + "".join(f"{k} = {config._format_value(v)}\n" for k, v in keys.items()))
         model = os.path.join(tmp, "m.tlnb")
         mcfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6,
-                                   n_regions=edges["n_regions"])
+                                   n_regions=keys["n_regions"])
         training.save_checkpoint(model, network.init_params(mcfg, np.random.default_rng(0)),
                                  mcfg)
         grid = os.path.join(tmp, "grid.csv")
         with open(grid, "w") as fh:
             fh.write(",".join(cli._GRID_HEADER) + "\ntrue,true,true,learned\n")
         common = ["--config", cfg, "--data", datadir, "--report"]
-        out = [os.path.join(tmp, name) for name in ("e.csv", "p.csv", "s.csv", "a.csv")]
+        out = [os.path.join(tmp, name) for name in
+               ("e.csv", "p.csv", "s.csv", "a.csv", "t.tlnb", "t.csv")]
         run_command(["eval", *common, out[0], "--dump-predictions", out[1]], out[:2])
         run_command(["eval", *common, out[2], "--model", model, "--folds", "single"], out[2:3])
-        run_command(["ablate", *common, out[3], "--grid", grid], out[3:])
+        run_command(["ablate", *common, out[3], "--grid", grid], out[3:4])
+        run_command(["train", "--config", cfg, "--data", datadir, "--out", out[4],
+                     "--seed", str(seed), "--history", out[5]], out[4:])

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import adam_step_by_name
 from reference import adam_step_per_key, gathered_windows
 
 from tlonbof import config, data, network, training
@@ -28,36 +29,36 @@ def small_dataset(n_days=3, rows=120, seed=7, separation=1.0):
 
 def test_adam_first_step_formula():
     # with bias correction, step one moves by ~lr * sign(g)
-    params = {"w": np.zeros(1)}
-    state = init_adam(params, ["w"], lr=1e-4)
-    adam_step(params, {"w": np.array([0.5])}, state)
+    params = np.zeros(1)
+    state = init_adam({"w": (1,)}, lr=1e-4)
+    adam_step(params, np.array([0.5]), state)
     expected = -1e-4 * 0.5 / (np.sqrt(0.25) + 1e-8)
-    assert params["w"][0] == pytest.approx(expected, rel=1e-9)
+    assert params[0] == pytest.approx(expected, rel=1e-9)
     assert state.t == 1
 
 
 def test_adam_zero_gradient_is_identity():
-    params = {"w": np.array([1.0, -2.0])}
-    state = init_adam(params, ["w"])
-    adam_step(params, {"w": np.zeros(2)}, state)
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    params = np.array([1.0, -2.0])
+    state = init_adam({"w": (2,)})
+    adam_step(params, np.zeros(2), state)
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(0)
     w0 = rng.normal(size=5)
-    params = {"w": w0.copy()}
-    state = init_adam(params, ["w"], lr=1e-2)
+    params = w0.copy()
+    state = init_adam({"w": (5,)}, lr=1e-2)
     ref_w, m, v = w0.copy(), np.zeros(5), np.zeros(5)
     for t in range(1, 8):
         g = rng.normal(size=5)
-        adam_step(params, {"w": g.copy()}, state)
+        adam_step(params, g.copy(), state)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1 - 0.9**t)
         vhat = v / (1 - 0.999**t)
         ref_w -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert np.allclose(params["w"], ref_w, atol=1e-12)
+    assert np.allclose(params, ref_w, atol=1e-12)
 
 
 BLOCK = training.ADAM_BLOCK
@@ -68,6 +69,7 @@ ADAM_SHAPES = {
     "one past a block": [(BLOCK + 1,)],
     "several blocks": [(5, 48, 512)],
     "mixed": [(), (3,), (BLOCK + 1,), (3, 144, 100), ()],
+    "from a checkpoint": None,  # float32 moments and t as a checkpoint stores them
 }
 
 
@@ -75,55 +77,47 @@ def _bits_of(arrays: dict) -> dict:
     return {k: v.tobytes() for k, v in arrays.items()}
 
 
-def _adam_against_the_per_key_step(params, moments=None):
-    """Three steps of blocked and of per-key Adam from one start, every value bit for bit."""
+def _adam_against_the_per_key_step(state):
+    """Three steps of vector Adam and of the per-key one from ``state``, every value bit for bit.
+
+    The per-key step starts from the moments widened to float64, as the first vector step
+    widens them."""
     rng = np.random.default_rng(1)
+    vector = rng.normal(size=state.m.size)
+    params = network.flat_views(vector, state.shapes)
     want = {k: v.copy() for k, v in params.items()}
-    state, ref = init_adam(params, list(params), lr=1e-2), init_adam(want, list(want), lr=1e-2)
-    if moments is not None:  # the state's own arrays, laid out as the caller chose
-        state.m, state.v = moments
-    held = dict(params)
+    ref = replace(state, **{kind: {k: a.astype(np.float64) for k, a in
+                                   network.flat_views(getattr(state, kind), state.shapes).items()}
+                            for kind in "mv"})
     for _ in range(3):
-        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        adam_step(params, {k: g.copy() for k, g in grads.items()}, state)
-        adam_step_per_key(want, grads, ref)
-    assert all(params[k] is held[k] for k in held)  # updated in place
-    assert state.t == ref.t == 3
+        grads = rng.normal(size=vector.size)
+        adam_step(vector, grads.copy(), state)
+        adam_step_per_key(want, network.flat_views(grads, state.shapes), ref)
+    assert state.t == ref.t
     assert _bits_of(params) == _bits_of(want)
-    assert _bits_of(state.m) == _bits_of(ref.m) and _bits_of(state.v) == _bits_of(ref.v)
+    assert _bits_of(network.flat_views(state.m, state.shapes)) == _bits_of(ref.m)
+    assert _bits_of(network.flat_views(state.v, state.shapes)) == _bits_of(ref.v)
 
 
 @pytest.mark.parametrize("shapes", ADAM_SHAPES.values(), ids=ADAM_SHAPES.keys())
-def test_blocked_adam_is_the_per_key_step_bit_for_bit(shapes):
-    rng = np.random.default_rng(0)
-    _adam_against_the_per_key_step({f"p{i}": np.array(rng.normal(size=shape))
-                                    for i, shape in enumerate(shapes)})
-
-
-def test_blocked_adam_updates_a_non_contiguous_parameter_in_place():
-    rng = np.random.default_rng(2)
-    base = rng.normal(size=(40, 3 * BLOCK // 40))
-    untouched = base[:, 1::3].copy()
-    params = {"strided": base[:, ::3], "transposed": rng.normal(size=(300, 200)).T,
-              "many rows": rng.normal(size=(BLOCK + 7, 2))[:, :1],
-              "dense": rng.normal(size=(BLOCK + 5,))}
-    _adam_against_the_per_key_step(params)
-    assert np.shares_memory(params["strided"], base)
-    assert np.array_equal(base[:, 1::3], untouched)
-    # moments that are views too
-    m_base, v_base = np.zeros((2, 64, 100)), np.zeros((2, 64, 100))
-    params = {"w": rng.normal(size=(64, 50))}
-    _adam_against_the_per_key_step(params, ({"w": m_base[0, :, ::2]}, {"w": v_base[1, :, 1::2]}))
-    assert m_base[0, :, ::2].any() and not m_base[0, :, 1::2].any() and not m_base[1].any()
+def test_blocked_adam_is_the_per_key_step_bit_for_bit(tmp_path, shapes):
+    if shapes is None:
+        path = tmp_path / "model.tlnb"
+        _checkpoint_with_moments(path)
+        state = training.load_checkpoint(path)[2]
+        assert state.m.dtype == state.v.dtype == np.float32 and state.t == 5
+        assert state.m.size > 2 * BLOCK
+    else:
+        state = init_adam({f"p{i}": shape for i, shape in enumerate(shapes)}, lr=1e-2)
+    _adam_against_the_per_key_step(state)
 
 
 def test_adam_rejects_shape_mismatch():
-    params = {"w": np.zeros((2, 2))}
-    state = init_adam(params, ["w"])
+    state = init_adam({"w": (2, 2)})
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(3)}, state)
+        adam_step(np.zeros(4), np.zeros(3), state)
     with pytest.raises(ValueError):
-        adam_step(params, {"unknown": np.zeros((2, 2))}, state)
+        adam_step(np.zeros(3), np.zeros(3), state)
 
 
 def test_balanced_batch_equalizes_classes():
@@ -300,21 +294,64 @@ def test_a_training_step_holds_one_set_of_gradients(monkeypatch):
     assert second.keys() == first.keys() and all(second[k] is first[k] for k in first)
 
 
-def test_log_scale_floor_keeps_the_parameter_arrays(monkeypatch):
-    # a clamped step writes the floor into the array Adam updates in place
-    real_step = training.adam_step
-    first = {}
+@pytest.mark.parametrize("run", ["plain", "floored", "diverged"])
+def test_the_training_state_stays_views_of_its_vectors(monkeypatch, run):
+    # at the end of a run every parameter and gradient is a view of its vector, and the Adam
+    # head of each is the moments' layout: code that rebinds a key breaks this. The floored
+    # run sinks log_cu after each step, so the floor writes into its view; the diverged one
+    # ends with a non-finite loss in epoch 2, whose snapshot is views of one float32 vector
+    seen = {}
+    real_forward, real_backward = network.forward_batch, network.backward_batch
+    real_step, real_loss = training.adam_step, network.batch_loss
+    losses = iter(range(10**6))
 
-    def step_then_sink_log_cu(params, grads, state):
+    def forward(batch, params, cfg):
+        seen["params"] = params
+        return real_forward(batch, params, cfg)
+
+    def backward(ctx, labels, out=None):
+        seen["grads"] = out
+        return real_backward(ctx, labels, out=out)
+
+    def step(params, grads, state):
         real_step(params, grads, state)
-        first.setdefault("params", dict(params))
-        params["log_cu"][...] = -50.0
+        seen.update(head=params, grad_head=grads, state=state)
+        if run == "floored":
+            network.flat_views(params, state.shapes)["log_cu"][...] = -50.0
 
-    monkeypatch.setattr(training, "adam_step", step_then_sink_log_cu)
-    ds = small_dataset(n_days=2, rows=40, seed=2)
-    result = training.train(RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN), ds)
-    assert all(result.params[k] is v for k, v in first["params"].items())
-    assert result.params["log_cu"].tobytes() == np.array(training.LOG_SCALE_FLOOR).tobytes()
+    def loss(ctx, labels):
+        return real_loss(ctx, labels) if run != "diverged" or next(losses) < 3 else float("nan")
+
+    monkeypatch.setattr(network, "forward_batch", forward)
+    monkeypatch.setattr(network, "backward_batch", backward)
+    monkeypatch.setattr(training, "adam_step", step)
+    monkeypatch.setattr(network, "batch_loss", loss)
+    ds = small_dataset(n_days=2, rows=40, seed=2)  # 32 samples: 2 steps of 16 per epoch
+    rc = RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN)
+    if run == "diverged":
+        with pytest.raises(TrainingDiverged) as err:
+            training.train(rc, ds)
+        assert err.value.step == 3
+        snapshot = err.value.last_good_params
+        whole = snapshot["fc1_w"].base
+        assert whole.dtype == np.float32 and whole.size == sum(v.size for v in snapshot.values())
+        assert all(np.shares_memory(v, whole) for v in snapshot.values())
+    else:
+        assert training.train(rc, ds).params is seen["params"]
+    params, grads, state = seen["params"], seen["grads"], seen["state"]
+    head, grad_head = seen["head"], seen["grad_head"]
+    assert list(params) == list(network.param_shapes(network.ModelConfig.from_run(rc, ds.window)))
+    for arrays, vector in [(params, head.base), (grads, grad_head.base)]:
+        assert vector.size == sum(v.size for v in arrays.values())
+        assert all(np.shares_memory(v, vector) for v in arrays.values())
+    for k, view in network.flat_views(head, state.shapes).items():
+        assert np.shares_memory(params[k], view) and np.array_equal(params[k], view), k
+    for k, view in network.flat_views(grad_head, state.shapes).items():
+        assert np.shares_memory(grads[k], view) and np.array_equal(grads[k], view), k
+    for name, view in training._adam_entries(state)[len(training.ADAM_SCALARS) :]:
+        assert np.shares_memory(view, state.m if name.startswith("adam.m.") else state.v)
+    if run == "floored":
+        assert params["log_cu"].tobytes() == np.array(training.LOG_SCALE_FLOOR).tobytes()
 
 
 # two training steps in a fresh process, then whether numpy.ma was imported
@@ -377,8 +414,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.allclose(params[k], v, rtol=1e-6, atol=1e-7)
     assert state.t == result.adam_state.t
     assert state.lr == pytest.approx(result.adam_state.lr)
-    for k in result.adam_state.m:
-        assert np.allclose(state.m[k], result.adam_state.m[k], rtol=1e-6, atol=1e-12)
+    assert state.shapes == result.adam_state.shapes
+    assert np.allclose(state.m, result.adam_state.m, rtol=1e-6, atol=1e-12)
 
 
 def test_checkpoint_without_optimizer_state(tmp_path):
@@ -396,15 +433,18 @@ def test_loaded_moments_stay_stored_float32_until_adam_steps_them(tmp_path):
     training.save_checkpoint(path, result.params, result.model_cfg, result.adam_state)
     params, cfg, state = training.load_checkpoint(path)
     assert all(v.dtype == np.float64 for v in params.values())
+    assert state.shapes == result.adam_state.shapes
     for kind in ("m", "v"):
-        for k, stored in getattr(result.adam_state, kind).items():
-            got = getattr(state, kind)[k]
-            assert got.dtype == np.float32 and np.array_equal(got, stored.astype(np.float32)), k
+        got, stored = getattr(state, kind), getattr(result.adam_state, kind)
+        assert got.dtype == np.float32 and np.array_equal(got, stored.astype(np.float32)), kind
     x, y = ds.gather(np.arange(16))
     _, ctx = network.forward_batch(x, params, cfg)
     grads = network.backward_batch(ctx, y)
-    adam_step(params, {k: grads[k] for k in network.trainable_names(cfg)}, state)
-    assert all(a.dtype == np.float64 for a in [*state.m.values(), *state.v.values()])
+    adam_step_by_name(params, grads, state)
+    assert state.m.dtype == state.v.dtype == np.float64
+    widened = state.m, state.v  # once: later steps update these vectors in place
+    adam_step_by_name(params, grads, state)
+    assert (state.m, state.v) == widened
 
 
 def test_load_checkpoint_peak_is_the_file_and_the_float64_parameters(tmp_path):
@@ -413,10 +453,9 @@ def test_load_checkpoint_peak_is_the_file_and_the_float64_parameters(tmp_path):
     cfg = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
-    state = init_adam(params, network.trainable_names(cfg))
-    for k in state.m:
-        state.m[k][...] = rng.normal(size=params[k].shape)
-        state.v[k][...] = rng.random(params[k].shape)
+    state = init_adam(network.trainable_shapes(cfg))
+    state.m[...] = rng.normal(size=state.m.size)
+    state.v[...] = rng.random(state.v.size)
     path = tmp_path / "model.tlnb"
     training.save_checkpoint(path, params, cfg, state)
     training.load_checkpoint(path)  # first-call allocations are not the reader's
@@ -434,13 +473,13 @@ PEAK_CFG = network.ModelConfig(conv_filters=64, n_codewords=64, hidden=128)
 
 
 def _checkpoint_with_moments(path, cfg=PEAK_CFG):
-    """Save a checkpoint of ``cfg`` with drawn Adam moments; returns (params, state)."""
+    """Save a checkpoint of ``cfg`` with drawn Adam moments at t = 5; returns (params, state)."""
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
-    state = init_adam(params, network.trainable_names(cfg))
-    for k in state.m:
-        state.m[k][...] = rng.normal(size=params[k].shape)
-        state.v[k][...] = rng.random(params[k].shape)
+    state = init_adam(network.trainable_shapes(cfg))
+    state.m[...] = rng.normal(size=state.m.size)
+    state.v[...] = rng.random(state.v.size)
+    state.t = 5
     training.save_checkpoint(path, params, cfg, state)
     return params, state
 
@@ -464,17 +503,15 @@ def test_load_checkpoint_peak_is_what_it_returns(tmp_path):
     params, state = _checkpoint_with_moments(path)
     peak = _traced_peak(lambda: training.load_checkpoint(path))
     sizes = [v.size for v in params.values()]
-    moments = sum(params[k].size for k in state.m)
-    assert peak < 8 * sum(sizes) + 2 * 4 * moments + 4 * max(sizes)
+    assert peak < 8 * sum(sizes) + 2 * 4 * state.m.size + 4 * max(sizes)
     assert max(sizes) > training.READ_BLOCK  # a payload of several blocks
     back, _, back_state = training.load_checkpoint(path)
     for k, v in params.items():
         assert back[k].dtype == np.float64
         assert back[k].tobytes() == v.astype(np.float32).astype(np.float64).tobytes(), k
     for kind in ("m", "v"):
-        for k, stored in getattr(state, kind).items():
-            got = getattr(back_state, kind)[k]
-            assert got.flags.writeable and got.tobytes() == stored.astype(np.float32).tobytes()
+        got, stored = getattr(back_state, kind), getattr(state, kind)
+        assert got.flags.writeable and got.tobytes() == stored.astype(np.float32).tobytes()
 
 
 def test_a_load_that_drops_the_adam_state_holds_only_the_float64_parameters(tmp_path):
@@ -513,18 +550,40 @@ def test_a_payload_the_file_cannot_hold_is_refused_before_it_is_allocated(tmp_pa
     assert str(again.value) == str(err)
 
 
+def test_moment_vectors_are_not_sized_beyond_the_file():
+    # the reader sizes the moment vectors from the metadata before them; metadata naming a
+    # model whose moments the rest of the file cannot hold gets none, and the shape check
+    # refuses the file
+    params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    meta = training._meta_entries(LAYOUT_CFG)
+    meta["meta.hidden"] = 1e9  # moments of over 1e10 values
+    blob = training._encode_tensors(
+        sorted(params.items()) + [(k, np.array(v)) for k, v in sorted(meta.items())]
+        + training._adam_entries(init_adam(network.trainable_shapes(LAYOUT_CFG))))
+
+    def load():
+        with pytest.raises(FormatError) as err:
+            training.deserialize_checkpoint(blob)
+        return err.value
+
+    peak = _traced_peak(load)
+    assert "checkpoint tensor fc1_w has shape" in str(load())
+    assert peak < 1 << 20  # vectors for those moments would take over 40 GB
+
+
 @pytest.mark.parametrize("block", [1, 5, 1000])
 def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
-    state = init_adam(params, network.trainable_names(LAYOUT_CFG))
-    state.m["fc1_w"][...] = np.random.default_rng(1).normal(size=params["fc1_w"].shape)
+    state = init_adam(network.trainable_shapes(LAYOUT_CFG))
+    fc1_w = network.flat_views(state.m, state.shapes)["fc1_w"]
+    fc1_w[...] = np.random.default_rng(1).normal(size=fc1_w.shape)
     blob = training.serialize_checkpoint(params, LAYOUT_CFG, state)
     whole = training.deserialize_checkpoint(blob)
     monkeypatch.setattr(training, "READ_BLOCK", block)
     got = training.deserialize_checkpoint(blob)
     assert got[1] == whole[1]
-    for a, b in [(got[0], whole[0]), (got[2].m, whole[2].m), (got[2].v, whole[2].v)]:
-        assert all(a[k].tobytes() == b[k].tobytes() for k in b)
+    assert all(got[0][k].tobytes() == whole[0][k].tobytes() for k in whole[0])
+    assert got[2].m.tobytes() == whole[2].m.tobytes() and got[2].v.tobytes() == whole[2].v.tobytes()
 
     def last_value_nan(tensors):  # in the last block of fc1_w
         tensors["fc1_w"] = tensors["fc1_w"].copy()
@@ -539,7 +598,7 @@ def test_load_checkpoint_reads_a_pipe(tmp_path):
     # a pipe has no size to bound the payloads by, so it is read whole
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
     blob = training.serialize_checkpoint(
-        params, LAYOUT_CFG, init_adam(params, network.trainable_names(LAYOUT_CFG)))
+        params, LAYOUT_CFG, init_adam(network.trainable_shapes(LAYOUT_CFG)))
     fifo = tmp_path / "model.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
@@ -616,8 +675,9 @@ def test_resume_matches_quantized_state_exactly(tmp_path):
     # the checkpoint rounds every stored value through f32, the Adam
     # hyperparameters included, so the reference must as well
     ref_state = AdamState(
-        m={k: quant(v) for k, v in result.adam_state.m.items()},
-        v={k: quant(v) for k, v in result.adam_state.v.items()},
+        result.adam_state.shapes,
+        m=quant(result.adam_state.m),
+        v=quant(result.adam_state.v),
         t=result.adam_state.t,
         lr=float(quant(result.adam_state.lr)),
         beta1=float(quant(result.adam_state.beta1)),
@@ -627,9 +687,7 @@ def test_resume_matches_quantized_state_exactly(tmp_path):
     x, y = ds.gather(np.arange(16))
     for params, state in ((loaded_params, loaded_state), (ref_params, ref_state)):
         _, ctx = network.forward_batch(x, params, cfg)
-        grads = network.backward_batch(ctx, y)
-        updates = {k: grads[k] for k in network.trainable_names(cfg)}
-        adam_step(params, updates, state)
+        adam_step_by_name(params, network.backward_batch(ctx, y), state)
     for k in ref_params:
         assert np.array_equal(loaded_params[k], ref_params[k]), k
     assert loaded_state.t == ref_state.t
@@ -698,7 +756,7 @@ ADAM_WITHOUT_T = {"adam.lr": 1e-4, "adam.beta1": 0.9, "adam.beta2": 0.999, "adam
 def _add_adam_state(tensors):
     tensors.update((k, np.array(v)) for k, v in ADAM_WITHOUT_T.items())
     tensors["adam.t"] = np.array(1.0)
-    for k in network.trainable_names(LAYOUT_CFG):
+    for k in network.trainable_shapes(LAYOUT_CFG):
         tensors[f"adam.m.{k}"] = np.zeros_like(tensors[k])
         tensors[f"adam.v.{k}"] = np.zeros_like(tensors[k])
 
@@ -771,10 +829,10 @@ def test_a_load_that_drops_the_adam_state_still_refuses_it(tmp_path, edit, name)
 ])
 def test_serialize_refuses_values_float32_cannot_hold(name, value):
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
-    state = init_adam(params, network.trainable_names(LAYOUT_CFG))
+    state = init_adam(network.trainable_shapes(LAYOUT_CFG))
     prefix, _, key = name.rpartition(".")
-    target = {"": params, "adam.m": state.m, "adam.v": state.v}[prefix]
-    target[key] = np.full(np.shape(target[key]), value)
+    target = network.flat_views(getattr(state, prefix[-1]), state.shapes) if prefix else params
+    target[key][...] = value
     with pytest.raises(NumericError) as err:
         training.serialize_checkpoint(params, LAYOUT_CFG, state)
     assert name in str(err.value)
@@ -785,7 +843,7 @@ def test_serialize_refuses_values_float32_cannot_hold(name, value):
 @pytest.mark.parametrize("value", [3.5e9, 709.7827])
 def test_serialize_refuses_a_log_scale_whose_stored_factor_overflows(value):
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
-    params["log_cs"] = np.array(value)
+    params["log_cs"][...] = value
     with pytest.raises(NumericError, match="checkpoint tensor log_cs"):
         training.serialize_checkpoint(params, LAYOUT_CFG)
 
@@ -797,7 +855,7 @@ def test_train_keeps_only_snapshots_that_save_and_load(monkeypatch, value):
 
     def step_then_push_scale(params, grads, state):
         real_step(params, grads, state)
-        params["log_cs"] = np.array(value)
+        network.flat_views(params, state.shapes)["log_cs"][...] = value
 
     monkeypatch.setattr(training, "adam_step", step_then_push_scale)
     ds = small_dataset(n_days=2, rows=40, seed=2)
@@ -830,7 +888,7 @@ def test_checkpoint_non_positive_sigma_is_format_error(sigma):
 def test_serialize_refuses_a_sigma_the_reader_would_refuse(sigma):
     cfg = replace(LAYOUT_CFG, kernel="gaussian")
     params = network.init_params(cfg, np.random.default_rng(0))
-    params["sigma"] = np.array(sigma)
+    params["sigma"][...] = sigma
     with pytest.raises(NumericError, match="checkpoint tensor sigma"):
         training.serialize_checkpoint(params, cfg)
 
@@ -849,7 +907,7 @@ def test_model_config_defaults_are_the_run_config_defaults():
     given = inspect.signature(data.WindowDataset).parameters
     assert ([given[k].default for k in ("window", "horizon", "threshold", "mode")]
             == [rc.window, rc.horizon, rc.threshold, rc.label_mode])
-    assert AdamState(m={}, v={}).lr == init_adam({}, []).lr == rc.lr
+    assert AdamState({}, np.zeros(0), np.zeros(0)).lr == init_adam({}).lr == rc.lr
 
 
 def test_model_config_from_run_copies_shared_fields():
