@@ -35,7 +35,7 @@ def _configure_threads() -> None:
 _configure_threads()
 
 # the submodules import numpy, so they come after the caps
-from .bof import forward_batch as bof_forward_batch, segment
+from .bof import segment
 from .config import RunConfig, load_run_config, save_run_config
 from .data import (
     DOWN,
@@ -84,7 +84,6 @@ __all__ = [
     "adam_step",
     "anchored_folds",
     "balanced_batch",
-    "bof_forward_batch",
     "cohens_kappa",
     "confusion",
     "glorot_uniform",

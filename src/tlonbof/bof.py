@@ -218,9 +218,10 @@ def spread(index: np.ndarray, upstream: np.ndarray, regions: list[tuple[int, int
     return out
 
 
-def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg,
-                  index: np.ndarray) -> tuple[np.ndarray, BofContext]:
-    """Pool windows of feature rows into temporal histograms.
+def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: np.ndarray,
+                  keep: bool = True) -> tuple[np.ndarray, BofContext | None]:
+    """Pool windows of feature rows into temporal histograms, and the context the backward
+    pass reads if ``keep``, else None.
 
     ``feats`` is a feature table (T, dim) and ``index`` (batch, n_steps) the
     row each window position reads; two windows read one row at position 0
@@ -232,7 +233,10 @@ def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg,
     if feats.ndim != 2:
         raise ValueError(f"expected a (rows, dim) feature table, got shape {feats.shape}")
     regions = segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
-    k_mat, memberships, dots = assign(feats, params, cfg.kernel, index, keep_dots=True)
+    k_mat, memberships, dots = assign(feats, params, cfg.kernel, index, keep_dots=keep)
+    if not keep:
+        del k_mat  # not held through the histogram
+        return histogram(memberships, index, regions, params)[0], None
     tangent = None if dots is None else _d_alpha(dots, k_mat, memberships, index, regions, params)
     hist, region_means = histogram(memberships, index, regions, params)
     ctx = BofContext(

@@ -16,9 +16,9 @@ parameters from it and returns its gradients under the same names. The two
 scale factors are stored in log space (keys ``log_cu``/``log_cs``) so they
 stay positive without projection, and their gradients are taken in log space.
 
-Training and scoring read the same ``data.WindowBatch`` through the one conv,
-``conv1d_same_batch``: ``forward_batch`` keeps the context the backward pass
-reads, and ``predict_batch`` gives its probabilities without it.
+Training and scoring run the one forward pass, ``forward_batch``, on a
+``data.WindowBatch``: training keeps the context the backward pass reads, and
+scoring keeps none.
 """
 
 from __future__ import annotations
@@ -309,83 +309,46 @@ class NetworkContext:
     probs: np.ndarray
 
 
-def _features(batch: WindowBatch, params: dict[str, np.ndarray], cfg: ModelConfig):
-    """The feature table the pooling reads, the (B, N) index of the row each window position
-    reads, and the conv's layout: the conv's table after its ReLU, or the batch's rows."""
-    if batch.rows.shape[-1] != cfg.d_in:
-        raise ValueError(f"feature dim {batch.rows.shape[-1]} does not match configured "
-                         f"d_in={cfg.d_in}")
-    if not cfg.deep_features:
-        return batch.rows, batch.starts[:, None] + np.arange(batch.window), None
-    # the ReLU overwrites the conv output: only the activation is kept
-    feats, layout = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
-    np.maximum(feats, 0.0, out=feats)
-    return feats, layout.index, layout
-
-
-def forward_batch(
-    x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
-) -> tuple[np.ndarray, NetworkContext]:
-    """Class probabilities for a batch of equal-length windows.
+def forward_batch(x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
+                  keep: bool = True) -> tuple[np.ndarray, NetworkContext | None]:
+    """Class probabilities for a batch of equal-length windows, and the context the backward
+    pass reads if ``keep``, else None.
 
     ``x`` is a ``WindowBatch`` or a (batch, steps, d_in) array, which is read
     as a table whose window i starts at row i * steps. The pooling stage reads
     the conv's feature table by index, or without the conv the windows' rows.
+    Without ``keep`` no kernel dots or alpha tangent are kept, and without deep features the
+    pooling reads each of the batch's rows once however many windows hold it, so the kernel's
+    product may round differently in the last bit.
     """
     batch = x if isinstance(x, WindowBatch) else WindowBatch.of_windows(x)
-    feats, index, layout = _features(batch, params, cfg)
-    if layout is None:
-        # one row per window position, so the kernel's product has the windows' bits
-        feats, index = feats[index.ravel()], np.arange(index.size).reshape(index.shape)
-    bof_ctx = None
-    if cfg.arch == ARCH_TLONBOF:
-        pooled, bof_ctx = bof.forward_batch(feats, params, cfg, index)
+    if batch.rows.shape[-1] != cfg.d_in:
+        raise ValueError(f"feature dim {batch.rows.shape[-1]} does not match configured "
+                         f"d_in={cfg.d_in}")
+    layout = None
+    if cfg.deep_features:
+        # the ReLU overwrites the conv output: only the activation is kept
+        feats, layout = conv1d_same_batch(batch, params["conv_w"], params["conv_b"])
+        np.maximum(feats, 0.0, out=feats)
+        index = layout.index
     else:
-        pooled = feats[index].mean(axis=1)
+        feats, index = batch.rows, batch.starts[:, None] + np.arange(batch.window)
+        if keep:  # one row per window position, so the kernel's product has the windows' bits
+            feats, index = feats[index.ravel()], np.arange(index.size).reshape(index.shape)
+    if cfg.arch == ARCH_TLONBOF:
+        pooled, bof_ctx = bof.forward_batch(feats, params, cfg, index, keep)
+    else:
+        pooled, bof_ctx = feats[index].mean(axis=1), None
 
-    fc1_pre, fc1_act, logp, probs = _head(pooled, params)
-    ctx = NetworkContext(
-        cfg=cfg,
-        params=params,
-        batch=batch,
-        feats=feats,
-        index=index,
-        layout=layout,
-        bof_ctx=bof_ctx,
-        pooled=pooled,
-        fc1_pre=fc1_pre,
-        fc1_act=fc1_act,
-        logp=logp,
-        probs=probs,
-    )
-    return probs, ctx
-
-
-def _head(pooled: np.ndarray, params: dict[str, np.ndarray]):
-    """Dense head on pooled features: fc1 pre-activation and ReLU, log-probs, probs."""
     fc1_pre = fully_connected(pooled, params["fc1_w"], params["fc1_b"])
     fc1_act = np.maximum(fc1_pre, 0.0)
     logp = log_softmax(fully_connected(fc1_act, params["fc2_w"], params["fc2_b"]))
-    return fc1_pre, fc1_act, logp, np.exp(logp)
-
-
-def predict_batch(batch: WindowBatch, params: dict[str, np.ndarray],
-                  cfg: ModelConfig) -> np.ndarray:
-    """Class probabilities for a batch of equal-length windows, forward only.
-
-    ``forward_batch``'s probabilities without its context: no kernel dots or alpha tangent are
-    kept for a backward pass. Without deep features the pooling reads each of the batch's rows
-    once however many windows hold it, so the kernel's product may round differently in the
-    last bit.
-    """
-    feats, index, _ = _features(batch, params, cfg)
-    if cfg.arch == ARCH_TLONBOF:
-        _, memberships, _ = bof.assign(feats, params, cfg.kernel, index)
-        regions = bof.segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
-        pooled, _ = bof.histogram(memberships, index, regions, params)
-    else:
-        pooled = feats[index].mean(axis=1)
-    return _head(pooled, params)[3]
+    probs = np.exp(logp)
+    if not keep:
+        return probs, None
+    ctx = NetworkContext(cfg, params, batch, feats, index, layout, bof_ctx, pooled, fc1_pre,
+                         fc1_act, logp, probs)
+    return probs, ctx
 
 
 def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:

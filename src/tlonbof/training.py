@@ -84,20 +84,24 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         p -= step
 
 
-def balanced_batch(labels: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample indices with replacement, weighting each sample by 1/count(its class).
-
-    The weights come from whichever classes are present.
-    """
+def balanced_cdf(labels: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` builds from weights 1/count(each sample's class), summing
+    to 1 over the samples. The weights come from whichever classes are present."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("cannot sample from an empty label set")
+    weights = 1.0 / np.bincount(labels)[labels]
+    cdf = np.cumsum(weights / weights.sum())
+    return cdf / cdf[-1]
+
+
+def balanced_batch(cdf: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample indices with replacement from ``balanced_cdf(labels)``, bit for bit the draws of
+    ``rng.choice(labels.size, size=batch_size, p=weights)`` with the weights that CDF sums,
+    at a cost that does not grow with the labels."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    counts = np.bincount(labels)
-    weights = 1.0 / counts[labels]
-    weights /= weights.sum()
-    return rng.choice(labels.size, size=batch_size, p=weights)
+    return cdf.searchsorted(rng.random(batch_size), side="right")
 
 
 @dataclass
@@ -143,14 +147,14 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     snapshot, last_good = network.param_vector(cfg, np.float32)  # as a checkpoint stores them
     snapshot[...] = vector
     history = TrainHistory()
-    labels = dataset.labels
+    # weight by the classes actually present; a degenerate day with a
+    # single label is trainable, it just cannot teach other classes
+    cdf = balanced_cdf(dataset.labels)
     steps_per_epoch = math.ceil(dataset.n_samples / rc.batch_size)
     step = 0
     for _epoch in range(rc.epochs):
         for _ in range(steps_per_epoch):
-            # weight by the classes actually present; a degenerate day with a
-            # single label is trainable, it just cannot teach other classes
-            idx = balanced_batch(labels, rc.batch_size, rng_batch)
+            idx = balanced_batch(cdf, rc.batch_size, rng_batch)
             batch, y = dataset.gather(idx)
             try:
                 _, ctx = network.forward_batch(batch, params, cfg)
@@ -183,11 +187,11 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
     """Argmax class predictions over a whole dataset, ``PREDICT_CHUNK`` windows at a time.
 
     Each chunk of consecutive samples is gathered as training gathers a batch
-    and scored by ``network.predict_batch``, so a row shared by many windows
-    goes through the conv once per chunk. At the paper geometry a chunk of 128
-    windows of one day reads 142 rows; its feature table has 138 inner rows
-    and 512 edge rows (4 edge positions of 128 windows), whose 650 rows of
-    kernel values take 1.3 MB at 256 codewords. A training batch of 128
+    and scored by ``network.forward_batch`` keeping no context, so a row shared
+    by many windows goes through the conv once per chunk. At the paper geometry
+    a chunk of 128 windows of one day reads 142 rows; its feature table has 138
+    inner rows and 512 edge rows (4 edge positions of 128 windows), whose 650
+    rows of kernel values take 1.3 MB at 256 codewords. A training batch of 128
     windows drawn at random shares fewer rows: its feature table has about
     1,100 of the 1,920 window positions' rows, whose kernel values (2.3 MB)
     its backward pass keeps.
@@ -196,7 +200,8 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
     preds = np.empty(n, dtype=np.int64)
     for first in range(0, n, PREDICT_CHUNK):
         idx = np.arange(first, min(first + PREDICT_CHUNK, n))
-        preds[idx] = network.predict_batch(dataset.gather(idx)[0], params, cfg).argmax(axis=1)
+        probs, _ = network.forward_batch(dataset.gather(idx)[0], params, cfg, keep=False)
+        preds[idx] = probs.argmax(axis=1)
     return preds
 
 

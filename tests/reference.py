@@ -3,7 +3,8 @@
 Each one is a slow, direct transcription that the package's fast paths are
 checked against: the scalar labeler, materialised windows, a per-tap
 convolution and its weight gradient, Adam one parameter at a time, the
-scalar kernels and the finite-difference gradient oracle. They import
+class-balanced sampler through ``Generator.choice``, the scalar kernels and
+the finite-difference gradient oracle. They import
 nothing from the modules they check (``bof``, ``kernels``,
 ``network``, ``training``); only the data types and constants
 of ``tlonbof.data`` and the exception types of ``tlonbof.errors``.
@@ -174,6 +175,21 @@ def adam_step_per_key(params, grads, state) -> None:
         step *= state.lr
         step /= buf
         params[k] -= step
+
+
+def balanced_batch_by_choice(labels: np.ndarray, batch_size: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Sample indices with replacement, weighting each sample by 1/count(its class), through
+    ``rng.choice(..., p=weights)``, which rebuilds its CDF over every label at every call."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("cannot sample from an empty label set")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    counts = np.bincount(labels)
+    weights = 1.0 / counts[labels]
+    weights /= weights.sum()
+    return rng.choice(labels.size, size=batch_size, p=weights)
 
 
 # ---------------------------------------------------------------------------

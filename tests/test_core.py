@@ -111,7 +111,7 @@ def test_reference_imports_nothing_it_checks():
 
 
 def test_public_names_resolve():
-    assert len(tlonbof.__all__) == len(set(tlonbof.__all__)) == 34
+    assert len(tlonbof.__all__) == len(set(tlonbof.__all__)) == 33
     for name in tlonbof.__all__:
         assert getattr(tlonbof, name) is not None, name
     for name in MOVED_TO_REFERENCE:

@@ -416,8 +416,9 @@ def test_batch_forward_matches_single_sample():
         assert np.allclose(batch_probs[b], single[0], atol=1e-12)
 
 
-def _predict_vs_forward(cfg, n_steps, n_windows, seed, sigma=None):
-    """predict_batch on a run of consecutive windows against forward_batch on the windows."""
+def _scoring_vs_training_forward(cfg, n_steps, n_windows, seed, sigma=None):
+    """forward_batch keeping no context on a run of consecutive windows against forward_batch
+    keeping its context on the windows."""
     rng = np.random.default_rng(seed)
     params = network.init_params(cfg, rng)
     for name in ("conv_b", "fc1_b", "fc2_b"):  # init leaves the biases at zero
@@ -430,7 +431,9 @@ def _predict_vs_forward(cfg, n_steps, n_windows, seed, sigma=None):
     rows = rng.normal(size=(n_steps + n_windows - 1, cfg.d_in))
     x = rows[np.arange(n_windows)[:, None] + np.arange(n_steps)]
     want, ctx = network.forward_batch(x, params, cfg)
-    got = network.predict_batch(WindowBatch(rows, np.arange(n_windows), n_steps), params, cfg)
+    got, no_ctx = network.forward_batch(WindowBatch(rows, np.arange(n_windows), n_steps), params,
+                                        cfg, keep=False)
+    assert no_ctx is None
     assert got.shape == (n_windows, cfg.n_classes)
     if cfg.deep_features:  # every conv row is the same sum, so the whole pass has the same bits
         assert np.array_equal(got, want)
@@ -446,16 +449,16 @@ def _predict_vs_forward(cfg, n_steps, n_windows, seed, sigma=None):
     dict(d_in=144),  # the paper geometry: 256 filters, 256 codewords, 512 hidden
     dict(d_in=144, conv_filters=32, n_codewords=32, hidden=64),
 ])
-def test_predict_batch_matches_forward_batch_at_the_protocol_geometries(sizes):
-    _predict_vs_forward(network.ModelConfig(**sizes), n_steps=15, n_windows=40, seed=1)
+def test_scoring_forward_matches_training_forward_at_the_protocol_geometries(sizes):
+    _scoring_vs_training_forward(network.ModelConfig(**sizes), n_steps=15, n_windows=40, seed=1)
 
 
 # every kernel width with windows from 1 step up to two past the kernel,
 # windows shorter than the kernel included
 @pytest.mark.parametrize("taps,n_steps", [(t, n) for t in (1, 3, 5, 7) for n in range(1, t + 3)])
-def test_predict_batch_matches_forward_batch_for_every_tap_set(taps, n_steps):
+def test_scoring_forward_matches_training_forward_for_every_tap_set(taps, n_steps):
     cfg = tiny_config(conv_kernel=taps, n_regions=min(3, n_steps))
-    _predict_vs_forward(cfg, n_steps, n_windows=9, seed=taps * 10 + n_steps)
+    _scoring_vs_training_forward(cfg, n_steps, n_windows=9, seed=taps * 10 + n_steps)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -465,10 +468,10 @@ def test_predict_batch_matches_forward_batch_for_every_tap_set(taps, n_steps):
     {"n_regions": 1},
     {"kernel": config.KERNEL_GAUSSIAN},
 ])
-def test_predict_batch_matches_forward_batch_for_every_model(overrides):
+def test_scoring_forward_matches_training_forward_for_every_model(overrides):
     cfg = tiny_config(**overrides)
     sigma = 4.0 if cfg.kernel == config.KERNEL_GAUSSIAN else None
-    ctx = _predict_vs_forward(cfg, n_steps=7, n_windows=11, seed=2, sigma=sigma)
+    ctx = _scoring_vs_training_forward(cfg, n_steps=7, n_windows=11, seed=2, sigma=sigma)
     if sigma is not None:  # a sigma whose kernel rows keep their magnitude
         assert ctx.bof_ctx.k_mat.sum(axis=-1).min() > 1e-3
 
@@ -680,9 +683,9 @@ def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
 
 # Traced peak of scoring one chunk, in the same (T, K) units: 32 windows of 46
 # rows, whose feature table has 170 rows. Scoring holds the activation, K and
-# U, about four units with the histograms and the head; forward_batch, which
-# keeps the logistic kernel's dots and d histogram / d alpha for a backward
-# pass, takes 6.4, and keeping the dots alone takes 5.8.
+# U, about four units with the histograms and the head; forward_batch keeping
+# its context, with the logistic kernel's dots and d histogram / d alpha for a
+# backward pass, takes 6.4, and keeping the dots alone takes 5.8.
 def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16)
     rng = np.random.default_rng(0)
@@ -692,7 +695,7 @@ def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     assert rows == 170
     tracemalloc.start()  # traces only what scoring allocates
     try:
-        network.predict_batch(batch, params, cfg)
+        network.forward_batch(batch, params, cfg, keep=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

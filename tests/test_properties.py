@@ -26,7 +26,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from reference import conv_flat_per_tap, gathered_windows, windowize  # noqa: E402
+from reference import (  # noqa: E402
+    balanced_batch_by_choice, conv_flat_per_tap, gathered_windows, windowize)
 
 from tlonbof import cli, config, data, kernels, network, training  # noqa: E402
 from tlonbof.errors import FormatError, NumericError  # noqa: E402
@@ -387,6 +388,22 @@ def test_sigmoid_into_its_own_input_is_bitwise_the_fresh_result(z):
     assert np.array_equal(z.view(np.uint64), np.asarray(want).view(np.uint64))
 
 
+# every class count from a lone sample up to thousands, in any class subset
+@given(st.dictionaries(st.integers(0, 2), st.integers(1, 1500), min_size=1),
+       st.lists(st.integers(1, 300), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+@example({0: 1}, [1], 0)
+@example({2: 1500, 0: 1}, [300, 1], 1)
+def test_sampler_draws_are_bitwise_those_of_choice(class_counts, batch_sizes, seed):
+    labels = np.concatenate([np.full(n, c) for c, n in class_counts.items()])
+    labels = np.random.default_rng(seed).permutation(labels)
+    cdf = training.balanced_cdf(labels)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in batch_sizes:  # consecutive draws from one generator
+        got = training.balanced_batch(cdf, size, rng)
+        want = balanced_batch_by_choice(labels, size, oracle_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # whole commands on small corpora and edge-value configs
 
@@ -396,7 +413,7 @@ SOURCE_DAYS = data.synth_generate(4, 120, seed=0)
 @st.composite
 def command_inputs(draw):
     """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price), config keys
-    and a ``train --seed``."""
+    at edge values and a ``train --seed``."""
     days = []
     for day_id in range(1, draw(st.integers(1, 4)) + 1):
         n = draw(st.integers(0, 60))
@@ -414,6 +431,11 @@ def command_inputs(draw):
         "lr": draw(st.sampled_from([1e-4, 1e30, 3e38, 1e39])),
         "arch": draw(st.sampled_from(config.ARCH_CHOICES)),
         "kernel": draw(st.sampled_from(config.KERNEL_CHOICES)),
+        "seed": draw(st.sampled_from([0, -1, 2**64])),
+        "ablation_seeds": draw(st.sampled_from(["0", "-1", "0,-3", "18446744073709551616"])),
+        "conv_kernel": draw(st.sampled_from([1, 3, 17])),  # 17 is longer than any window
+        "batch_size": draw(st.sampled_from([1, 8, 300])),
+        "threshold": draw(st.sampled_from([1e-12, 1e-4, 1e300])),
     }
     for key in ("deep_features", "nested_regions", "temporal_modeling"):
         keys[key] = draw(st.booleans())
@@ -436,7 +458,8 @@ def run_command(argv, outputs):
 @settings(max_examples=100, deadline=5000)  # about 3 s in all on one core
 @given(command_inputs())
 @example(([data.FeatureSeries(1, SOURCE_DAYS[0].features[:60], SOURCE_DAYS[0].mid_prices[:60])],
-          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4}, 0))  # one day: no fold
+          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4, "conv_kernel": 3,
+           "batch_size": 8, "ablation_seeds": "0"}, 0))  # one day: no fold
 @pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
 def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
     days, keys, seed = inputs
@@ -447,12 +470,11 @@ def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
             data.write_feature_csv(os.path.join(datadir, f"day_{series.day_id}.csv"), series)
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
-            fh.write("batch_size = 8\nepochs = 1\nn_codewords = 4\nconv_filters = 4\n"
-                     "conv_kernel = 3\nhidden = 6\nablation_seeds = 0\n"
+            fh.write("epochs = 1\nn_codewords = 4\nconv_filters = 4\nhidden = 6\n"
                      + "".join(f"{k} = {config._format_value(v)}\n" for k, v in keys.items()))
         model = os.path.join(tmp, "m.tlnb")
-        mcfg = network.ModelConfig(conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6,
-                                   n_regions=keys["n_regions"])
+        mcfg = network.ModelConfig(conv_filters=4, conv_kernel=keys["conv_kernel"], n_codewords=4,
+                                   hidden=6, n_regions=keys["n_regions"])
         training.save_checkpoint(model, network.init_params(mcfg, np.random.default_rng(0)),
                                  mcfg)
         grid = os.path.join(tmp, "grid.csv")

@@ -17,7 +17,7 @@ from reference import adam_step_per_key, gathered_windows
 from tlonbof import config, data, network, training
 from tlonbof.config import RunConfig
 from tlonbof.errors import FormatError, NumericError, TrainingDiverged
-from tlonbof.training import AdamState, adam_step, balanced_batch, init_adam
+from tlonbof.training import AdamState, adam_step, balanced_batch, balanced_cdf, init_adam
 
 TINY_TRAIN = dict(n_codewords=8, conv_filters=8, conv_kernel=3, hidden=16)
 
@@ -124,17 +124,19 @@ def test_balanced_batch_equalizes_classes():
     # 900/50/50 counts: inverse-frequency sampling should draw ~1/3 each
     labels = np.concatenate([np.zeros(900), np.ones(50), np.full(50, 2)]).astype(int)
     rng = np.random.default_rng(0)
-    draws = np.concatenate([balanced_batch(labels, 1000, rng) for _ in range(10)])
+    draws = np.concatenate([balanced_batch(balanced_cdf(labels), 1000, rng) for _ in range(10)])
     freq = np.bincount(labels[draws], minlength=3) / draws.size
     # 3 standard errors of a 10000-draw trinomial
     assert np.all(np.abs(freq - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / draws.size) + 0.01)
 
 
 def test_balanced_batch_validates():
-    with pytest.raises(ValueError):
-        balanced_batch(np.array([], dtype=int), 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cannot sample from an empty label set"):
+        balanced_cdf(np.array([], dtype=int))
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        balanced_batch(balanced_cdf(np.array([0, 1])), 0, np.random.default_rng(0))
     # the observed classes are enough
-    idx = balanced_batch(np.array([1, 1, 1]), 4, np.random.default_rng(0))
+    idx = balanced_batch(balanced_cdf(np.array([1, 1, 1])), 4, np.random.default_rng(0))
     assert idx.shape == (4,)
 
 
@@ -172,7 +174,8 @@ def test_seeded_streams_are_pinned():
         digest.update(params[k].astype("<f8").tobytes())
     assert digest.hexdigest() == "ba573dd24fd8b5dd16142d2ad509736086fac4051820d138db28f259e6caca86"
     _, rng_batch = np.random.Generator(np.random.PCG64(5)).spawn(2)
-    draws = np.concatenate([balanced_batch(ds.labels, 16, rng_batch) for _ in range(3)])
+    cdf = balanced_cdf(ds.labels)
+    draws = np.concatenate([balanced_batch(cdf, 16, rng_batch) for _ in range(3)])
     assert (hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()
             == "d59d188f61d2885beb52c6cf93d3d216364c4f1d276c381498d55bffa90630f9")
 
