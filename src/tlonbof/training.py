@@ -10,7 +10,6 @@ gathers chunks of consecutive samples the way training gathers a batch.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import struct
@@ -208,13 +207,15 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "TLNB", version u32 LE, tensor count u32 LE, then
 # per tensor: name length u16 LE + UTF-8 name, rank u8, dims u32 LE each,
-# payload f32 LE row-major. Each ModelConfig field travels as a rank-0
-# "meta.<field>" entry, enum-valued ones as their index in the run-config
-# choice tuple; optimizer moments travel as "adam.*" entries. The reader reads
-# one payload at a time and widens only the parameters to float64; the moments
-# are read into one float32 vector each, which adam_step widens when it steps them.
+# payload f32 LE row-major. Each name appears once. Each ModelConfig field
+# travels as a rank-0 "meta.<field>" entry, enum-valued ones as their index in
+# the run-config choice tuple, so every field but a float one holds a whole
+# number, and a bool field 0 or 1; optimizer moments travel as "adam.*" entries.
+# The reader reads the layout first and the values second, one payload at a time,
+# and widens only the parameters to float64; the moments are read into one float32
+# vector each, which adam_step widens when it steps them.
 
-_META_DECODE = {"int": int, "float": float, "bool": lambda v: bool(int(v))}
+_META_DECODE = {"int": int, "float": float, "bool": bool}
 
 
 def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
@@ -227,19 +228,24 @@ def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
     return entries
 
 
-def _config_from_meta(tensors: dict[str, np.ndarray]) -> ModelConfig:
+def _config_from_meta(meta: dict[str, float]) -> ModelConfig:
     values = {}
     for f in fields(ModelConfig):
         key = f"meta.{f.name}"
-        if not math.isfinite(tensors.get(key, math.nan)):
+        value = meta.get(key, math.nan)
+        if not math.isfinite(value):
             raise FormatError(f"checkpoint model metadata {key} is missing or not finite")
+        if f.type != "float" and not value.is_integer():  # an int, bool or choice field
+            raise FormatError(f"checkpoint {key} = {value!r} is not a whole number")
+        if f.type == "bool" and value not in (0.0, 1.0):
+            raise FormatError(f"checkpoint {key} = {value!r} is not 0 or 1")
         if f.name in CHOICES:
-            choices, index = CHOICES[f.name], int(tensors[key])
+            choices, index = CHOICES[f.name], int(value)
             if not 0 <= index < len(choices):
                 raise FormatError(f"checkpoint {key} = {index} is not an index into {choices}")
             values[f.name] = choices[index]
         else:
-            values[f.name] = _META_DECODE[f.type](tensors[key])
+            values[f.name] = _META_DECODE[f.type](value)
     try:
         return ModelConfig(**values)
     except ValueError as exc:
@@ -335,6 +341,9 @@ class _Reader:
         self.off += n
         return into
 
+    def seek(self, off: int) -> None:
+        self.off = self.fh.seek(off)
+
 
 def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple]) -> None:
     """Require exactly the tensors of ``shapes``, each with its shape (``got``: name -> shape)."""
@@ -350,9 +359,10 @@ def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple]) -> None:
 
 
 def _read_checkpoint(fh, keep_adam: bool = True):
-    """:func:`load_checkpoint` of an open file. Each payload is read through one scratch
-    array and checked by :func:`refusal` as it is read; a refusal is raised after the
-    layout checks."""
+    """:func:`load_checkpoint` of an open file, in two passes. The first reads the layout,
+    every name and shape and the metadata values, and checks it before anything is sized
+    from the file; the second reads each payload in file order through one scratch array,
+    whose blocks :func:`refusal` judges before they are cast."""
     reader = _Reader(fh)
     if reader.take(4, "magic") != CHECKPOINT_MAGIC:
         raise FormatError("bad magic, not a TLNB checkpoint", location="byte 0")
@@ -360,11 +370,8 @@ def _read_checkpoint(fh, keep_adam: bool = True):
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", location="byte 4")
     count = struct.unpack("<I", reader.take(4, "tensor count"))[0]
-    tensors: dict[str, np.ndarray] = {}
-    found: dict[str, tuple] = {}  # the shape of every tensor but the metadata
-    problems: dict[str, str | None] = {}  # refusal(...) of each, in file order
-    state, slots = None, {}  # float32 moments, and each moment's view of them, once sized
-    scratch = np.empty(READ_BLOCK, dtype="<f4")
+    meta: dict[str, float] = {}
+    layout: dict[str, tuple[tuple[int, ...], int]] = {}  # every other tensor: dims, payload offset
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
         name_at = reader.off
@@ -372,61 +379,51 @@ def _read_checkpoint(fh, keep_adam: bool = True):
             name = str(reader.take(name_len, f"name of tensor {i}"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"name of tensor {i} is not UTF-8", location=f"byte {name_at}") from None
+        if name in meta or name in layout:
+            raise FormatError(f"checkpoint tensor {name} appears twice", location=f"byte {name_at}")
         rank = reader.take(1, f"rank of {name}")[0]
         if rank > 3:  # no model tensor has more axes
             raise FormatError(f"tensor {name} has rank {rank}, above 3",
                               location=f"byte {reader.off - 1}")
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
-        size, what, kind = math.prod(dims), f"payload of {name}", name[: name.find(".") + 1]
-        reader.need(4 * size, what)  # before allocating: the dims may name any size
-        if kind == "meta." and rank:
+        nbytes, what = 4 * math.prod(dims), f"payload of {name}"
+        reader.need(nbytes, what)  # the dims may name any size
+        if not name.startswith("meta."):
+            layout[name] = dims, reader.off
+            reader.seek(reader.off + nbytes)
+        elif rank:
             raise FormatError(f"checkpoint model metadata {name} has shape {dims}, not ()")
-        keep = keep_adam or kind != "adam."
-        if keep and state is None and name[:7] in ("adam.m.", "adam.v."):
-            with contextlib.suppress(FormatError):  # the writer writes the metadata first
-                moments = network.trainable_shapes(_config_from_meta(tensors))
-                reader.need(8 * sum(map(math.prod, moments.values())), "moments")  # else no vectors
-                state = init_adam(moments, dtype=np.float32)
-                slots = dict(_adam_entries(state)[len(ADAM_SCALARS) :])
-        out = slots.get(name)
-        if keep and (out is None or out.shape != dims):
-            out = np.empty(size, np.float32 if kind in ("adam.", "meta.") else np.float64)
-        # "" is not judged: log scales and sigma are scalars, and the shape check refuses others
-        problem = "" if rank and name in (*network.LOG_SCALES, "sigma") else None
-        for lo in range(0, size, READ_BLOCK):  # through one scratch, widening parameters
-            block = scratch[: min(size - lo, READ_BLOCK)]
-            reader.take(block.nbytes, what, block)
-            if problem is None and kind != "meta.":
-                problem = refusal([(name, block if rank else block.reshape(()))])
-            if keep and problem is None:  # a refused block is not cast: it may hold NaNs
-                out.reshape(-1)[lo : lo + block.size] = block
-        if keep:
-            tensors[name] = out.reshape(dims)
-        if kind != "meta.":
-            found[name], problems[name] = dims, problem
+        else:
+            meta[name] = struct.unpack("<f", reader.take(4, what))[0]
     if reader.off != reader.size:
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
-    cfg = _config_from_meta(tensors)
-    shapes = network.param_shapes(cfg)
-    expected = dict(shapes)
-    has_adam = any(k.startswith("adam.") for k in found)
-    trainable = network.trainable_shapes(cfg)
+    cfg = _config_from_meta(meta)
+    shapes, trainable = network.param_shapes(cfg), network.trainable_shapes(cfg)
+    expected, has_adam = dict(shapes), any(k.startswith("adam.") for k in layout)
     if has_adam:
         expected.update((f"adam.{k}", ()) for k in ADAM_SCALARS)
         expected.update((f"adam.{kind}.{k}", trainable[k]) for kind in "mv" for k in trainable)
-    _check_tensor_set(found, expected)
-    problem = next(filter(None, problems.values()), None)
-    if problem is not None:
-        raise FormatError(f"checkpoint tensor {problem}")
-    params = {k: tensors[k] for k in shapes}
-    if not has_adam or not keep_adam:
+    _check_tensor_set({k: dims for k, (dims, _) in layout.items()}, expected)
+
+    params = {k: np.empty(s) for k, s in shapes.items()}
+    state = init_adam(trainable, dtype=np.float32) if has_adam and keep_adam else None
+    kept = {**params, **dict(_adam_entries(state))} if state else params  # the rest is dropped
+    scratch = np.empty(READ_BLOCK, dtype="<f4")
+    for name, (dims, at) in layout.items():
+        reader.seek(at)
+        size, out = math.prod(dims), kept.get(name)
+        for lo in range(0, size, READ_BLOCK):
+            block = scratch[: min(size - lo, READ_BLOCK)]
+            reader.take(block.nbytes, f"payload of {name}", block)
+            problem = refusal([(name, block if dims else block.reshape(()))])
+            if problem is not None:  # raised before the block is cast: it may hold NaNs
+                raise FormatError(f"checkpoint tensor {problem}", location=f"byte {at}")
+            if out is not None:
+                out.reshape(-1)[lo : lo + block.size] = block
+    if state is None:
         return params, cfg, None
-    if state is None or state.shapes != trainable:  # the moments came before the metadata
-        state = init_adam(trainable, dtype=np.float32)
-    for name, view in _adam_entries(state)[len(ADAM_SCALARS) :]:  # the moments
-        view[...] = tensors[name]  # no copy where it was read into the view
-    scalars = {k: float(tensors[f"adam.{k}"]) for k in ADAM_SCALARS}
+    scalars = {k: float(kept[f"adam.{k}"]) for k in ADAM_SCALARS}
     return params, cfg, replace(state, t=int(scalars.pop("t")), **scalars)
 
 
@@ -438,9 +435,11 @@ def deserialize_checkpoint(blob: bytes):
 def load_checkpoint(path, keep_adam: bool = True):
     """Read a checkpoint; returns (params, model_cfg, adam_state_or_None).
 
-    The parameters are read as float64 and the Adam moments as the float32 arrays stored,
-    which ``adam_step`` widens as it steps each. No buffer of the file's size is made.
-    ``keep_adam=False`` checks the Adam state as it is read and returns None for it.
+    The layout is checked before any value is read: each name once, the metadata, then the
+    tensor set. The parameters are read as float64 and the Adam moments as the float32
+    arrays stored, in any tensor order; ``adam_step`` widens the moments as it steps each.
+    A refused value is located at the byte where its tensor's payload starts. No buffer of
+    the file's size is made. ``keep_adam=False`` checks the Adam state and returns None for it.
     """
     with open(path, "rb") as fh:  # a pipe cannot be sized, so it is read whole
         return _read_checkpoint(fh if fh.seekable() else io.BytesIO(fh.read()), keep_adam)

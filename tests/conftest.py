@@ -5,7 +5,9 @@ in the test process, otherwise reduction order (and hence bitwise
 determinism checks) can vary with the machine.
 """
 
+import math
 import os
+import struct
 
 for _var in (
     "OMP_NUM_THREADS",
@@ -57,6 +59,18 @@ def adam_step_by_name(params, grads, state):
     training.adam_step(p, g, state)
     for k, view in network.flat_views(p, state.shapes).items():
         params[k][...] = view
+
+
+def reordered(blob: bytes, order) -> bytes:
+    """Checkpoint ``blob``, well formed, with its tensors stored in ``order(names)`` order."""
+    chunks, at = {}, 12  # after the magic, the version and the tensor count
+    while at < len(blob):
+        (n,) = struct.unpack_from("<H", blob, at)
+        rank = blob[at + 2 + n]
+        dims = struct.unpack_from(f"<{rank}I", blob, at + 3 + n)
+        end = at + 3 + n + 4 * rank + 4 * math.prod(dims)
+        chunks[blob[at + 2 : at + 2 + n].decode()], at = blob[at:end], end
+    return blob[:12] + b"".join(chunks[name] for name in order(list(chunks)))
 
 
 # small-instance defaults used across gradient tests

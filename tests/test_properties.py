@@ -1,10 +1,11 @@
 """Property tests for the four input readers, the gathered windows, the conv, the sigmoid
-and whole eval/ablate commands.
+and whole synth/train/eval/ablate commands.
 
 Every input, arbitrary or a mutation of a valid file, must either yield a
 valid object or raise FormatError; the text readers must also name the
 line, and the feature CSV loader must give what its csv row loop alone
-gives. The checkpoint writer must refuse exactly what the reader refuses.
+gives. The checkpoint writer must refuse exactly what the reader refuses,
+and the reader must read a checkpoint's tensors the same in any order.
 A command on a small corpus and an edge-value config must end in exit 0
 with its outputs written, or in exit 1 or 2 with an ``error:`` line.
 Example counts and determinism come from the profile in conftest.
@@ -26,6 +27,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from conftest import reordered  # noqa: E402
 from reference import (  # noqa: E402
     balanced_batch_by_choice, conv_flat_per_tap, gathered_windows, windowize)
 
@@ -306,24 +308,49 @@ def edited_models(draw):
     return _model_with(kernel, edits)
 
 
+def _encoded(model) -> tuple[bytes, bool]:
+    """The checkpoint of ``model`` and whether the writer refuses it; a refused model's
+    tensors are encoded without the writer's check."""
+    params, cfg, state = model
+    try:
+        return training.serialize_checkpoint(params, cfg, state), False
+    except NumericError:
+        entries = (sorted(params.items()) + training._adam_entries(state)
+                   + [(k, np.array(v)) for k, v in training._meta_entries(cfg).items()])
+        with np.errstate(over="ignore"):
+            return training._encode_tensors(entries), True
+
+
 @given(edited_models())
 @example(_model_with("gaussian", [("sigma", 0, 1e-46)]))
 @example(_model_with("logistic", [("log_cs", 0, 709.7827)]))
 @example(_model_with("logistic", [("fc1_w", 0, config.F32_MAX + 2.0**102)]))  # stores as the max
 def test_checkpoint_writer_refuses_exactly_what_the_reader_refuses(model):
-    params, cfg, state = model
-    try:
-        blob = training.serialize_checkpoint(params, cfg, state)
-    except NumericError:
-        # the writer's tensors, encoded without its check, do not load
-        entries = (sorted(params.items()) + training._adam_entries(state)
-                   + [(k, np.array(v)) for k, v in training._meta_entries(cfg).items()])
-        with np.errstate(over="ignore"):
-            blob = training._encode_tensors(entries)
+    blob, refused = _encoded(model)
+    if refused:  # the writer's tensors, encoded without its check, do not load
         with pytest.raises(FormatError):
             training.deserialize_checkpoint(blob)
         return
     training.deserialize_checkpoint(blob)
+
+
+@given(edited_models(), st.data())
+@example(_model_with("logistic", []), None)  # sorted: the moments before the metadata
+@example(_model_with("gaussian", [("adam.m.fc1_w", 0, math.nan)]), None)
+def test_a_checkpoint_reads_the_same_in_any_tensor_order(model, draws):
+    blob, refused = _encoded(model)
+    shuffled = reordered(blob, sorted if draws is None else
+                         lambda names: draws.draw(st.permutations(names)))
+    if refused:
+        with pytest.raises(FormatError):
+            training.deserialize_checkpoint(shuffled)
+        return
+    (params, cfg, state), (got, got_cfg, got_state) = map(training.deserialize_checkpoint,
+                                                          (blob, shuffled))
+    assert got_cfg == cfg and list(got) == list(params)
+    assert all(got[k].tobytes() == params[k].tobytes() for k in params)
+    assert got_state.m.tobytes() == state.m.tobytes() and got_state.v.tobytes() == state.v.tobytes()
+    assert all(getattr(got_state, k) == getattr(state, k) for k in training.ADAM_SCALARS)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +440,8 @@ SOURCE_DAYS = data.synth_generate(4, 120, seed=0)
 @st.composite
 def command_inputs(draw):
     """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price), config keys
-    at edge values and a ``train --seed``."""
+    at edge values, a ``--seed`` for ``train`` and ``synth``, and where ``synth`` writes and
+    its ``--separation``."""
     days = []
     for day_id in range(1, draw(st.integers(1, 4)) + 1):
         n = draw(st.integers(0, 60))
@@ -439,7 +467,9 @@ def command_inputs(draw):
     }
     for key in ("deep_features", "nested_regions", "temporal_modeling"):
         keys[key] = draw(st.booleans())
-    return days, keys, draw(st.sampled_from([0, 7, -1, 2**64]))
+    synth = (draw(st.sampled_from(["new", "file", "under-file", "entry-is-directory"])),
+             draw(st.sampled_from(["1.0", "nan", "inf", "1.8e308", "1.7976931348623157e308"])))
+    return days, keys, draw(st.sampled_from([0, 7, -1, 2**64])), synth
 
 
 def run_command(argv, outputs):
@@ -459,10 +489,10 @@ def run_command(argv, outputs):
 @given(command_inputs())
 @example(([data.FeatureSeries(1, SOURCE_DAYS[0].features[:60], SOURCE_DAYS[0].mid_prices[:60])],
           {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4, "conv_kernel": 3,
-           "batch_size": 8, "ablation_seeds": "0"}, 0))  # one day: no fold
+           "batch_size": 8, "ablation_seeds": "0"}, 0, ("new", "1.0")))  # one day: no fold
 @pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
 def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
-    days, keys, seed = inputs
+    days, keys, seed, (where, separation) = inputs
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         datadir = os.path.join(tmp, "data")
         os.mkdir(datadir)
@@ -488,3 +518,12 @@ def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
         run_command(["ablate", *common, out[3], "--grid", grid], out[3:4])
         run_command(["train", "--config", cfg, "--data", datadir, "--out", out[4],
                      "--seed", str(seed), "--history", out[5]], out[4:])
+        blocker = os.path.join(tmp, "blocker")
+        open(blocker, "w").close()
+        synth_out = {"file": blocker, "under-file": os.path.join(blocker, "sub")}.get(
+            where, os.path.join(tmp, "synth"))
+        if where == "entry-is-directory":
+            os.makedirs(os.path.join(synth_out, "day_001.csv"))
+        run_command(["synth", "--out", synth_out, "--days", "2", "--rows-per-day", "30",
+                     "--seed", str(seed), "--separation", separation],
+                    [os.path.join(synth_out, f"day_00{d}.csv") for d in (1, 2)])

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import adam_step_by_name
+from conftest import adam_step_by_name, reordered
 from reference import adam_step_per_key, gathered_windows
 
 from tlonbof import config, data, network, training
@@ -498,12 +498,14 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_load_checkpoint_peak_is_what_it_returns(tmp_path):
+@pytest.mark.parametrize("order", [list, sorted], ids=["writer", "sorted"])
+def test_load_checkpoint_peak_is_what_it_returns(tmp_path, order):
     # the payloads go through one block-sized scratch, so no buffer of the file is made:
     # the peak is the float64 parameters and the float32 moments returned, plus less
-    # than one tensor's float32 bytes
+    # than one tensor's float32 bytes; sorted, the moments come before the metadata
     path = tmp_path / "model.tlnb"
     params, state = _checkpoint_with_moments(path)
+    path.write_bytes(reordered(path.read_bytes(), order))
     peak = _traced_peak(lambda: training.load_checkpoint(path))
     sizes = [v.size for v in params.values()]
     assert peak < 8 * sum(sizes) + 2 * 4 * state.m.size + 4 * max(sizes)
@@ -554,8 +556,8 @@ def test_a_payload_the_file_cannot_hold_is_refused_before_it_is_allocated(tmp_pa
 
 
 def test_moment_vectors_are_not_sized_beyond_the_file():
-    # the reader sizes the moment vectors from the metadata before them; metadata naming a
-    # model whose moments the rest of the file cannot hold gets none, and the shape check
+    # the reader sizes nothing before the tensor set matches the metadata: metadata naming
+    # a model whose moments the file cannot hold gets no vectors, and the shape check
     # refuses the file
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
     meta = training._meta_entries(LAYOUT_CFG)
@@ -592,8 +594,31 @@ def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
         tensors["fc1_w"] = tensors["fc1_w"].copy()
         tensors["fc1_w"].flat[-1] = np.nan
 
-    with pytest.raises(FormatError, match="checkpoint tensor fc1_w is non-finite"):
-        training.deserialize_checkpoint(_layout_blob(last_value_nan))
+    blob = _layout_blob(last_value_nan)
+    with pytest.raises(FormatError, match="checkpoint tensor fc1_w is non-finite") as err:
+        training.deserialize_checkpoint(blob)
+    assert err.value.location == f"byte {_payload_at(blob, 'fc1_w')}"  # for any block
+
+
+def _payload_at(blob: bytes, name: str) -> int:
+    """The byte at which the payload of tensor ``name`` starts in checkpoint ``blob``."""
+    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+    return at + 1 + 4 * blob[at]  # after the rank and the dims
+
+
+@pytest.mark.parametrize("name,first", [("fc1_w", np.nan), ("meta.hidden", 7.0)])
+def test_a_tensor_named_twice_is_refused_at_its_second_name(name, first):
+    # neither copy is kept: not a clean copy after a refused one, nor the last metadata value
+    tensors = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
+    tensors.update((k, np.array(v)) for k, v in training._meta_entries(LAYOUT_CFG).items())
+    entries = sorted(tensors.items())
+    at = [k for k, _ in entries].index(name)
+    entries.insert(at, (name, np.full(np.shape(tensors[name]), first)))
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(training._encode_tensors(entries))
+    assert err.value.message == f"checkpoint tensor {name} appears twice"
+    # the second copy's name follows its 2-byte length
+    assert err.value.location == f"byte {len(training._encode_tensors(entries[: at + 1])) + 2}"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -728,7 +753,8 @@ def test_checkpoint_meta_bytes_are_pinned():
 
 @pytest.mark.parametrize("key,value", [
     ("meta.arch", 2.0), ("meta.kernel", -1.0), ("meta.hidden", float("nan")), ("meta.d_in", None),
-    ("meta.n_regions", [3.0, 3.0]),
+    ("meta.n_regions", [3.0, 3.0]), ("meta.hidden", 6.5), ("meta.conv_kernel", 3.25),
+    ("meta.kernel", 0.9), ("meta.deep_features", 2.0),
 ])
 def test_checkpoint_bad_meta_is_format_error(key, value):
     meta = training._meta_entries(network.ModelConfig())
