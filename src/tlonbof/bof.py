@@ -21,10 +21,11 @@ The layer reads its parameters from the model's ``name -> array`` dict:
 ``alpha``/``beta`` for the logistic kernel or ``sigma`` for the Gaussian
 one. The backward pass is derived by hand (quotient rule through the row
 normalization, then the chosen kernel) from the cached kernel values and
-memberships, and alpha's from d histogram / d alpha, which the forward
-pass takes window by window. It returns its gradients under the same
-names, the scales' in log space, and one input gradient per table row;
-it is validated against central finite differences in the test suite.
+their row sums, from which it rebuilds the memberships a block of rows at a
+time, and alpha's from d histogram / d alpha, which the forward pass takes
+window by window. It returns its gradients under the same names, the scales'
+in log space, and one input gradient per table row; it is validated against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[in
     return list(reversed(recent_first))
 
 
+ROW_BLOCK = 32768  # values per block of a pass over a (T, K) array, so its scratch stays small
+
+
+def _row_blocks(n_rows: int, width: int, n_scratch: int):
+    """(rows, scratch) for each block of ``ROW_BLOCK // width`` rows (at least one) of ``n_rows``:
+    the block's slice, and ``n_scratch`` (rows, width) arrays that every block reuses."""
+    step = max(1, ROW_BLOCK // width)
+    scratch = np.empty((n_scratch, min(step, n_rows), width))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step), scratch[:, : n_rows - lo]
+
+
 def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, keep_dots=False):
     """Kernel values K (T, K) of feature rows and codewords, and the logistic F C^T if kept."""
     codebook = params["codebook"]
@@ -74,7 +87,9 @@ def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, 
         dots = feats @ codebook.T
         z = np.multiply(dots, 2.0 * float(params["alpha"]), out=None if keep_dots else dots)
         z += 2.0 * float(params["beta"])
-        return kernels.sigmoid(z, out=z), dots if keep_dots else None
+        for rows, _ in _row_blocks(*z.shape, 0):
+            kernels.sigmoid(z[rows], out=z[rows])
+        return z, dots if keep_dots else None
     if kind == KERNEL_GAUSSIAN:
         return kernels.gaussian_matrix(feats, codebook, float(params["sigma"])), None
     raise ValueError(f"unknown kernel kind {kind!r}")
@@ -153,20 +168,32 @@ class BofContext:
     kind: str
     regions: list[tuple[int, int]]
     k_mat: np.ndarray  # (T, K) kernel values of the table rows
-    memberships: np.ndarray  # (T, K) scaled soft assignments of the table rows
+    row_sums: np.ndarray  # (T,) their row sums S
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
     alpha_tangent: np.ndarray | None  # (B, R*K) d histogram / d alpha, logistic kernel only
 
+    @property
+    def memberships(self) -> np.ndarray:
+        """(T, K) scaled soft assignments U of the table rows, rebuilt from K and S."""
+        return _normalize(self.k_mat, self.row_sums, scale(self.params, "log_cu"))
+
+
+def _normalize(k_mat, row_sums, c_u, out=None) -> np.ndarray:
+    """U = c_u K / S of kernel rows and their sums, into ``out`` if given, which may be K."""
+    memberships = np.multiply(k_mat, c_u, out=out)
+    memberships /= row_sums[:, None]
+    return memberships
+
 
 def assign(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, index: np.ndarray,
-           keep_dots: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """K, U = c_u K / rowsum(K) and kept dots of table rows (T, D); ``index`` locates underflow."""
-    k_mat, dots = _kernel_matrix(feats, params, kind, keep_dots)
+           keep: bool = True):
+    """K, U = c_u K / rowsum(K), the row sums and kept dots of table rows (T, D); without
+    ``keep`` U is written over K, returned as None. ``index`` locates underflow."""
+    k_mat, dots = _kernel_matrix(feats, params, kind, keep)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums, index)
-    memberships = np.multiply(k_mat, scale(params, "log_cu"))
-    memberships /= row_sums[:, None]
-    return k_mat, memberships, dots
+    memberships = _normalize(k_mat, row_sums, scale(params, "log_cu"), None if keep else k_mat)
+    return k_mat if keep else None, memberships, row_sums, dots
 
 
 def histogram(memberships: np.ndarray, index: np.ndarray, regions: list[tuple[int, int]],
@@ -187,10 +214,13 @@ def _d_alpha(dots, k_mat, memberships, index, regions, params) -> np.ndarray:
     averages its own positions' rows, as ``histogram`` does, so alpha's gradient, which can
     cancel to 1e-4 of its terms, has the same bits however the windows share table rows."""
     # z = 2 alpha <f, c> + 2 beta: dU/dalpha = 2 U (q - rowsum(U q) / c_u), q = (1 - K) <f, c>
-    q = dots
-    q *= 1.0 - k_mat
-    q -= (np.sum(memberships * q, axis=-1) / scale(params, "log_cu"))[:, None]
-    q *= memberships
+    q, c_u = dots, scale(params, "log_cu")
+    for rows, (tmp,) in _row_blocks(*q.shape, 1):
+        q_rows, u_rows = q[rows], memberships[rows]
+        q_rows *= np.subtract(1.0, k_mat[rows], out=tmp)
+        q_rows -= (np.sum(np.multiply(u_rows, q_rows, out=tmp), axis=-1) / c_u)[:, None]
+        q_rows *= u_rows
+    del tmp  # the last block's view holds the scratch
     means = [sum(q[index[:, p]] for p in range(a, b)) / (b - a) for a, b in reversed(regions)]
     return (2.0 * scale(params, "log_cs")) * np.concatenate(means, axis=1)
 
@@ -233,12 +263,13 @@ def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: 
     if feats.ndim != 2:
         raise ValueError(f"expected a (rows, dim) feature table, got shape {feats.shape}")
     regions = segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
-    k_mat, memberships, dots = assign(feats, params, cfg.kernel, index, keep_dots=keep)
+    k_mat, memberships, row_sums, dots = assign(feats, params, cfg.kernel, index, keep)
     if not keep:
-        del k_mat  # not held through the histogram
         return histogram(memberships, index, regions, params)[0], None
     tangent = None if dots is None else _d_alpha(dots, k_mat, memberships, index, regions, params)
+    del dots  # the q of _d_alpha, not held through the histogram
     hist, region_means = histogram(memberships, index, regions, params)
+    del memberships  # rebuilt from K and S where the backward pass needs it
     ctx = BofContext(
         feats=feats,
         index=index,
@@ -247,7 +278,7 @@ def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: 
         kind=cfg.kernel,
         regions=regions,
         k_mat=k_mat,
-        memberships=memberships,
+        row_sums=row_sums,
         region_means=region_means,
         alpha_tangent=tangent,
     )
@@ -277,20 +308,22 @@ def backward(
         seg = slice(i * n_codewords, (i + 1) * n_codewords)
         dc_s += float(np.sum(upstream[:, seg] * ctx.region_means[:, seg]))
     # undo the per-region averaging onto the table rows (nested regions add up)
-    d_memb = spread(ctx.index, upstream, ctx.regions, c_s, len(ctx.feats))
+    d_kk = spread(ctx.index, upstream, ctx.regions, c_s, len(ctx.feats))  # dU, then dL/dK * K
 
-    # Row normalization U = c_u * K / S (S the row sum), written in terms of
-    # the cached U so nothing divides by S: with w = sum_k dU * U,
+    # Row normalization U = c_u * K / S (S the row sum), written in terms of U,
+    # rebuilt from K and S one block of rows at a time: with w = sum_k dU * U,
     # dL/dc_u = sum(w) / c_u and dL/dK * K = U * (dU - w / c_u).
-    scratch = np.multiply(d_memb, ctx.memberships)  # U * dU, then 1 - K
-    weighted = np.sum(scratch, axis=-1)  # (T,)
+    weighted = np.empty(len(d_kk))  # (T,)
+    for rows, (u_rows, tmp) in _row_blocks(*d_kk.shape, 2):
+        d_rows = d_kk[rows]
+        _normalize(ctx.k_mat[rows], ctx.row_sums[rows], c_u, out=u_rows)
+        np.sum(np.multiply(d_rows, u_rows, out=tmp), axis=-1, out=weighted[rows])
+        d_rows -= (weighted[rows] / c_u)[:, None]
+        d_rows *= u_rows
+        if ctx.kind == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
+            d_rows *= np.subtract(1.0, ctx.k_mat[rows], out=tmp)
+    del u_rows, tmp  # the scratch is freed before the (T, D) products below
     dc_u = float(np.sum(weighted)) / c_u
-    d_kk = d_memb  # dL/dK * K, in d_memb's buffer
-    d_kk -= (weighted / c_u)[:, None]
-    d_kk *= ctx.memberships
-    if ctx.kind == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
-        d_kk *= np.subtract(1.0, ctx.k_mat, out=scratch)
-    del scratch  # freed before the (T, D) products below
 
     grads = {} if out is None else out
     # the stored parameters are log c; chain through c = exp(log c)

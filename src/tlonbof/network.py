@@ -302,11 +302,20 @@ class NetworkContext:
     index: np.ndarray  # (B, N) the table row each window position reads
     layout: FeatureLayout | None  # the conv's, for its backward
     bof_ctx: bof.BofContext | None
-    pooled: np.ndarray  # (B, pooled_dim) histogram or GAP output
+    gap: np.ndarray | None  # (B, D) the GAP output; None with the pooling layer
     fc1_pre: np.ndarray
-    fc1_act: np.ndarray
     logp: np.ndarray  # (B, n_classes)
     probs: np.ndarray
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """(B, pooled_dim) the GAP output, or the histogram rebuilt as c_s times the means."""
+        return self.gap if self.bof_ctx is None else (
+            bof.scale(self.params, "log_cs") * self.bof_ctx.region_means)
+
+    @property
+    def fc1_act(self) -> np.ndarray:
+        return np.maximum(self.fc1_pre, 0.0)
 
 
 def forward_batch(x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
@@ -346,8 +355,8 @@ def forward_batch(x: WindowBatch | np.ndarray, params: dict[str, np.ndarray], cf
     probs = np.exp(logp)
     if not keep:
         return probs, None
-    ctx = NetworkContext(cfg, params, batch, feats, index, layout, bof_ctx, pooled, fc1_pre,
-                         fc1_act, logp, probs)
+    ctx = NetworkContext(cfg, params, batch, feats, index, layout, bof_ctx,
+                         pooled if bof_ctx is None else None, fc1_pre, logp, probs)
     return probs, ctx
 
 
@@ -380,11 +389,12 @@ def backward_batch(ctx: NetworkContext, labels: np.ndarray,
 
     grads["fc2_w"] = np.matmul(ctx.fc1_act.T, d_logits, out=grads.get("fc2_w"))
     grads["fc2_b"] = np.sum(d_logits, axis=0, out=grads.get("fc2_b"))
-    d_fc1_act = d_logits @ params["fc2_w"].T
-    d_fc1_pre = d_fc1_act * (ctx.fc1_pre > 0.0)
+    d_fc1_pre = d_logits @ params["fc2_w"].T  # d fc1_act, masked in place
+    d_fc1_pre *= ctx.fc1_pre > 0.0
     grads["fc1_w"] = np.matmul(ctx.pooled.T, d_fc1_pre, out=grads.get("fc1_w"))
     grads["fc1_b"] = np.sum(d_fc1_pre, axis=0, out=grads.get("fc1_b"))
     d_pooled = d_fc1_pre @ params["fc1_w"].T
+    del d_fc1_pre  # freed, as the rebuilt activations are, before the pooling backward
 
     if cfg.arch == ARCH_TLONBOF:
         d_feats, _ = bof.backward(ctx.bof_ctx, d_pooled, grads)

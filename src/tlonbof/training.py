@@ -187,13 +187,13 @@ def predict(params: dict[str, np.ndarray], cfg: ModelConfig, dataset) -> np.ndar
 
     Each chunk of consecutive samples is gathered as training gathers a batch
     and scored by ``network.forward_batch`` keeping no context, so a row shared
-    by many windows goes through the conv once per chunk. At the paper geometry
-    a chunk of 128 windows of one day reads 142 rows; its feature table has 138
-    inner rows and 512 edge rows (4 edge positions of 128 windows), whose 650
-    rows of kernel values take 1.3 MB at 256 codewords. A training batch of 128
-    windows drawn at random shares fewer rows: its feature table has about
-    1,100 of the 1,920 window positions' rows, whose kernel values (2.3 MB)
-    its backward pass keeps.
+    by many windows goes through the conv once per chunk, and the memberships
+    are written over the kernel values. At the paper geometry a chunk of 128
+    windows of one day reads 142 rows; its feature table has 138 inner rows and
+    512 edge rows (4 edge positions of 128 windows), whose 650 rows of kernel
+    values take 1.3 MB at 256 codewords. A training batch of 128 windows drawn
+    at random shares fewer rows: its feature table has about 1,100 of the 1,920
+    window positions' rows, whose kernel values (2.3 MB) its backward pass keeps.
     """
     n = dataset.n_samples
     preds = np.empty(n, dtype=np.int64)
@@ -228,28 +228,30 @@ def _meta_entries(cfg: ModelConfig) -> dict[str, object]:
     return entries
 
 
-def _config_from_meta(meta: dict[str, float]) -> ModelConfig:
+def _config_from_meta(meta: dict[str, float], names_at: dict[str, int], end: int) -> ModelConfig:
+    """The model of the metadata values ``meta``; a refused value is located at its entry's
+    name (``names_at``: name -> byte), a missing one at ``end``, the end of the tensor table."""
     values = {}
     for f in fields(ModelConfig):
         key = f"meta.{f.name}"
-        value = meta.get(key, math.nan)
+        value, choices = meta.get(key, math.nan), CHOICES.get(f.name)
         if not math.isfinite(value):
-            raise FormatError(f"checkpoint model metadata {key} is missing or not finite")
-        if f.type != "float" and not value.is_integer():  # an int, bool or choice field
-            raise FormatError(f"checkpoint {key} = {value!r} is not a whole number")
-        if f.type == "bool" and value not in (0.0, 1.0):
-            raise FormatError(f"checkpoint {key} = {value!r} is not 0 or 1")
-        if f.name in CHOICES:
-            choices, index = CHOICES[f.name], int(value)
-            if not 0 <= index < len(choices):
-                raise FormatError(f"checkpoint {key} = {index} is not an index into {choices}")
-            values[f.name] = choices[index]
+            problem = f"model metadata {key} is missing or not finite"
+        elif f.type != "float" and not value.is_integer():  # an int, bool or choice field
+            problem = f"{key} = {value!r} is not a whole number"
+        elif f.type == "bool" and value not in (0.0, 1.0):
+            problem = f"{key} = {value!r} is not 0 or 1"
+        elif choices is not None and not 0 <= value < len(choices):
+            problem = f"{key} = {int(value)} is not an index into {choices}"
         else:
-            values[f.name] = _META_DECODE[f.type](value)
+            values[f.name] = _META_DECODE[f.type](value) if choices is None else choices[int(value)]
+            continue
+        raise FormatError(f"checkpoint {problem}", location=f"byte {names_at.get(key, end)}")
     try:
         return ModelConfig(**values)
-    except ValueError as exc:
-        raise FormatError(f"checkpoint model metadata is inconsistent: {exc}") from None
+    except ValueError as exc:  # located at the first metadata entry
+        raise FormatError(f"checkpoint model metadata is inconsistent: {exc}",
+                          location=f"byte {min(names_at[k] for k in meta)}") from None
 
 
 def _encode_tensors(entries: list[tuple[str, np.ndarray]]) -> bytes:
@@ -345,17 +347,22 @@ class _Reader:
         self.off = self.fh.seek(off)
 
 
-def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple]) -> None:
-    """Require exactly the tensors of ``shapes``, each with its shape (``got``: name -> shape)."""
+def _check_tensor_set(got: dict[str, tuple], shapes: dict[str, tuple], names_at: dict[str, int],
+                      end: int) -> None:
+    """Require exactly the tensors of ``shapes``, each with its shape (``got``: name -> shape).
+    A refused tensor is located at its name (``names_at``), a missing one at ``end``."""
     missing = [k for k in shapes if k not in got]
     if missing:
-        raise FormatError(f"checkpoint lacks tensor {missing[0]} required by its model")
+        raise FormatError(f"checkpoint lacks tensor {missing[0]} required by its model",
+                          location=f"byte {end}")
     unknown = sorted(got.keys() - shapes.keys())
     if unknown:
-        raise FormatError(f"checkpoint tensor {unknown[0]} is not part of its model")
+        raise FormatError(f"checkpoint tensor {unknown[0]} is not part of its model",
+                          location=f"byte {names_at[unknown[0]]}")
     for name, shape in shapes.items():
         if got[name] != shape:
-            raise FormatError(f"checkpoint tensor {name} has shape {got[name]}, expected {shape}")
+            raise FormatError(f"checkpoint tensor {name} has shape {got[name]}, expected {shape}",
+                              location=f"byte {names_at[name]}")
 
 
 def _read_checkpoint(fh, keep_adam: bool = True):
@@ -372,6 +379,7 @@ def _read_checkpoint(fh, keep_adam: bool = True):
     count = struct.unpack("<I", reader.take(4, "tensor count"))[0]
     meta: dict[str, float] = {}
     layout: dict[str, tuple[tuple[int, ...], int]] = {}  # every other tensor: dims, payload offset
+    names_at: dict[str, int] = {}  # every entry: the offset of its name
     for i in range(count):
         name_len = struct.unpack("<H", reader.take(2, f"name length of tensor {i}"))[0]
         name_at = reader.off
@@ -379,8 +387,9 @@ def _read_checkpoint(fh, keep_adam: bool = True):
             name = str(reader.take(name_len, f"name of tensor {i}"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"name of tensor {i} is not UTF-8", location=f"byte {name_at}") from None
-        if name in meta or name in layout:
+        if name in names_at:
             raise FormatError(f"checkpoint tensor {name} appears twice", location=f"byte {name_at}")
+        names_at[name] = name_at
         rank = reader.take(1, f"rank of {name}")[0]
         if rank > 3:  # no model tensor has more axes
             raise FormatError(f"tensor {name} has rank {rank}, above 3",
@@ -392,19 +401,20 @@ def _read_checkpoint(fh, keep_adam: bool = True):
             layout[name] = dims, reader.off
             reader.seek(reader.off + nbytes)
         elif rank:
-            raise FormatError(f"checkpoint model metadata {name} has shape {dims}, not ()")
+            raise FormatError(f"checkpoint model metadata {name} has shape {dims}, not ()",
+                              location=f"byte {name_at}")
         else:
             meta[name] = struct.unpack("<f", reader.take(4, what))[0]
     if reader.off != reader.size:
         raise FormatError("trailing bytes after last tensor", location=f"byte {reader.off}")
 
-    cfg = _config_from_meta(meta)
+    cfg = _config_from_meta(meta, names_at, reader.off)
     shapes, trainable = network.param_shapes(cfg), network.trainable_shapes(cfg)
     expected, has_adam = dict(shapes), any(k.startswith("adam.") for k in layout)
     if has_adam:
         expected.update((f"adam.{k}", ()) for k in ADAM_SCALARS)
         expected.update((f"adam.{kind}.{k}", trainable[k]) for kind in "mv" for k in trainable)
-    _check_tensor_set({k: dims for k, (dims, _) in layout.items()}, expected)
+    _check_tensor_set({k: dims for k, (dims, _) in layout.items()}, expected, names_at, reader.off)
 
     params = {k: np.empty(s) for k, s in shapes.items()}
     state = init_adam(trainable, dtype=np.float32) if has_adam and keep_adam else None

@@ -8,6 +8,7 @@ determinism checks) can vary with the machine.
 import math
 import os
 import struct
+import tracemalloc
 
 for _var in (
     "OMP_NUM_THREADS",
@@ -44,6 +45,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(call, warm=False) -> int:
+    """The tracemalloc peak of ``call()``: what it allocates, after one untraced call if ``warm``."""
+    if warm:
+        call()  # first-call allocations are not the call's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pool_windows(x, params, cfg):

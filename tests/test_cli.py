@@ -5,12 +5,12 @@ import dataclasses
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from tlonbof import cli, config, data, metrics, network, training
 from tlonbof.cli import main
@@ -458,14 +458,8 @@ def test_eval_model_reads_the_checkpoint_without_its_adam_state(tmp_path, monkey
     real_load, peaks = training.load_checkpoint, []
 
     def traced_load(*args, **kwargs):
-        real_load(*args, **kwargs)  # first-call allocations are not the reader's
-        tracemalloc.start()
-        try:
-            loaded = real_load(*args, **kwargs)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        return loaded
+        peaks.append(traced_peak(lambda: real_load(*args, **kwargs), warm=True))
+        return real_load(*args, **kwargs)
 
     monkeypatch.setattr(training, "load_checkpoint", traced_load)
     assert main(["eval", "--model", str(model), "--folds", "single", "--data", datadir,

@@ -1,11 +1,11 @@
 import ast
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import reference
+from conftest import traced_peak
 from reference import finite_diff_grad, relative_error
 
 import tlonbof
@@ -49,13 +49,8 @@ def test_glorot_bound_and_coverage():
 def test_init_params_allocates_each_weight_once():
     # rng.uniform already returns float64: a copy of each weight would peak at 1.6x
     cfg = tlonbof.ModelConfig()  # the paper geometry
-    tlonbof.init_params(cfg, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        params = tlonbof.init_params(cfg, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: tlonbof.init_params(cfg, np.random.default_rng(0)), warm=True)
+    params = tlonbof.init_params(cfg, np.random.default_rng(0))
     assert peak < 1.1 * sum(v.nbytes for v in params.values())
 
 

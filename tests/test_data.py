@@ -1,8 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from reference import gathered_windows, label_sample, windowize
 
 from tlonbof import data
@@ -151,12 +151,8 @@ def test_gather_writes_straight_into_its_table():
     # each day's rows before copying them into the table, a peak of 1.5x
     ds = WindowDataset(synth_generate(2, 408, seed=1))
     indices = np.random.default_rng(0).integers(ds.n_samples, size=128)
-    tracemalloc.start()
-    try:
-        batch, _ = ds.gather(indices)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: ds.gather(indices))
+    batch, _ = ds.gather(indices)
     assert len(np.unique(ds.day_ids[indices])) == 2
     assert peak <= 1.1 * batch.rows.nbytes
 

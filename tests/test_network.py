@@ -1,13 +1,12 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import draw_instance, relu_margin, tiny_config
+from conftest import draw_instance, relu_margin, tiny_config, traced_peak
 from reference import (conv_backward_per_tap, conv_flat_per_tap, finite_diff_grad,
                        gathered_windows, relative_error)
 
-from tlonbof import config, data, network
+from tlonbof import bof, config, data, network, training
 from tlonbof.data import WindowBatch
 
 XENT_210_LABEL0 = 0.4076059644443804  # -log softmax([2,1,0])[0]
@@ -567,6 +566,27 @@ def test_backward_into_held_gradients_has_the_bits_of_fresh_ones(overrides, n_st
     assert _bits(got) == _bits(fresh)
 
 
+@pytest.mark.parametrize("overrides", [m for m in EVERY_MODEL
+                                       if m.get("arch") != config.ARCH_CNN_GAP])
+def test_rebuilt_memberships_and_activations_have_the_forward_bits(overrides):
+    # the context keeps K and its row sums; U, the histogram and the ReLU output are
+    # rebuilt from them with the forward pass's operations, and scoring writes U over K
+    cfg = tiny_config(**overrides)
+    rng = np.random.default_rng(9)
+    params = network.init_params(cfg, rng)
+    if "sigma" in params:
+        params["sigma"] = np.array(4.0)
+    batch = WindowBatch(rng.normal(size=(12, cfg.d_in)), np.array([0, 1, 5, 1, 6]), 6)
+    probs, ctx = network.forward_batch(batch, params, cfg)
+    memberships = bof.assign(ctx.feats, params, cfg.kernel, ctx.index)[1]
+    assert ctx.bof_ctx.memberships.tobytes() == memberships.tobytes()
+    hist, _ = bof.forward_batch(ctx.feats, params, cfg, ctx.index)
+    scored, none = bof.forward_batch(ctx.feats, params, cfg, ctx.index, keep=False)
+    assert none is None and scored.tobytes() == hist.tobytes() == ctx.pooled.tobytes()
+    logits = network.fully_connected(ctx.fc1_act, params["fc2_w"], params["fc2_b"])
+    assert np.exp(network.log_softmax(logits)).tobytes() == probs.tobytes()
+
+
 @pytest.mark.parametrize("overrides", EVERY_MODEL)
 def test_a_step_on_a_row_table_is_the_step_on_its_windows(overrides):
     # overlapping windows and a repeated one, as a training batch gathers them
@@ -652,40 +672,63 @@ def test_a_step_on_a_row_table_matches_finite_differences(n_rows, starts, n_step
         assert relative_error(an, fd) < 1e-6 or gap < 1e-9, name
 
 
+def _step(x, params, cfg, labels, grads=None):
+    """One forward + backward of ``x``, into ``grads`` if given: the step ``traced_peak`` measures."""
+    _, ctx = network.forward_batch(x, params, cfg)
+    network.backward_batch(ctx, labels, out=grads)
+
+
 # Traced peak of one forward + backward, counted in (B, N, K) float64 arrays
 # (K = the conv width here). For 32 windows of rows of their own the feature
-# table has B * N rows, and the context keeps three such arrays: the conv
-# activation, K and the memberships U. At its peak either backward adds three
-# more: dL/dU and a scratch in the pooling backward, or dL/dfeats and the
-# conv backward's per-tap row gradients after it; the histograms and the head
-# stay under one, as does the logistic kernel's d histogram / d alpha. A second
-# copy of the conv output, or a scratch held into those products, takes the
-# step past the bound. 32 overlapping windows of 46 rows make a table of 170
-# rows, so the same step holds about a third as much.
-@pytest.mark.parametrize("kernel,bound", [(config.KERNEL_LOGISTIC, 7.5),
-                                          (config.KERNEL_GAUSSIAN, 7.5)])
+# table has B * N rows, and the context keeps two such arrays: the conv
+# activation and K, with K's row sums; the memberships U are rebuilt a block
+# of rows at a time, and at this width one block is the whole table. At its
+# peak the pooling backward adds dL/dU, its two scratch blocks while it turns
+# dL/dU into dL/dK * K, then dL/dfeats; the conv backward's per-tap row
+# gradients come after dL/dU is freed. The histograms and the head stay under
+# one unit, as does the logistic kernel's d histogram / d alpha. A cached U, or
+# a scratch held into the (T, D) products, takes the step past the bound.
+# 32 overlapping windows of 46 rows make a table of 170 rows, so the same step
+# holds about a third as much.
+@pytest.mark.parametrize("kernel,bound", [(config.KERNEL_LOGISTIC, 6.5),
+                                          (config.KERNEL_GAUSSIAN, 6.5)])
 def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16, kernel=kernel)
     rng = np.random.default_rng(0)
     params = network.init_params(cfg, rng)
     unit = 32 * 15 * cfg.n_codewords * 8
+    labels = np.arange(32) % 3
     for x, bound in ((rng.normal(size=(32, 15, cfg.d_in)), bound),
                      (WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15), 4.0)):
-        tracemalloc.start()  # traces only what the step allocates
-        try:
-            _, ctx = network.forward_batch(x, params, cfg)
-            network.backward_batch(ctx, np.arange(32) % 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _step(x, params, cfg, labels))  # what the step allocates
         assert peak / unit < bound
 
 
+# Traced peak of a paper-geometry training step, in units of the batch's (T, K)
+# float64 array (2.3 MB at T = 1,135 rows of 256 codewords): a balanced batch of
+# 128 from two days, its gradients written into held arrays, after a warm-up
+# step. The context holds the conv activation and K (2 units) and the histogram
+# means, alpha's tangent and the head's pre-activation (under one); the pooling
+# backward adds dL/dU, two scratch blocks of 128 rows and then dL/dfeats, about
+# 5.3 units at the peak. A cached U (7.3 units before it was rebuilt), or 1 - K,
+# U * dU or the sigmoid's exp as a whole (T, K) temporary, takes it past the bound.
+def test_a_paper_geometry_step_holds_each_table_array_once():
+    ds = data.WindowDataset(data.synth_generate(2, 408, seed=1))
+    cfg = network.ModelConfig()
+    params = network.init_params(cfg, np.random.default_rng(0))
+    grads = network.param_vector(cfg)[1]
+    rng = np.random.default_rng(0)
+    batch, y = ds.gather(training.balanced_batch(training.balanced_cdf(ds.labels), 128, rng))
+    unit = len(network.conv1d_same_batch(batch, params["conv_w"], params["conv_b"])[0]) * 256 * 8
+    peak = traced_peak(lambda: _step(batch, params, cfg, y, grads), warm=True)
+    assert peak / unit < 6.0
+
+
 # Traced peak of scoring one chunk, in the same (T, K) units: 32 windows of 46
-# rows, whose feature table has 170 rows. Scoring holds the activation, K and
-# U, about four units with the histograms and the head; forward_batch keeping
-# its context, with the logistic kernel's dots and d histogram / d alpha for a
-# backward pass, takes 6.4, and keeping the dots alone takes 5.8.
+# rows, whose feature table has 170 rows. Scoring holds the activation and U,
+# written over K, about four units at its peak with the histograms and the
+# head; forward_batch keeping its context, with K, the logistic kernel's dots
+# and d histogram / d alpha for a backward pass, takes 5.9.
 def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16)
     rng = np.random.default_rng(0)
@@ -693,10 +736,5 @@ def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     batch = WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15)
     rows = len(network.conv1d_same_batch(batch, params["conv_w"], params["conv_b"])[0])
     assert rows == 170
-    tracemalloc.start()  # traces only what scoring allocates
-    try:
-        network.forward_batch(batch, params, cfg, keep=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: network.forward_batch(batch, params, cfg, keep=False))
     assert peak / (rows * cfg.n_codewords * 8) < 5.0

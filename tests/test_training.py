@@ -6,12 +6,11 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import adam_step_by_name, reordered
+from conftest import adam_step_by_name, reordered, traced_peak
 from reference import adam_step_per_key, gathered_windows
 
 from tlonbof import config, data, network, training
@@ -275,22 +274,15 @@ def test_a_training_step_holds_one_set_of_gradients(monkeypatch):
     real_backward = network.backward_batch
     calls = []
 
-    def traced_backward(*args, **kwargs):
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        grads = real_backward(*args, **kwargs)
-        calls.append((tracemalloc.get_traced_memory()[1] - held, dict(grads)))
-        return grads
+    def traced_backward(ctx, labels, out):
+        calls.append((traced_peak(lambda: real_backward(ctx, labels, out=out)), dict(out)))
+        return out
 
     monkeypatch.setattr(network, "backward_batch", traced_backward)
     ds = small_dataset(n_days=2, rows=40, seed=2)  # 32 samples: 2 steps of 16
     rc = RunConfig(batch_size=16, epochs=1, seed=0, n_codewords=8, conv_filters=32,
                    conv_kernel=3, hidden=64)
-    tracemalloc.start()
-    try:
-        result = training.train(rc, ds)
-    finally:
-        tracemalloc.stop()
+    result = training.train(rc, ds)
     assert len(calls) == result.history.steps == 2
     (_, first), (grown, second) = calls
     assert grown < sum(g.nbytes for g in first.values())
@@ -461,13 +453,7 @@ def test_load_checkpoint_peak_is_the_file_and_the_float64_parameters(tmp_path):
     state.v[...] = rng.random(state.v.size)
     path = tmp_path / "model.tlnb"
     training.save_checkpoint(path, params, cfg, state)
-    training.load_checkpoint(path)  # first-call allocations are not the reader's
-    tracemalloc.start()
-    try:
-        training.load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: training.load_checkpoint(path), warm=True)
     sizes = [v.size for v in params.values()]
     assert peak < path.stat().st_size + 8 * sum(sizes) + 4 * max(sizes)
 
@@ -487,17 +473,6 @@ def _checkpoint_with_moments(path, cfg=PEAK_CFG):
     return params, state
 
 
-def _traced_peak(call):
-    """The tracemalloc peak of ``call()``, after one untraced call."""
-    call()  # first-call allocations are not the reader's
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("order", [list, sorted], ids=["writer", "sorted"])
 def test_load_checkpoint_peak_is_what_it_returns(tmp_path, order):
     # the payloads go through one block-sized scratch, so no buffer of the file is made:
@@ -506,7 +481,7 @@ def test_load_checkpoint_peak_is_what_it_returns(tmp_path, order):
     path = tmp_path / "model.tlnb"
     params, state = _checkpoint_with_moments(path)
     path.write_bytes(reordered(path.read_bytes(), order))
-    peak = _traced_peak(lambda: training.load_checkpoint(path))
+    peak = traced_peak(lambda: training.load_checkpoint(path), warm=True)
     sizes = [v.size for v in params.values()]
     assert peak < 8 * sum(sizes) + 2 * 4 * state.m.size + 4 * max(sizes)
     assert max(sizes) > training.READ_BLOCK  # a payload of several blocks
@@ -523,7 +498,7 @@ def test_a_load_that_drops_the_adam_state_holds_only_the_float64_parameters(tmp_
     # what eval --model reads: the moments are checked through the scratch and dropped
     path = tmp_path / "model.tlnb"
     params, _ = _checkpoint_with_moments(path)
-    peak = _traced_peak(lambda: training.load_checkpoint(path, keep_adam=False))
+    peak = traced_peak(lambda: training.load_checkpoint(path, keep_adam=False), warm=True)
     sizes = [v.size for v in params.values()]
     assert peak < 8 * sum(sizes) + 4 * max(sizes)
     bare, cfg, state = training.load_checkpoint(path, keep_adam=False)
@@ -545,7 +520,7 @@ def test_a_payload_the_file_cannot_hold_is_refused_before_it_is_allocated(tmp_pa
             training.load_checkpoint(path)
         return err.value
 
-    peak = _traced_peak(load)
+    peak = traced_peak(load, warm=True)
     err = load()
     assert str(err).startswith("truncated checkpoint while reading payload of x")
     assert err.location == f"byte {len(header) + len(dims)}"
@@ -571,8 +546,10 @@ def test_moment_vectors_are_not_sized_beyond_the_file():
             training.deserialize_checkpoint(blob)
         return err.value
 
-    peak = _traced_peak(load)
-    assert "checkpoint tensor fc1_w has shape" in str(load())
+    peak = traced_peak(load, warm=True)
+    err = load()
+    assert "checkpoint tensor fc1_w has shape" in str(err)
+    assert err.location == f"byte {_name_at(blob, 'fc1_w')}"
     assert peak < 1 << 20  # vectors for those moments would take over 40 GB
 
 
@@ -600,9 +577,14 @@ def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
     assert err.value.location == f"byte {_payload_at(blob, 'fc1_w')}"  # for any block
 
 
+def _name_at(blob: bytes, name: str) -> int:
+    """The byte at which the name of tensor ``name`` starts in checkpoint ``blob``."""
+    return blob.index(struct.pack("<H", len(name)) + name.encode()) + 2
+
+
 def _payload_at(blob: bytes, name: str) -> int:
     """The byte at which the payload of tensor ``name`` starts in checkpoint ``blob``."""
-    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+    at = _name_at(blob, name) + len(name)
     return at + 1 + 4 * blob[at]  # after the rank and the dims
 
 
@@ -766,6 +748,18 @@ def test_checkpoint_bad_meta_is_format_error(key, value):
     with pytest.raises(FormatError) as err:
         training.deserialize_checkpoint(blob)
     assert key in str(err.value)
+    # a value is located at its entry's name, a missing entry at the end of the tensor table
+    assert err.value.location == f"byte {_name_at(blob, key) if key in meta else len(blob)}"
+
+
+def test_inconsistent_checkpoint_meta_is_located_at_the_first_entry():
+    meta = training._meta_entries(network.ModelConfig(arch=config.ARCH_CNN_GAP))
+    meta["meta.deep_features"] = 0.0  # GAP averages conv features
+    blob = training._encode_tensors([(k, np.array(v)) for k, v in sorted(meta.items())])
+    with pytest.raises(FormatError) as err:
+        training.deserialize_checkpoint(blob)
+    assert err.value.message.startswith("checkpoint model metadata is inconsistent")
+    assert err.value.location == f"byte {_name_at(blob, min(meta))}"
 
 
 LAYOUT_CFG = network.ModelConfig(d_in=5, conv_filters=4, conv_kernel=3, n_codewords=4, hidden=6)
@@ -803,9 +797,13 @@ def _with_mis_shaped_moment(tensors):
     (_with_mis_shaped_moment, "adam.m.fc1_w"),
 ], ids=["missing", "mis-shaped", "unknown", "partial-adam-scalars", "mis-shaped-adam-moment"])
 def test_checkpoint_tensors_must_match_model_metadata(edit, name):
+    blob = _layout_blob(edit)
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(_layout_blob(edit))
+        training.deserialize_checkpoint(blob)
     assert name in str(err.value)
+    # a tensor is located at its name, a missing one at the end of the tensor table
+    present = struct.pack("<H", len(name)) + name.encode() in blob
+    assert err.value.location == f"byte {_name_at(blob, name) if present else len(blob)}"
 
 
 def _set(name, value):
