@@ -71,9 +71,9 @@ def _row_blocks(n_rows: int, width: int, n_scratch: int):
     """(rows, scratch) for each block of ``ROW_BLOCK // width`` rows (at least one) of ``n_rows``:
     the block's slice, and ``n_scratch`` (rows, width) arrays that every block reuses."""
     step = max(1, ROW_BLOCK // width)
-    scratch = np.empty((n_scratch, min(step, n_rows), width))
+    scratch = [np.empty((min(step, n_rows), width)) for _ in range(n_scratch)]  # none above (T, K)
     for lo in range(0, n_rows, step):
-        yield slice(lo, lo + step), scratch[:, : n_rows - lo]
+        yield slice(lo, lo + step), [a[: n_rows - lo] for a in scratch]
 
 
 def _kernel_matrix(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, keep_dots=False):
