@@ -23,9 +23,10 @@ one. The backward pass is derived by hand (quotient rule through the row
 normalization, then the chosen kernel) from the cached kernel values and
 their row sums, from which it rebuilds the memberships a block of rows at a
 time, and alpha's from d histogram / d alpha, which the forward pass takes
-window by window. It returns its gradients under the same names, the scales'
-in log space, and one input gradient per table row; it is validated against
-central finite differences in the test suite.
+window by window if alpha is trained: no pass computes a ``frozen``
+parameter's gradient. It returns the trained parameters' gradients under
+their names, the scales' in log space, and one input gradient per table
+row; it is validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -36,8 +37,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .config import KERNEL_GAUSSIAN, KERNEL_LOGISTIC
+from .config import KERNEL_GAUSSIAN, KERNEL_LOGISTIC, SCALING_LEARNED
 from .errors import NumericError
+
+LOG_SCALES = ("log_cu", "log_cs")  # c_u and c_s, stored as log c
+
+
+def frozen(cfg) -> set[str]:
+    """The parameters of ``cfg`` (a ``network.ModelConfig``) that no update trains: sigma,
+    the log scales unless learned, and alpha and beta without kernel-parameter learning."""
+    return {"sigma", *(() if cfg.adaptive_scaling == SCALING_LEARNED else LOG_SCALES),
+            *(() if cfg.kernel_param_learning else ("alpha", "beta"))}
 
 
 def segment(n_steps: int, n_regions: int, nested: bool = False) -> list[tuple[int, int]]:
@@ -165,12 +175,12 @@ class BofContext:
     index: np.ndarray  # (B, N) the table row each window position reads
     codebook: np.ndarray
     params: dict[str, np.ndarray]
-    kind: str
+    cfg: object  # the network.ModelConfig: its kernel and its frozen parameters
     regions: list[tuple[int, int]]
     k_mat: np.ndarray  # (T, K) kernel values of the table rows
     row_sums: np.ndarray  # (T,) their row sums S
     region_means: np.ndarray  # (B, R*K) per-region membership means before c_s, newest first
-    alpha_tangent: np.ndarray | None  # (B, R*K) d histogram / d alpha, logistic kernel only
+    alpha_tangent: np.ndarray | None  # (B, R*K) d histogram / d alpha, if alpha is trained
 
     @property
     def memberships(self) -> np.ndarray:
@@ -186,10 +196,10 @@ def _normalize(k_mat, row_sums, c_u, out=None) -> np.ndarray:
 
 
 def assign(feats: np.ndarray, params: dict[str, np.ndarray], kind: str, index: np.ndarray,
-           keep: bool = True):
-    """K, U = c_u K / rowsum(K), the row sums and kept dots of table rows (T, D); without
-    ``keep`` U is written over K, returned as None. ``index`` locates underflow."""
-    k_mat, dots = _kernel_matrix(feats, params, kind, keep)
+           keep: bool = True, keep_dots: bool = False):
+    """K, U = c_u K / rowsum(K), the row sums and, if ``keep_dots``, the dots of table rows
+    (T, D); without ``keep`` U is written over K, returned as None. ``index`` locates underflow."""
+    k_mat, dots = _kernel_matrix(feats, params, kind, keep_dots)
     row_sums = k_mat.sum(axis=-1)
     _check_row_sums(row_sums, index)
     memberships = _normalize(k_mat, row_sums, scale(params, "log_cu"), None if keep else k_mat)
@@ -257,32 +267,22 @@ def forward_batch(feats: np.ndarray, params: dict[str, np.ndarray], cfg, index: 
     row each window position reads; two windows read one row at position 0
     only if they are copies of one window. The result is (batch, n_regions *
     n_codewords), newest region first. ``cfg`` (a ``network.ModelConfig``)
-    gives ``kernel``, ``n_regions`` and ``nested_regions``.
+    gives ``kernel``, ``n_regions``, ``nested_regions`` and the ``frozen`` parameters.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"expected a (rows, dim) feature table, got shape {feats.shape}")
     regions = segment(index.shape[1], cfg.n_regions, cfg.nested_regions)
-    k_mat, memberships, row_sums, dots = assign(feats, params, cfg.kernel, index, keep)
+    keep_dots = keep and "alpha" not in frozen(cfg)  # for alpha's tangent
+    k_mat, memberships, row_sums, dots = assign(feats, params, cfg.kernel, index, keep, keep_dots)
     if not keep:
         return histogram(memberships, index, regions, params)[0], None
     tangent = None if dots is None else _d_alpha(dots, k_mat, memberships, index, regions, params)
     del dots  # the q of _d_alpha, not held through the histogram
     hist, region_means = histogram(memberships, index, regions, params)
     del memberships  # rebuilt from K and S where the backward pass needs it
-    ctx = BofContext(
-        feats=feats,
-        index=index,
-        codebook=params["codebook"],
-        params=params,
-        kind=cfg.kernel,
-        regions=regions,
-        k_mat=k_mat,
-        row_sums=row_sums,
-        region_means=region_means,
-        alpha_tangent=tangent,
-    )
-    return hist, ctx
+    return hist, BofContext(feats, index, params["codebook"], params, cfg, regions, k_mat,
+                            row_sums, region_means, tangent)
 
 
 def backward(
@@ -292,8 +292,8 @@ def backward(
 
     ``upstream`` matches the forward output shape. Returns the gradient
     for the feature table, one row per table row, and a name -> gradient
-    dict: ``codebook``, ``log_cu`` and ``log_cs`` (in log space), and for
-    the logistic kernel ``alpha`` and ``beta``: ``out``, if given, with each
+    dict of the parameters not ``frozen``: ``codebook``, ``log_cu`` and ``log_cs`` (in log
+    space), and for the logistic kernel ``alpha`` and ``beta``: ``out``, if given, with each
     written into the array it holds under that name, if any, bit for bit.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -302,11 +302,12 @@ def backward(
         raise ValueError(f"upstream gradient has shape {upstream.shape}, expected "
                          f"({batch}, {len(ctx.regions) * n_codewords})")
     c_u, c_s = scale(ctx.params, "log_cu"), scale(ctx.params, "log_cs")
-
-    dc_s = 0.0
-    for i in range(len(ctx.regions)):
-        seg = slice(i * n_codewords, (i + 1) * n_codewords)
-        dc_s += float(np.sum(upstream[:, seg] * ctx.region_means[:, seg]))
+    trained = {*LOG_SCALES, "alpha", "beta"} - frozen(ctx.cfg)
+    scalars = {}  # the trained ones; the scales are stored as log c: chain through c = exp(log c)
+    if "log_cs" in trained:  # dL/dc_s, summed region by region
+        by_region = zip(np.split(upstream, len(ctx.regions), axis=1),
+                        np.split(ctx.region_means, len(ctx.regions), axis=1))
+        scalars["log_cs"] = sum(float(np.sum(u * m)) for u, m in by_region) * c_s
     # undo the per-region averaging onto the table rows (nested regions add up)
     d_kk = spread(ctx.index, upstream, ctx.regions, c_s, len(ctx.feats))  # dU, then dL/dK * K
 
@@ -320,23 +321,23 @@ def backward(
         np.sum(np.multiply(d_rows, u_rows, out=tmp), axis=-1, out=weighted[rows])
         d_rows -= (weighted[rows] / c_u)[:, None]
         d_rows *= u_rows
-        if ctx.kind == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
+        if ctx.cfg.kernel == KERNEL_LOGISTIC:  # dL/dz = dL/dK * K * (1 - K), in place
             d_rows *= np.subtract(1.0, ctx.k_mat[rows], out=tmp)
     del u_rows, tmp  # the scratch is freed before the (T, D) products below
-    dc_u = float(np.sum(weighted)) / c_u
+    if "log_cu" in trained:
+        scalars["log_cu"] = float(np.sum(weighted)) / c_u * c_u
 
     grads = {} if out is None else out
-    # the stored parameters are log c; chain through c = exp(log c)
-    scalars = {"log_cu": dc_u * c_u, "log_cs": dc_s * c_s}
-    if ctx.kind == KERNEL_LOGISTIC:
+    if ctx.cfg.kernel == KERNEL_LOGISTIC:
         alpha = float(ctx.params["alpha"])
         d_z = d_kk
         d_feats = d_z @ ctx.codebook
         d_feats *= 2.0 * alpha
         d_cb = grads["codebook"] = np.matmul(d_z.T, ctx.feats, out=grads.get("codebook"))
         d_cb *= 2.0 * alpha
-        scalars["alpha"] = float(np.vdot(upstream, ctx.alpha_tangent))
-        scalars["beta"] = float(2.0 * np.sum(d_z))
+        if "alpha" in trained:  # with beta: the two are frozen together
+            scalars["alpha"] = float(np.vdot(upstream, ctx.alpha_tangent))
+            scalars["beta"] = float(2.0 * np.sum(d_z))
     else:
         # gradient w.r.t. squared distances: dL/dK * K * (-1 / (2 sigma^2)); the
         # row maximum that K was divided by cancels in U, so it takes none

@@ -30,11 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bof, kernels
-from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_LEARNED, SCALING_OFF,
-                     RunConfig, check_model, pooled_regions, value_error)
+from .config import (ARCH_CNN_GAP, ARCH_TLONBOF, KERNEL_LOGISTIC, SCALING_OFF, RunConfig,
+                     check_model, pooled_regions, value_error)
 from .data import N_FEATURES, WindowBatch
-
-LOG_SCALES = ("log_cu", "log_cs")  # c_u and c_s, stored as log c
 
 
 @dataclass
@@ -100,7 +98,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["fc2_b"] = (cfg.n_classes,)
     if cfg.arch == ARCH_TLONBOF:
         kernel_params = ("alpha", "beta") if cfg.kernel == KERNEL_LOGISTIC else ("sigma",)
-        shapes.update(dict.fromkeys(LOG_SCALES + kernel_params, ()))
+        shapes.update(dict.fromkeys(bof.LOG_SCALES + kernel_params, ()))
     return shapes
 
 
@@ -155,13 +153,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, out=None) -> dict[st
 
 
 def trainable_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of the parameters Adam updates: all but sigma, the log scales unless
-    learned, and alpha and beta without kernel-parameter learning, in ``param_shapes`` order."""
-    frozen = {"sigma"}
-    if cfg.adaptive_scaling != SCALING_LEARNED:
-        frozen.update(LOG_SCALES)
-    if not cfg.kernel_param_learning:
-        frozen.update(("alpha", "beta"))
+    """Name -> shape of the parameters Adam updates, in ``param_shapes`` order: all but the
+    ``bof.frozen`` ones, the parameters whose gradients no backward pass computes."""
+    frozen = bof.frozen(cfg)
     return {k: s for k, s in param_shapes(cfg).items() if k not in frozen}
 
 
@@ -368,11 +362,11 @@ def batch_loss(ctx: NetworkContext, labels: np.ndarray) -> float:
 
 def backward_batch(ctx: NetworkContext, labels: np.ndarray,
                    out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy w.r.t. every differentiable parameter.
+    """Gradients of the mean cross-entropy w.r.t. the trained parameters: exactly the
+    ``trainable_shapes(cfg)`` keys, as no pass computes a frozen parameter's gradient.
 
-    Every gradient the model defines is returned; ``trainable_shapes`` alone
-    decides which of them are trained. Given ``out`` (an earlier call's, or ``param_vector``
-    views), each gradient is written into its array there, bit for bit, and it is returned.
+    Given ``out`` (an earlier call's, or views of a ``trainable_shapes`` vector), each gradient
+    is written into its array there, bit for bit, and it is returned.
     """
     cfg, params = ctx.cfg, ctx.params
     labels = np.asarray(labels)

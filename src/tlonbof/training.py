@@ -142,7 +142,8 @@ def train(rc: RunConfig, dataset) -> TrainResult:
     vector, params = network.param_vector(cfg)
     network.init_params(cfg, rng_init, out=params)
     state = init_adam(network.trainable_shapes(cfg), lr=rc.lr)
-    grad_vector, grads = network.param_vector(cfg)  # every step's backward writes into these
+    grad_vector = np.zeros(state.m.size)  # every step's backward writes the trained gradients
+    grads = network.flat_views(grad_vector, state.shapes)  # into these, laid out as the moments
     snapshot, last_good = network.param_vector(cfg, np.float32)  # as a checkpoint stores them
     snapshot[...] = vector
     history = TrainHistory()
@@ -164,8 +165,8 @@ def train(rc: RunConfig, dataset) -> TrainResult:
                 raise TrainingDiverged(step, last_good)
             network.backward_batch(ctx, y, out=grads)
             del ctx  # not held through the next step's gather and forward
-            adam_step(vector[: state.m.size], grad_vector[: state.m.size], state)  # trainable heads
-            for k in network.LOG_SCALES:
+            adam_step(vector[: grad_vector.size], grad_vector, state)  # the trainable head
+            for k in bof.LOG_SCALES:
                 if k in params and params[k] < LOG_SCALE_FLOOR:
                     params[k][...] = LOG_SCALE_FLOOR
             history.loss.append(float(loss))
@@ -290,7 +291,7 @@ def refusal(entries: list[tuple[str, np.ndarray]]) -> str | None:
             stored = np.asarray(arr, dtype=np.float32)
             if not np.isfinite(stored).all():
                 return f"{name} is non-finite or beyond float32"
-            if name in network.LOG_SCALES:
+            if name in bof.LOG_SCALES:
                 try:
                     bof.scale({name: stored.astype(np.float64)}, name)
                 except NumericError as exc:
@@ -435,11 +436,6 @@ def _read_checkpoint(fh, keep_adam: bool = True):
         return params, cfg, None
     scalars = {k: float(kept[f"adam.{k}"]) for k in ADAM_SCALARS}
     return params, cfg, replace(state, t=int(scalars.pop("t")), **scalars)
-
-
-def deserialize_checkpoint(blob: bytes):
-    """:func:`load_checkpoint` of checkpoint bytes."""
-    return _read_checkpoint(io.BytesIO(blob))
 
 
 def load_checkpoint(path, keep_adam: bool = True):

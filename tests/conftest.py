@@ -5,6 +5,7 @@ in the test process, otherwise reduction order (and hence bitwise
 determinism checks) can vary with the machine.
 """
 
+import io
 import math
 import os
 import struct
@@ -72,6 +73,11 @@ def adam_step_by_name(params, grads, state):
     training.adam_step(p, g, state)
     for k, view in network.flat_views(p, state.shapes).items():
         params[k][...] = view
+
+
+def deserialize_checkpoint(blob: bytes):
+    """``training.load_checkpoint`` of checkpoint bytes: the same reader over ``io.BytesIO``."""
+    return training._read_checkpoint(io.BytesIO(blob))
 
 
 def reordered(blob: bytes, order) -> bytes:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,14 +394,16 @@ def test_model_gradients_match_finite_differences(overrides):
     {"arch": config.ARCH_CNN_GAP},
     {"nested_regions": True},
     {"adaptive_scaling": config.SCALING_OFF},
+    {"adaptive_scaling": config.SCALING_FROZEN},
+    {"kernel_param_learning": False},
 ])
-def test_backward_returns_one_gradient_per_parameter_but_sigma(overrides):
+def test_backward_returns_exactly_the_trainable_gradients(overrides):
     # a misnamed or extra key would escape the finite-difference checks,
-    # which only look up the trainable names
+    # which only look up the trainable names; a frozen one's gradient is not computed
     cfg = tiny_config(**overrides)
     params, _, ctx = draw_instance(cfg, seed=0, sigma=1.0)
     grads = network.backward_batch(ctx, np.array([0]))
-    assert grads.keys() == network.param_shapes(cfg).keys() - {"sigma"}
+    assert grads.keys() == network.trainable_shapes(cfg).keys()
     for name, g in grads.items():
         assert np.shape(g) == params[name].shape, name
 
@@ -566,6 +569,32 @@ def test_backward_into_held_gradients_has_the_bits_of_fresh_ones(overrides, n_st
     assert _bits(got) == _bits(fresh)
 
 
+# bof.ROW_BLOCK sizes the blocks of rows that each pass over a (T, K) array runs in: one row
+# at a time, 3 rows (29 values at K = 8; 29 does not divide T * K = 448, nor 3 T = 56, so the
+# last block is short) and the default (one block) must give a step and a scoring chunk the
+# same bytes
+@pytest.mark.parametrize("overrides", [{}, {"kernel_param_learning": False},
+                                       {"kernel": config.KERNEL_GAUSSIAN}])
+def test_the_row_block_size_is_invisible_in_the_bits(monkeypatch, overrides):
+    cfg = network.ModelConfig(d_in=16, conv_filters=8, n_codewords=8, hidden=8, **overrides)
+    rng = np.random.default_rng(3)
+    params = network.init_params(cfg, rng)
+    if "sigma" in params:
+        params["sigma"] = np.array(4.0)
+    batch = WindowBatch(rng.normal(size=(40, cfg.d_in)), np.array([0, 3, 3, 9, 20, 25]), 15)
+    labels = np.arange(6) % 3
+    digests = []
+    for block in (1, 29, bof.ROW_BLOCK):
+        monkeypatch.setattr(bof, "ROW_BLOCK", block)
+        probs, ctx = network.forward_batch(batch, params, cfg)
+        assert ctx.bof_ctx.k_mat.shape == (56, 8)
+        held = {k: np.full(s, np.nan) for k, s in network.trainable_shapes(cfg).items()}
+        grads = _bits(network.backward_batch(ctx, labels, out=held))
+        scored, _ = network.forward_batch(batch, params, cfg, keep=False)
+        digests.append((probs.tobytes(), grads, scored.tobytes()))
+    assert digests[0] == digests[1] == digests[2]
+
+
 @pytest.mark.parametrize("overrides", [m for m in EVERY_MODEL
                                        if m.get("arch") != config.ARCH_CNN_GAP])
 def test_rebuilt_memberships_and_activations_have_the_forward_bits(overrides):
@@ -708,7 +737,8 @@ def test_training_step_holds_one_copy_of_each_activation(kernel, bound):
 # float64 array (2.3 MB at T = 1,135 rows of 256 codewords): a balanced batch of
 # 128 from two days, its gradients written into held arrays, after a warm-up
 # step. The context holds the conv activation and K (2 units) and the histogram
-# means, alpha's tangent and the head's pre-activation (under one); the pooling
+# means, alpha's tangent (the default model trains alpha; a frozen one takes no
+# tangent and no dots) and the head's pre-activation (under one); the pooling
 # backward adds dL/dU, two scratch blocks of 128 rows and then dL/dfeats, about
 # 5.3 units at the peak. A cached U (7.3 units before it was rebuilt), or 1 - K,
 # U * dU or the sigmoid's exp as a whole (T, K) temporary, takes it past the bound.
@@ -728,7 +758,8 @@ def test_a_paper_geometry_step_holds_each_table_array_once():
 # rows, whose feature table has 170 rows. Scoring holds the activation and U,
 # written over K, about four units at its peak with the histograms and the
 # head; forward_batch keeping its context, with K, the logistic kernel's dots
-# and d histogram / d alpha for a backward pass, takes 5.9.
+# and d histogram / d alpha for a backward pass, takes 5.9. With alpha frozen
+# it keeps K but takes no dots or tangent, 4.8: at least a unit less.
 def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     cfg = network.ModelConfig(d_in=16, conv_filters=64, n_codewords=64, hidden=16)
     rng = np.random.default_rng(0)
@@ -736,5 +767,10 @@ def test_scoring_a_chunk_keeps_no_dots_or_tangent():
     batch = WindowBatch(rng.normal(size=(46, cfg.d_in)), np.arange(32), 15)
     rows = len(network.conv1d_same_batch(batch, params["conv_w"], params["conv_b"])[0])
     assert rows == 170
+    unit = rows * cfg.n_codewords * 8
     peak = traced_peak(lambda: network.forward_batch(batch, params, cfg, keep=False))
-    assert peak / (rows * cfg.n_codewords * 8) < 5.0
+    assert peak / unit < 5.0
+    learned = traced_peak(lambda: network.forward_batch(batch, params, cfg))
+    frozen_cfg = replace(cfg, kernel_param_learning=False)
+    frozen = traced_peak(lambda: network.forward_batch(batch, params, frozen_cfg))
+    assert (learned - frozen) / unit >= 1.0

@@ -27,7 +27,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from conftest import reordered  # noqa: E402
+from conftest import deserialize_checkpoint, reordered  # noqa: E402
 from reference import (  # noqa: E402
     balanced_batch_by_choice, conv_flat_per_tap, gathered_windows, windowize)
 
@@ -253,7 +253,7 @@ def _with_sigma(blob: bytes, value: float) -> bytes:
 
 def check_checkpoint(blob: bytes):
     try:
-        params, cfg, state = training.deserialize_checkpoint(blob)
+        params, cfg, state = deserialize_checkpoint(blob)
     except FormatError:
         return
     assert {k: v.shape for k, v in params.items()} == network.param_shapes(cfg)
@@ -285,7 +285,7 @@ def test_checkpoint_mutations(blob):
 
 def test_checkpoint_valid_blobs_load():
     for blob in VALID_CHECKPOINTS:
-        assert training.deserialize_checkpoint(blob)[2] is not None
+        assert deserialize_checkpoint(blob)[2] is not None
 
 
 # values at the edges of what a checkpoint holds: about the float32 maximum,
@@ -329,9 +329,9 @@ def test_checkpoint_writer_refuses_exactly_what_the_reader_refuses(model):
     blob, refused = _encoded(model)
     if refused:  # the writer's tensors, encoded without its check, do not load
         with pytest.raises(FormatError):
-            training.deserialize_checkpoint(blob)
+            deserialize_checkpoint(blob)
         return
-    training.deserialize_checkpoint(blob)
+    deserialize_checkpoint(blob)
 
 
 @given(edited_models(), st.data())
@@ -343,9 +343,9 @@ def test_a_checkpoint_reads_the_same_in_any_tensor_order(model, draws):
                          lambda names: draws.draw(st.permutations(names)))
     if refused:
         with pytest.raises(FormatError):
-            training.deserialize_checkpoint(shuffled)
+            deserialize_checkpoint(shuffled)
         return
-    (params, cfg, state), (got, got_cfg, got_state) = map(training.deserialize_checkpoint,
+    (params, cfg, state), (got, got_cfg, got_state) = map(deserialize_checkpoint,
                                                           (blob, shuffled))
     assert got_cfg == cfg and list(got) == list(params)
     assert all(got[k].tobytes() == params[k].tobytes() for k in params)
@@ -440,8 +440,8 @@ SOURCE_DAYS = data.synth_generate(4, 120, seed=0)
 @st.composite
 def command_inputs(draw):
     """Days cut from ``SOURCE_DAYS`` (0-60 rows, some with a constant mid-price), config keys
-    at edge values, a ``--seed`` for ``train`` and ``synth``, and where ``synth`` writes and
-    its ``--separation``."""
+    at edge values and each frozen-parameter switch, a ``--seed`` for ``train`` and ``synth``,
+    and where ``synth`` writes and its ``--separation``."""
     days = []
     for day_id in range(1, draw(st.integers(1, 4)) + 1):
         n = draw(st.integers(0, 60))
@@ -464,8 +464,9 @@ def command_inputs(draw):
         "conv_kernel": draw(st.sampled_from([1, 3, 17])),  # 17 is longer than any window
         "batch_size": draw(st.sampled_from([1, 8, 300])),
         "threshold": draw(st.sampled_from([1e-12, 1e-4, 1e300])),
+        "adaptive_scaling": draw(st.sampled_from(config.SCALING_CHOICES)),
     }
-    for key in ("deep_features", "nested_regions", "temporal_modeling"):
+    for key in ("deep_features", "nested_regions", "temporal_modeling", "kernel_param_learning"):
         keys[key] = draw(st.booleans())
     synth = (draw(st.sampled_from(["new", "file", "under-file", "entry-is-directory"])),
              draw(st.sampled_from(["1.0", "nan", "inf", "1.8e308", "1.7976931348623157e308"])))
@@ -490,6 +491,11 @@ def run_command(argv, outputs):
 @example(([data.FeatureSeries(1, SOURCE_DAYS[0].features[:60], SOURCE_DAYS[0].mid_prices[:60])],
           {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4, "conv_kernel": 3,
            "batch_size": 8, "ablation_seeds": "0"}, 0, ("new", "1.0")))  # one day: no fold
+@example(([data.FeatureSeries(d, SOURCE_DAYS[d - 1].features[:60], SOURCE_DAYS[d - 1].mid_prices[:60])
+           for d in (1, 2)],
+          {"window": 15, "horizon": 10, "n_regions": 3, "lr": 1e-4, "conv_kernel": 3,
+           "batch_size": 8, "ablation_seeds": "0", "kernel_param_learning": False,
+           "adaptive_scaling": config.SCALING_FROZEN}, 0, ("new", "1.0")))  # trains, alpha frozen
 @pytest.mark.filterwarnings("ignore:.* undefined for classes")  # 1-epoch models
 def test_whole_commands_end_in_an_exit_code_and_their_outputs(scratch, inputs):
     days, keys, seed, (where, separation) = inputs

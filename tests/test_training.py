@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import adam_step_by_name, reordered, traced_peak
+from conftest import adam_step_by_name, deserialize_checkpoint, reordered, traced_peak
 from reference import adam_step_per_key, gathered_windows
 
 from tlonbof import config, data, network, training
@@ -289,12 +289,14 @@ def test_a_training_step_holds_one_set_of_gradients(monkeypatch):
     assert second.keys() == first.keys() and all(second[k] is first[k] for k in first)
 
 
-@pytest.mark.parametrize("run", ["plain", "floored", "diverged"])
+@pytest.mark.parametrize("run", ["plain", "frozen", "floored", "diverged"])
 def test_the_training_state_stays_views_of_its_vectors(monkeypatch, run):
-    # at the end of a run every parameter and gradient is a view of its vector, and the Adam
-    # head of each is the moments' layout: code that rebinds a key breaks this. The floored
-    # run sinks log_cu after each step, so the floor writes into its view; the diverged one
-    # ends with a non-finite loss in epoch 2, whose snapshot is views of one float32 vector
+    # at the end of a run every parameter and gradient is a view of its vector, and the
+    # parameters' Adam head and the whole gradient vector, which holds the trainable gradients
+    # alone, are the moments' layout: code that rebinds a key breaks this. The frozen run
+    # trains neither alpha, beta nor the scales; the floored one sinks log_cu after each step,
+    # so the floor writes into its view; the diverged one ends with a non-finite loss in
+    # epoch 2, whose snapshot is views of one float32 vector
     seen = {}
     real_forward, real_backward = network.forward_batch, network.backward_batch
     real_step, real_loss = training.adam_step, network.batch_loss
@@ -323,6 +325,8 @@ def test_the_training_state_stays_views_of_its_vectors(monkeypatch, run):
     monkeypatch.setattr(network, "batch_loss", loss)
     ds = small_dataset(n_days=2, rows=40, seed=2)  # 32 samples: 2 steps of 16 per epoch
     rc = RunConfig(batch_size=16, epochs=2, seed=0, **TINY_TRAIN)
+    if run == "frozen":
+        rc = replace(rc, kernel_param_learning=False, adaptive_scaling=config.SCALING_FROZEN)
     if run == "diverged":
         with pytest.raises(TrainingDiverged) as err:
             training.train(rc, ds)
@@ -336,7 +340,8 @@ def test_the_training_state_stays_views_of_its_vectors(monkeypatch, run):
     params, grads, state = seen["params"], seen["grads"], seen["state"]
     head, grad_head = seen["head"], seen["grad_head"]
     assert list(params) == list(network.param_shapes(network.ModelConfig.from_run(rc, ds.window)))
-    for arrays, vector in [(params, head.base), (grads, grad_head.base)]:
+    assert grads.keys() == state.shapes.keys()
+    for arrays, vector in [(params, head.base), (grads, grad_head)]:
         assert vector.size == sum(v.size for v in arrays.values())
         assert all(np.shares_memory(v, vector) for v in arrays.values())
     for k, view in network.flat_views(head, state.shapes).items():
@@ -526,7 +531,7 @@ def test_a_payload_the_file_cannot_hold_is_refused_before_it_is_allocated(tmp_pa
     assert err.location == f"byte {len(header) + len(dims)}"
     assert peak < path.stat().st_size
     with pytest.raises(FormatError) as again:
-        training.deserialize_checkpoint(path.read_bytes())
+        deserialize_checkpoint(path.read_bytes())
     assert str(again.value) == str(err)
 
 
@@ -543,7 +548,7 @@ def test_moment_vectors_are_not_sized_beyond_the_file():
 
     def load():
         with pytest.raises(FormatError) as err:
-            training.deserialize_checkpoint(blob)
+            deserialize_checkpoint(blob)
         return err.value
 
     peak = traced_peak(load, warm=True)
@@ -560,9 +565,9 @@ def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
     fc1_w = network.flat_views(state.m, state.shapes)["fc1_w"]
     fc1_w[...] = np.random.default_rng(1).normal(size=fc1_w.shape)
     blob = training.serialize_checkpoint(params, LAYOUT_CFG, state)
-    whole = training.deserialize_checkpoint(blob)
+    whole = deserialize_checkpoint(blob)
     monkeypatch.setattr(training, "READ_BLOCK", block)
-    got = training.deserialize_checkpoint(blob)
+    got = deserialize_checkpoint(blob)
     assert got[1] == whole[1]
     assert all(got[0][k].tobytes() == whole[0][k].tobytes() for k in whole[0])
     assert got[2].m.tobytes() == whole[2].m.tobytes() and got[2].v.tobytes() == whole[2].v.tobytes()
@@ -573,7 +578,7 @@ def test_the_read_block_changes_no_value_and_no_refusal(monkeypatch, block):
 
     blob = _layout_blob(last_value_nan)
     with pytest.raises(FormatError, match="checkpoint tensor fc1_w is non-finite") as err:
-        training.deserialize_checkpoint(blob)
+        deserialize_checkpoint(blob)
     assert err.value.location == f"byte {_payload_at(blob, 'fc1_w')}"  # for any block
 
 
@@ -597,7 +602,7 @@ def test_a_tensor_named_twice_is_refused_at_its_second_name(name, first):
     at = [k for k, _ in entries].index(name)
     entries.insert(at, (name, np.full(np.shape(tensors[name]), first)))
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(training._encode_tensors(entries))
+        deserialize_checkpoint(training._encode_tensors(entries))
     assert err.value.message == f"checkpoint tensor {name} appears twice"
     # the second copy's name follows its 2-byte length
     assert err.value.location == f"byte {len(training._encode_tensors(entries[: at + 1])) + 2}"
@@ -616,7 +621,7 @@ def test_load_checkpoint_reads_a_pipe(tmp_path):
     got = training.load_checkpoint(fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
-    want = training.deserialize_checkpoint(blob)
+    want = deserialize_checkpoint(blob)
     assert got[1] == want[1] and got[2].t == want[2].t
     assert all(got[0][k].tobytes() == want[0][k].tobytes() for k in want[0])
 
@@ -626,7 +631,7 @@ def test_a_signalling_nan_is_refused_without_a_cast_warning():
     # the test settings turn into an error: refused values are not widened
     snan = np.frombuffer(struct.pack("<I", 0x7F800001), dtype="<f4")[0]
     with pytest.raises(FormatError, match="checkpoint tensor conv_b is non-finite"):
-        training.deserialize_checkpoint(_layout_blob(_set("conv_b", snan)))
+        deserialize_checkpoint(_layout_blob(_set("conv_b", snan)))
 
 
 def test_checkpoint_magic_and_truncation(tmp_path):
@@ -637,19 +642,19 @@ def test_checkpoint_magic_and_truncation(tmp_path):
     assert blob[:4] == b"TLNB"
 
     with pytest.raises(FormatError):
-        training.deserialize_checkpoint(b"NOPE" + blob[4:])
+        deserialize_checkpoint(b"NOPE" + blob[4:])
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(blob[: len(blob) // 2])
+        deserialize_checkpoint(blob[: len(blob) // 2])
     assert "byte" in str(err.value)
     with pytest.raises(FormatError):
-        training.deserialize_checkpoint(blob + b"extra")
+        deserialize_checkpoint(blob + b"extra")
     # a tensor whose dims multiply past 2**64 values: the size must not wrap
     header = blob[:8] + struct.pack("<IH", 1, 1) + b"x"
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(header + struct.pack("<B3I", 3, 2**31, 2**31, 4))
+        deserialize_checkpoint(header + struct.pack("<B3I", 3, 2**31, 2**31, 4))
     assert "truncated" in str(err.value)
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(header + struct.pack("<B", 109) + bytes(436))
+        deserialize_checkpoint(header + struct.pack("<B", 109) + bytes(436))
     assert "rank 109" in str(err.value)
 
 
@@ -658,7 +663,7 @@ def test_checkpoint_non_utf8_name_is_format_error():
     # magic, version and count take 12 bytes, the first name length 2 more
     blob[14] = 0xFF
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(bytes(blob))
+        deserialize_checkpoint(bytes(blob))
     assert "UTF-8" in str(err.value) and "byte 14" in str(err.value)
 
 
@@ -667,7 +672,7 @@ def test_checkpoint_bad_version():
         arch=config.ARCH_TLONBOF, avg_seq_len=4.0)))
     blob[4] = 99
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(bytes(blob))
+        deserialize_checkpoint(bytes(blob))
     assert "version" in str(err.value)
 
 
@@ -716,7 +721,7 @@ def test_checkpoint_meta_round_trips_every_enumerated_value():
                                   kernel_param_learning=kpl, d_in=7, n_regions=2,
                                   avg_seq_len=12.5)
         params = network.init_params(cfg, np.random.default_rng(0))
-        _, back, _ = training.deserialize_checkpoint(training.serialize_checkpoint(params, cfg))
+        _, back, _ = deserialize_checkpoint(training.serialize_checkpoint(params, cfg))
         assert back == cfg
         checked += 1
     assert checked == 72
@@ -746,7 +751,7 @@ def test_checkpoint_bad_meta_is_format_error(key, value):
         meta[key] = value
     blob = training._encode_tensors([(k, np.array(v)) for k, v in sorted(meta.items())])
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(blob)
+        deserialize_checkpoint(blob)
     assert key in str(err.value)
     # a value is located at its entry's name, a missing entry at the end of the tensor table
     assert err.value.location == f"byte {_name_at(blob, key) if key in meta else len(blob)}"
@@ -757,7 +762,7 @@ def test_inconsistent_checkpoint_meta_is_located_at_the_first_entry():
     meta["meta.deep_features"] = 0.0  # GAP averages conv features
     blob = training._encode_tensors([(k, np.array(v)) for k, v in sorted(meta.items())])
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(blob)
+        deserialize_checkpoint(blob)
     assert err.value.message.startswith("checkpoint model metadata is inconsistent")
     assert err.value.location == f"byte {_name_at(blob, min(meta))}"
 
@@ -799,7 +804,7 @@ def _with_mis_shaped_moment(tensors):
 def test_checkpoint_tensors_must_match_model_metadata(edit, name):
     blob = _layout_blob(edit)
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(blob)
+        deserialize_checkpoint(blob)
     assert name in str(err.value)
     # a tensor is located at its name, a missing one at the end of the tensor table
     present = struct.pack("<H", len(name)) + name.encode() in blob
@@ -829,7 +834,7 @@ def _with_adam_state(name, value):
         "nan-adam-scalar", "inf-adam-moment"])
 def test_checkpoint_non_finite_values_are_format_errors(edit, name):
     with pytest.raises(FormatError) as err:
-        training.deserialize_checkpoint(_layout_blob(edit))
+        deserialize_checkpoint(_layout_blob(edit))
     assert name in str(err.value)
 
 
@@ -890,14 +895,14 @@ def test_train_keeps_only_snapshots_that_save_and_load(monkeypatch, value):
     with pytest.raises(TrainingDiverged, match="log_cs") as err:
         training.train(rc, ds)
     cfg = network.ModelConfig.from_run(rc, float(ds.window))
-    training.deserialize_checkpoint(
+    deserialize_checkpoint(
         training.serialize_checkpoint(err.value.last_good_params, cfg))
 
 
 def test_serialize_keeps_the_float32_maximum():
     params = network.init_params(LAYOUT_CFG, np.random.default_rng(0))
     params["fc2_b"][:] = config.F32_MAX
-    loaded, _, _ = training.deserialize_checkpoint(
+    loaded, _, _ = deserialize_checkpoint(
         training.serialize_checkpoint(params, LAYOUT_CFG))
     assert (loaded["fc2_b"] == config.F32_MAX).all()
 
@@ -907,7 +912,7 @@ def test_checkpoint_non_positive_sigma_is_format_error(sigma):
     # serialize_checkpoint refuses such a sigma, so the file is encoded directly
     blob = _layout_blob(_set("sigma", sigma), replace(LAYOUT_CFG, kernel="gaussian"))
     with pytest.raises(FormatError, match="sigma"):
-        training.deserialize_checkpoint(blob)
+        deserialize_checkpoint(blob)
 
 
 # 1e-46 is positive in float64 but rounds to 0 in the float32 payload
@@ -922,7 +927,7 @@ def test_serialize_refuses_a_sigma_the_reader_would_refuse(sigma):
 
 def test_checkpoint_floored_scale_factor_loads():
     # f32 storage rounds a floored log scale to just below LOG_SCALE_FLOOR
-    params, _, _ = training.deserialize_checkpoint(
+    params, _, _ = deserialize_checkpoint(
         _layout_blob(_set("log_cu", training.LOG_SCALE_FLOOR)))
     assert params["log_cu"] < training.LOG_SCALE_FLOOR
 
